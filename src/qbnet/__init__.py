@@ -21,7 +21,8 @@ from .dynamics import (LinearSystem, SteadyState, Trajectory, assemble,
                        evolve, is_stable, steady_state, vacuum)
 from .errors import (ConfigError, NoSteadyStateError, QbnetError,
                      UnstableSystemError, ValidationError)
-from .export import SweepTable, write_csv, write_json, write_table
+from .export import (TOOLKIT_VERSION as __version__, SweepTable, write_csv,
+                     write_json, write_table)
 from .figures import FIGURE_COLUMNS, FIGURE_IDS, figure_table, run_figure
 from .network import (CouplingSpec, DriveSpec, ModeSpec, NetworkSpec,
                       TopologyParams, build_cascaded, build_network,
@@ -33,8 +34,6 @@ from .observables import (EnergyCurve, GainReport, PowerCurve, energy_curve,
                           gain_report, max_power, power_curve, steady_energy)
 from .optimize import golden_section_max, scan_refine_max
 from .sweep import apply_sweep_value, run_sweep
-
-__version__ = "0.1.0"
 
 __all__ = [
     "ChainLinkCoeffs", "ConfigError", "CouplingSpec", "DriveSpec",

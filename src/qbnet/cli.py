@@ -16,13 +16,14 @@ import sys
 
 import numpy as np
 
-from .config import (RunConfig, load_json, network_from_dict,
-                     parse_run_config, run_config_to_dict, topology_from_dict)
+from .config import (FORMATS, load_json, network_from_dict, parse_run_config,
+                     topology_from_dict, topology_to_dict)
 from .errors import (ConfigError, NoSteadyStateError, QbnetError,
                      UnstableSystemError, ValidationError)
-from .export import SweepTable, table_to_csv_text, write_table
+from .export import (SweepTable, table_to_csv_text, table_to_json_text,
+                     write_table)
 from .figures import FIGURE_IDS, run_figure
-from .network import TopologyParams, build_network, validate
+from .network import FAMILIES, VARIANTS, TopologyParams, build_network, validate
 from .observables import energy_curve, gain_report, max_power, power_curve, steady_energy
 from .nonreciprocity import phase_landscape
 from .sweep import run_sweep
@@ -48,8 +49,8 @@ def _parse_theta_list(text: str):
 
 def _add_topology_flags(parser: argparse.ArgumentParser):
     group = parser.add_argument_group("topology")
-    group.add_argument("--family", choices=("cascaded", "parallel"))
-    group.add_argument("--variant", choices=("r1", "r2", "nr", "custom"))
+    group.add_argument("--family", choices=FAMILIES)
+    group.add_argument("--variant", choices=VARIANTS)
     group.add_argument("--n", type=int, help="battery count")
     group.add_argument("--gb", type=float, help="direct coupling strength g_b")
     group.add_argument("--gamma", type=float,
@@ -67,7 +68,8 @@ def _add_common_flags(parser: argparse.ArgumentParser, config=True):
     if config:
         parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--out", help="output directory (default: print to stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--format", choices=FORMATS,
+                        help="table format (default: csv; sweep: the config's)")
     parser.add_argument("--deterministic", action="store_true",
                         help="suppress the timestamp metadata line")
 
@@ -78,8 +80,7 @@ def _topology_from_args(args) -> TopologyParams:
     if getattr(args, "config", None):
         doc = load_json(args.config)
         if "topology" in doc:
-            cfg = parse_run_config(doc)
-            base = run_config_to_dict(cfg)["topology"]
+            base = topology_to_dict(parse_run_config(doc).topology)
         else:
             base = dict(doc)
     if args.family is not None:
@@ -128,16 +129,12 @@ def _topology_from_args(args) -> TopologyParams:
 
 
 def _emit(table: SweepTable, args) -> None:
+    fmt = args.format or "csv"
     if args.out:
-        paths = write_table(table, args.out, args.format, args.deterministic)
-        for path in paths:
+        for path in write_table(table, args.out, fmt, args.deterministic):
             print(path)
-    elif args.format == "json":
-        doc = {"table": table.name,
-               "metadata": {k: table.metadata[k] for k in sorted(table.metadata)},
-               "columns": list(table.columns),
-               "rows": [[float(v) for v in row] for row in table.rows]}
-        print(json.dumps(doc, indent=2))
+    elif fmt == "json":
+        sys.stdout.write(table_to_json_text(table, deterministic=True))
     else:
         sys.stdout.write(table_to_csv_text(table, deterministic=True))
 
@@ -174,8 +171,8 @@ def _cmd_steady(args) -> int:
     if args.out or args.format == "json":
         table = SweepTable("steady", ("battery", "E_over_omega"),
                            [[_battery_number(t), e] for t, e in rows],
-                           {"topology": json.dumps(run_config_to_dict(
-                               RunConfig(params))["topology"], sort_keys=True)})
+                           {"topology": json.dumps(topology_to_dict(params),
+                                                   sort_keys=True)})
         _emit(table, args)
     else:
         for target, energy in rows:
@@ -262,13 +259,16 @@ def _cmd_sweep(args) -> int:
     table = run_sweep(cfg)
     if args.out is None and cfg.out_dir is not None:
         args.out = cfg.out_dir
+    if args.format is None:
+        args.format = cfg.format
     _emit(table, args)
     return EXIT_OK
 
 
 def _cmd_figure(args) -> int:
     out_dir = args.out or "."
-    for path in run_figure(args.fig_id, out_dir, args.format, args.deterministic):
+    for path in run_figure(args.fig_id, out_dir, args.format or "csv",
+                           args.deterministic):
         print(path)
     return EXIT_OK
 
@@ -277,20 +277,15 @@ def _cmd_validate(args) -> int:
     doc = load_json(args.config)
     if "modes" in doc:
         spec = network_from_dict(doc)
-        problems = validate(spec)
-        if problems:
-            for problem in problems:
-                print(problem, file=sys.stderr)
-            return EXIT_USAGE
     elif "topology" in doc:
-        cfg = parse_run_config(doc)
-        problems = validate(build_network(cfg.topology))
-        if problems:
-            for problem in problems:
-                print(problem, file=sys.stderr)
-            return EXIT_USAGE
+        spec = build_network(parse_run_config(doc).topology)
     else:
         raise ConfigError("config: expected a 'modes' or 'topology' document")
+    problems = validate(spec)
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    if problems:
+        return EXIT_USAGE
     print("ok")
     return EXIT_OK
 

@@ -117,28 +117,30 @@ def _link_coeffs(params: TopologyParams):
     return forward, backward, up, down
 
 
-def cascaded_chain_coeffs(params: TopologyParams) -> ChainLinkCoeffs:
-    """Effective chain for a cascaded topology (intermediates eliminated)."""
-    if params.family != "cascaded":
-        raise ValueError(f"expected cascaded params, got {params.family!r}")
+def _fold_links(params: TopologyParams, family: str) -> ChainLinkCoeffs:
+    """Fold each link's induced decays into its end modes.
+
+    Link k's downstream end is battery k; its upstream end is mode k in
+    a chain and the charger (mode 0) in a star.
+    """
+    if params.family != family:
+        raise ValueError(f"expected {family} params, got {params.family!r}")
     forward, backward, up, down = _link_coeffs(params)
     decay = [params.gamma_c] + list(params.gamma_b)
     for k in range(params.n):
-        decay[k] += 2.0 * up[k]        # upstream end of link k+1
-        decay[k + 1] += 2.0 * down[k]  # downstream end
+        decay[k if family == "cascaded" else 0] += 2.0 * up[k]
+        decay[k + 1] += 2.0 * down[k]
     return ChainLinkCoeffs(tuple(forward), tuple(backward), tuple(decay))
+
+
+def cascaded_chain_coeffs(params: TopologyParams) -> ChainLinkCoeffs:
+    """Effective chain for a cascaded topology (intermediates eliminated)."""
+    return _fold_links(params, "cascaded")
 
 
 def parallel_star_coeffs(params: TopologyParams) -> ChainLinkCoeffs:
     """Effective star for a parallel topology (arm k couples c to b_k)."""
-    if params.family != "parallel":
-        raise ValueError(f"expected parallel params, got {params.family!r}")
-    forward, backward, up, down = _link_coeffs(params)
-    decay = [params.gamma_c] + list(params.gamma_b)
-    for k in range(params.n):
-        decay[0] += 2.0 * up[k]
-        decay[k + 1] += 2.0 * down[k]
-    return ChainLinkCoeffs(tuple(forward), tuple(backward), tuple(decay))
+    return _fold_links(params, "parallel")
 
 
 def directional_chain_steady(coeffs: ChainLinkCoeffs, xi: complex) -> np.ndarray:

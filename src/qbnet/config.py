@@ -2,9 +2,9 @@
 
 One structured-text format covers everything the command line consumes:
 a ``RunConfig`` document with a ``topology`` section mirroring
-``TopologyParams``, optional ``sweep``/``times`` sections and output
-options.  ``NetworkSpec`` has its own schema for the ``validate``
-command.  Unknown keys are rejected with path-precise messages, and
+``TopologyParams``, an optional ``sweep`` section and output options.
+``NetworkSpec`` has its own schema for the ``validate`` command.
+Unknown keys are rejected with path-precise messages, and
 ``serialize -> parse -> serialize`` is the identity.
 
 Complex numbers are encoded as plain numbers when purely real and as
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .network import (CouplingSpec, DriveSpec, ModeSpec, NetworkSpec,
-                      TopologyParams)
+from .network import (FAMILIES, VARIANTS, CouplingSpec, DriveSpec, ModeSpec,
+                      NetworkSpec, TopologyParams)
 
 SWEEPABLE = ("g_b", "gamma", "gamma_c", "Gamma", "xi", "n", "theta")
 OBSERVABLES = ("steady_energy", "gains", "max_power")
@@ -92,11 +92,11 @@ def topology_from_dict(doc: dict, path: str = "topology") -> TopologyParams:
     for key in ("family", "variant", "n", "g_b", "gamma_c", "gamma_b", "xi"):
         _require(key in doc, path, f"missing required key {key!r}")
     family = doc["family"]
-    _require(family in ("cascaded", "parallel"), f"{path}.family",
-             f"must be 'cascaded' or 'parallel', got {family!r}")
+    _require(family in FAMILIES, f"{path}.family",
+             f"must be {' or '.join(map(repr, FAMILIES))}, got {family!r}")
     variant = doc["variant"]
-    _require(variant in ("r1", "r2", "nr", "custom"), f"{path}.variant",
-             f"must be one of r1/r2/nr/custom, got {variant!r}")
+    _require(variant in VARIANTS, f"{path}.variant",
+             f"must be one of {'/'.join(VARIANTS)}, got {variant!r}")
     n = doc["n"]
     _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1,
              f"{path}.n", f"must be an integer >= 1, got {n!r}")
@@ -177,17 +177,13 @@ def network_from_dict(doc: dict, path: str = "network") -> NetworkSpec:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Either an explicit value list or a start/stop/points range."""
+    """The explicit values of a list or a start/stop/points range."""
 
     values: tuple
-
-    def as_array(self):
-        return np.asarray(self.values, dtype=float)
 
 
 def _grid_from_dict(doc, path: str) -> GridSpec:
     if isinstance(doc, list):
-        _require(len(doc) >= 0, path, "must be a list of numbers")
         return GridSpec(tuple(_number(v, f"{path}[{i}]")
                               for i, v in enumerate(doc)))
     _check_keys(doc, ("start", "stop", "points", "spacing"), path)
@@ -211,8 +207,8 @@ def _grid_from_dict(doc, path: str) -> GridSpec:
 
 # --- RunConfig ------------------------------------------------------------
 
-_RUN_KEYS = ("topology", "sweep", "observables", "target", "times",
-             "out_dir", "format")
+_RUN_KEYS = ("topology", "sweep", "observables", "target", "out_dir",
+             "format")
 _SWEEP_KEYS = ("variable", "values", "index")
 
 
@@ -234,7 +230,6 @@ class RunConfig:
     sweep: SweepSpec | None = None
     observables: tuple = ("steady_energy",)
     target: str | None = None
-    times: GridSpec | None = None
     out_dir: str | None = None
     format: str = "csv"
 
@@ -277,17 +272,13 @@ def parse_run_config(doc) -> RunConfig:
     target = doc.get("target")
     if target is not None:
         _require(isinstance(target, str), "config.target", "must be a string")
-    times = None
-    if "times" in doc:
-        times = _grid_from_dict(doc["times"], "config.times")
     out_dir = doc.get("out_dir")
     if out_dir is not None:
         _require(isinstance(out_dir, str), "config.out_dir", "must be a string")
     fmt = doc.get("format", "csv")
     _require(fmt in FORMATS, "config.format",
              f"must be one of {FORMATS}, got {fmt!r}")
-    return RunConfig(topology, sweep, tuple(observables), target, times,
-                     out_dir, fmt)
+    return RunConfig(topology, sweep, tuple(observables), target, out_dir, fmt)
 
 
 def run_config_to_dict(cfg: RunConfig) -> dict:
@@ -302,8 +293,6 @@ def run_config_to_dict(cfg: RunConfig) -> dict:
     doc["observables"] = list(cfg.observables)
     if cfg.target is not None:
         doc["target"] = cfg.target
-    if cfg.times is not None:
-        doc["times"] = list(cfg.times.values)
     if cfg.out_dir is not None:
         doc["out_dir"] = cfg.out_dir
     doc["format"] = cfg.format

@@ -58,24 +58,17 @@ def _metadata_lines(table: SweepTable, deterministic: bool):
     return lines
 
 
-def write_csv(table: SweepTable, path: str, deterministic: bool = False) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in _metadata_lines(table, deterministic):
-            fh.write(line + "\n")
-        fh.write(",".join(table.columns) + "\n")
-        for row in table.rows:
-            fh.write(",".join(format_number(v) for v in row) + "\n")
+def table_to_csv_text(table: SweepTable, deterministic: bool = True) -> str:
+    """The CSV document: metadata lines, header row, data rows."""
+    lines = _metadata_lines(table, deterministic)
+    lines.append(",".join(table.columns))
+    for row in table.rows:
+        lines.append(",".join(format_number(v) for v in row))
+    return "\n".join(lines) + "\n"
 
 
-def write_errors_csv(table: SweepTable, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("row_index,point,error\n")
-        for index, point, message in table.errors:
-            text = str(message).replace('"', "'")
-            fh.write(f'{index},{format_number(point)},"{text}"\n')
-
-
-def write_json(table: SweepTable, path: str, deterministic: bool = False) -> None:
+def table_to_json_text(table: SweepTable, deterministic: bool = True) -> str:
+    """The JSON document, failed points included under ``errors``."""
     doc = {
         "table": table.name,
         "toolkit_version": TOOLKIT_VERSION,
@@ -87,37 +80,40 @@ def write_json(table: SweepTable, path: str, deterministic: bool = False) -> Non
     }
     if not deterministic:
         doc["created"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
+
+
+def write_csv(table: SweepTable, path: str, deterministic: bool = False) -> None:
+    _write_text(path, table_to_csv_text(table, deterministic))
+
+
+def write_json(table: SweepTable, path: str, deterministic: bool = False) -> None:
+    _write_text(path, table_to_json_text(table, deterministic))
+
+
+def write_errors_csv(table: SweepTable, path: str) -> None:
+    lines = ["row_index,point,error\n"]
+    for index, point, message in table.errors:
+        text = str(message).replace('"', "'")
+        lines.append(f'{index},{format_number(point)},"{text}"\n')
+    _write_text(path, "".join(lines))
 
 
 def write_table(table: SweepTable, out_dir: str, fmt: str = "csv",
                 deterministic: bool = False) -> list:
-    """Write a table (and its error sidecar, if any); return the paths."""
-    os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    if fmt == "csv":
-        path = os.path.join(out_dir, f"{table.name}.csv")
-        write_csv(table, path, deterministic)
-        paths.append(path)
-        if table.errors:
-            err_path = os.path.join(out_dir, f"{table.name}_errors.csv")
-            write_errors_csv(table, err_path)
-            paths.append(err_path)
-    elif fmt == "json":
-        path = os.path.join(out_dir, f"{table.name}.json")
-        write_json(table, path, deterministic)
-        paths.append(path)
-    else:
+    """Write a table (and, for CSV, its error sidecar); return the paths."""
+    if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, f"{table.name}.{fmt}")
+    (write_csv if fmt == "csv" else write_json)(table, path, deterministic)
+    paths = [path]
+    if fmt == "csv" and table.errors:
+        paths.append(os.path.join(out_dir, f"{table.name}_errors.csv"))
+        write_errors_csv(table, paths[-1])
     return paths
-
-
-def table_to_csv_text(table: SweepTable, deterministic: bool = True) -> str:
-    """The CSV document as a string (stdout printing path)."""
-    lines = _metadata_lines(table, deterministic)
-    lines.append(",".join(table.columns))
-    for row in table.rows:
-        lines.append(",".join(format_number(v) for v in row))
-    return "\n".join(lines) + "\n"

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._threads import ordered_map
 from .closed_forms import g_opt_odd, logfit_ratio
 from .export import SweepTable, write_table
 from .network import TopologyParams
@@ -148,7 +147,7 @@ def _eta_panel(name, family):
             p_max[variant] = max_power(params, target="b_4")[1]
         return [x, p_max["nr"] / p_max["r1"], p_max["nr"] / p_max["r2"]]
 
-    rows = ordered_map(etas, POWER_SWEEP)
+    rows = [etas(x) for x in POWER_SWEEP]
     md = _base_metadata(family, 4, GAMMA_POWER, GAMMA_INTERMEDIATE_POWER,
                         {"sweep": "gb_over_gamma log 21 points on [0.001, 0.1]",
                          "target": "b_4"})

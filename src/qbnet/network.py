@@ -9,10 +9,11 @@ amplitude decays at half the rate), all frequencies are in units of the
 common mode frequency, and detunings default to zero (every mode
 resonant with the drive).
 
-Two builder families are provided:
+``build_network`` covers two families that differ only in each
+battery link's upstream mode:
 
-* ``build_cascaded`` -- a chain ``c - b_1 - ... - b_N``.
-* ``build_parallel`` -- a star with every battery tied to the charger.
+* ``cascaded`` -- a chain ``c - b_1 - ... - b_N``.
+* ``parallel`` -- a star with every battery tied to the charger.
 
 Both come in four variants.  ``r1`` has direct couplings only.  ``r2``,
 ``nr`` and ``custom`` insert one lossy intermediate mode per link, with
@@ -187,62 +188,47 @@ def matched_coupling(g_b: float, Gamma: float) -> float:
     return math.sqrt(g_b * Gamma / 2.0)
 
 
-def _check_family(params: TopologyParams, family: str):
-    if params.family != family:
-        raise ValidationError(
-            [f"expected family {family!r}, got {params.family!r}"])
+def build_network(params: TopologyParams) -> NetworkSpec:
+    """Charger ``c`` plus one direct link ``up -> b_k`` per battery.
+
+    The family fixes each link's upstream mode: the previous battery in
+    a cascaded chain, the charger in a parallel star.  For variants with
+    intermediates every link gains a mode ``a_k`` coupled as
+    ``up -> a_k -> b_k`` at the matched strength.
+    """
     if params.has_intermediates and params.Gamma <= 0:
         raise ValidationError(
             [f"variant {params.variant!r} needs Gamma > 0, got {params.Gamma!r}"])
-
-
-def build_cascaded(params: TopologyParams) -> NetworkSpec:
-    """Chain topology: charger, then batteries linked nearest-neighbour.
-
-    For variants with intermediates every link ``up -> b_k`` gains a
-    mode ``a_k`` coupled as ``up -> a_k -> b_k`` at the matched
-    strength.
-    """
-    _check_family(params, "cascaded")
     thetas = params.direct_phases()
     modes = [ModeSpec("c", "charger", params.gamma_c)]
     couplings = []
     g_i = matched_coupling(params.g_b, params.Gamma) if params.has_intermediates else 0.0
     for k in range(1, params.n + 1):
-        upstream = "c" if k == 1 else f"b_{k - 1}"
+        upstream = "c" if k == 1 or params.family == "parallel" else f"b_{k - 1}"
         if params.has_intermediates:
             modes.append(ModeSpec(f"a_{k}", "intermediate", params.Gamma))
             couplings.append(CouplingSpec(upstream, f"a_{k}", g_i, 0.0))
             couplings.append(CouplingSpec(f"a_{k}", f"b_{k}", g_i, 0.0))
         modes.append(ModeSpec(f"b_{k}", "battery", params.gamma_b[k - 1]))
         couplings.append(CouplingSpec(upstream, f"b_{k}", params.g_b, thetas[k - 1]))
-    drives = (DriveSpec("c", params.xi),)
-    return NetworkSpec(tuple(modes), tuple(couplings), drives)
+    return NetworkSpec(tuple(modes), tuple(couplings), (DriveSpec("c", params.xi),))
+
+
+def _build_family(params: TopologyParams, family: str) -> NetworkSpec:
+    if params.family != family:
+        raise ValidationError(
+            [f"expected family {family!r}, got {params.family!r}"])
+    return build_network(params)
+
+
+def build_cascaded(params: TopologyParams) -> NetworkSpec:
+    """Chain topology ``c - b_1 - ... - b_N``; refuses parallel params."""
+    return _build_family(params, "cascaded")
 
 
 def build_parallel(params: TopologyParams) -> NetworkSpec:
-    """Star topology: every battery couples to the common charger."""
-    _check_family(params, "parallel")
-    thetas = params.direct_phases()
-    modes = [ModeSpec("c", "charger", params.gamma_c)]
-    couplings = []
-    g_i = matched_coupling(params.g_b, params.Gamma) if params.has_intermediates else 0.0
-    for k in range(1, params.n + 1):
-        if params.has_intermediates:
-            modes.append(ModeSpec(f"a_{k}", "intermediate", params.Gamma))
-            couplings.append(CouplingSpec("c", f"a_{k}", g_i, 0.0))
-            couplings.append(CouplingSpec(f"a_{k}", f"b_{k}", g_i, 0.0))
-        modes.append(ModeSpec(f"b_{k}", "battery", params.gamma_b[k - 1]))
-        couplings.append(CouplingSpec("c", f"b_{k}", params.g_b, thetas[k - 1]))
-    drives = (DriveSpec("c", params.xi),)
-    return NetworkSpec(tuple(modes), tuple(couplings), drives)
-
-
-def build_network(params: TopologyParams) -> NetworkSpec:
-    """Dispatch to the family-specific builder."""
-    if params.family == "cascaded":
-        return build_cascaded(params)
-    return build_parallel(params)
+    """Star topology, every battery on the charger; refuses cascaded params."""
+    return _build_family(params, "parallel")
 
 
 def validate(spec: NetworkSpec) -> list:

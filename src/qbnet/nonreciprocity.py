@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._threads import ordered_map
 from .closed_forms import effective_link
 from .dynamics import assemble, steady_state
 from .network import (CouplingSpec, DriveSpec, ModeSpec, NetworkSpec,
@@ -127,7 +126,7 @@ def phase_landscape(params: TopologyParams, target: str | None = None,
     Accepts ``custom`` variants (full triangles) and ``r1`` (direct
     couplings only, where the landscape is flat for loop-free graphs).
     The grid excludes -pi and includes +pi; every energy is a full
-    network solve, parallelised over grid points.
+    network solve.
     """
     if params.variant not in ("custom", "r1"):
         raise ValueError(
@@ -139,15 +138,11 @@ def phase_landscape(params: TopologyParams, target: str | None = None,
     grids = (grid,) * params.n
     combos = list(itertools.product(range(grid_points), repeat=params.n))
 
-    def energy_at(combo):
-        thetas = tuple(float(grid[i]) for i in combo)
-        p = dataclasses.replace(params, thetas=thetas)
-        return steady_energy(p, target)
-
-    values = ordered_map(energy_at, combos)
     energy = np.zeros((grid_points,) * params.n)
-    for combo, value in zip(combos, values):
-        energy[combo] = value
+    for combo in combos:
+        thetas = tuple(float(grid[i]) for i in combo)
+        energy[combo] = steady_energy(dataclasses.replace(params, thetas=thetas),
+                                      target)
     peak = float(energy.max())
     tie = peak - abs(peak) * ARGMAX_TIE_REL
     argmax = tuple(

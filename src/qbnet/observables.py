@@ -16,7 +16,7 @@ from scipy.linalg import expm
 from .dynamics import assemble, evolve, is_stable, steady_state, vacuum
 from .errors import UnstableSystemError
 from .network import TopologyParams, build_network
-from .optimize import golden_section_max
+from .optimize import scan_refine_max
 
 #: a gain ratio with a denominator below this is reported as undefined
 RATIO_FLOOR = 1e-300
@@ -85,20 +85,24 @@ def _system(params: TopologyParams):
     return assemble(build_network(params))
 
 
-def _require_decaying(sys):
-    """Steady observables need an attracting steady state, not merely an
-    invertible matrix; marginal (undamped) networks are refused."""
+def _require_decaying(sys) -> float:
+    """Return the spectral abscissa, refusing marginal (undamped) networks.
+
+    Steady observables and the maximum-power horizon need an attracting
+    steady state, not merely an invertible matrix.
+    """
     stable, abscissa = is_stable(sys)
     if not stable or abscissa > STABILITY_FLOOR:
         raise UnstableSystemError(
             f"network is not strictly decaying (spectral abscissa "
             f"{abscissa:.3e})", spectral_abscissa=abscissa)
-    return sys
+    return abscissa
 
 
 def steady_energy(params: TopologyParams, target: str | None = None) -> float:
     """Steady stored energy ``|alpha_ss(target)|^2`` of the full network."""
-    sys = _require_decaying(_system(params))
+    sys = _system(params)
+    _require_decaying(sys)
     row = sys.row(target or _default_target(params))
     ss = steady_state(sys)
     return float(abs(ss.amplitudes[row]) ** 2)
@@ -137,11 +141,7 @@ def max_power(params: TopologyParams, target: str | None = None,
     the bracketing interval polishes t to ``rel_tol`` relative.
     """
     sys = _system(params)
-    stable, abscissa = is_stable(sys)
-    if not stable:
-        raise UnstableSystemError(
-            f"maximum power needs a decaying system; spectral abscissa "
-            f"{abscissa:.3e}", spectral_abscissa=abscissa)
+    abscissa = _require_decaying(sys)
     row = sys.row(target or _default_target(params))
     alpha_ss = steady_state(sys).amplitudes
 
@@ -151,13 +151,7 @@ def max_power(params: TopologyParams, target: str | None = None,
 
     t_hi = POWER_HORIZON_FACTOR / abs(abscissa)
     grid = np.geomspace(t_hi / POWER_SCAN_SPAN, t_hi, POWER_SCAN_POINTS)
-    values = np.array([power_at(t) for t in grid])
-    i = int(np.argmax(values))
-    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-    t_star, p_max = golden_section_max(power_at, lo, hi, rel_tol=rel_tol)
-    if values[i] > p_max:
-        t_star, p_max = float(grid[i]), float(values[i])
-    return t_star, p_max
+    return scan_refine_max(power_at, grid, rel_tol)
 
 
 def _ratio(numer: float, denom: float, name: str, flags: list) -> float:

@@ -3,8 +3,7 @@
 A sweep evaluates the requested observables at every grid value of one
 variable.  Points that fail numerically (singular or unstable systems)
 are recorded in the table's error list and skipped; the surviving rows
-keep deterministic order.  Evaluation is parallel across points,
-bounded by QBNET_THREADS.
+keep grid order.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import json
 
-from ._threads import ordered_map
 from .config import RunConfig, run_config_to_dict
 from .errors import NoSteadyStateError, UnstableSystemError
 from .export import SweepTable
@@ -51,62 +49,45 @@ def apply_sweep_value(params: TopologyParams, variable: str, value,
     raise ValueError(f"unknown sweep variable {variable!r}")
 
 
-def _observable_columns(observables) -> tuple:
-    columns = []
-    for obs in observables:
-        if obs == "steady_energy":
-            columns.append("steady_energy")
-        elif obs == "gains":
-            columns.extend(["E_nr", "E_r1", "E_r2", "G1", "G2"])
-        elif obs == "max_power":
-            columns.extend(["t_star", "p_max"])
-        else:
-            raise ValueError(f"unknown observable {obs!r}")
-    return tuple(columns)
+def _gains_row(params: TopologyParams, target):
+    report = gain_report(params)
+    i = (report.targets.index(target) if target in report.targets
+         else len(report.targets) - 1)
+    return [report.e_nr[i], report.e_r1[i], report.e_r2[i],
+            report.g1[i], report.g2[i]]
 
 
-def _evaluate_point(cfg: RunConfig, value):
-    params = apply_sweep_value(cfg.topology, cfg.sweep.variable, value,
-                               cfg.sweep.index)
-    target = cfg.target
-    row = []
-    for obs in cfg.observables:
-        if obs == "steady_energy":
-            row.append(steady_energy(params, target))
-        elif obs == "gains":
-            report = gain_report(params)
-            i = (report.targets.index(target) if target in report.targets
-                 else len(report.targets) - 1)
-            row.extend([report.e_nr[i], report.e_r1[i], report.e_r2[i],
-                        report.g1[i], report.g2[i]])
-        elif obs == "max_power":
-            t_star, p_max = max_power(params, target)
-            row.extend([t_star, p_max])
-    return row
+#: observable name -> (table columns, row values at ``(params, target)``)
+_OBSERVABLES = {
+    "steady_energy": (("steady_energy",),
+                      lambda params, target: [steady_energy(params, target)]),
+    "gains": (("E_nr", "E_r1", "E_r2", "G1", "G2"), _gains_row),
+    "max_power": (("t_star", "p_max"),
+                  lambda params, target: list(max_power(params, target))),
+}
 
 
 def run_sweep(cfg: RunConfig) -> SweepTable:
     """Evaluate the configured sweep; failed points go to the sidecar."""
     if cfg.sweep is None:
         raise ValueError("config has no sweep section")
+    try:
+        chosen = [_OBSERVABLES[obs] for obs in cfg.observables]
+    except KeyError as exc:
+        raise ValueError(f"unknown observable {exc.args[0]!r}") from None
     variable = cfg.sweep.variable
     label = variable if cfg.sweep.index is None else f"{variable}_{cfg.sweep.index}"
-    values = list(cfg.sweep.grid.values)
-
-    def evaluate(item):
-        index, value = item
-        try:
-            return index, _evaluate_point(cfg, value), None
-        except (NoSteadyStateError, UnstableSystemError) as exc:
-            return index, None, str(exc)
-
-    results = ordered_map(evaluate, enumerate(values))
     rows, errors = [], []
-    for index, row, error in results:
-        if error is None:
-            rows.append([values[index]] + row)
+    for index, value in enumerate(cfg.sweep.grid.values):
+        params = apply_sweep_value(cfg.topology, variable, value, cfg.sweep.index)
+        row = [value]
+        try:
+            for _, row_values in chosen:
+                row.extend(row_values(params, cfg.target))
+        except (NoSteadyStateError, UnstableSystemError) as exc:
+            errors.append((index, value, str(exc)))
         else:
-            errors.append((index, values[index], error))
+            rows.append(row)
     metadata = {"config": json.dumps(run_config_to_dict(cfg), sort_keys=True)}
-    columns = (label,) + _observable_columns(cfg.observables)
+    columns = (label,) + tuple(col for cols, _ in chosen for col in cols)
     return SweepTable(f"sweep_{label}", columns, rows, metadata, errors)

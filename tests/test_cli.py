@@ -105,6 +105,37 @@ class TestConfigDriven:
         assert code == 0
         assert "g_b,steady_energy" in out
 
+    def test_sweep_format_from_config(self, tmp_path, capsys):
+        doc = {"topology": self.topo(),
+               "sweep": {"variable": "g_b", "values": [0.01]},
+               "format": "json"}
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        code, out, _ = run(capsys, "sweep", "--config", str(cfg),
+                           "--out", str(out_dir))
+        assert code == 0
+        assert out.strip() == str(out_dir / "sweep_g_b.json")
+        assert json.loads((out_dir / "sweep_g_b.json").read_text())["rows"]
+        code, out, _ = run(capsys, "sweep", "--config", str(cfg),
+                           "--out", str(out_dir), "--format", "csv")
+        assert code == 0
+        assert out.strip() == str(out_dir / "sweep_g_b.csv")
+
+    def test_sweep_json_to_stdout_lists_refused_points(self, tmp_path, capsys):
+        topo = dict(self.topo(), variant="r1")
+        doc = {"topology": topo,
+               "sweep": {"variable": "gamma", "values": [0.1, 0.0]}}
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "sweep", "--config", str(cfg),
+                           "--format", "json")
+        assert code == 0
+        printed = json.loads(out)
+        assert len(printed["rows"]) == 1
+        assert [(e["row_index"], e["point"]) for e in printed["errors"]] == [(1, 0.0)]
+        assert printed["toolkit_version"]
+
     def test_schema_error_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"topology": self.topo(), "plots": True}))

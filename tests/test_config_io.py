@@ -105,10 +105,12 @@ class TestRunConfig:
         assert cfg.sweep.grid.values[-1] == pytest.approx(0.1)
 
     def test_unknown_top_level_key(self):
-        doc = self.doc()
-        doc["plot"] = True
-        with pytest.raises(ConfigError, match=r"config\.plot: unknown key"):
-            parse_run_config(doc)
+        for key, value in (("plot", True),
+                           ("times", {"start": 0.0, "stop": 10.0, "points": 11})):
+            doc = self.doc()
+            doc[key] = value
+            with pytest.raises(ConfigError, match=rf"config\.{key}: unknown key"):
+                parse_run_config(doc)
 
     def test_unknown_sweep_variable(self):
         doc = self.doc()
@@ -140,12 +142,6 @@ class TestRunConfig:
         doc["sweep"]["values"] = []
         cfg = parse_run_config(doc)
         assert cfg.sweep.grid.values == ()
-
-    def test_times_grid(self):
-        doc = self.doc()
-        doc["times"] = {"start": 0.0, "stop": 10.0, "points": 11}
-        cfg = parse_run_config(doc)
-        assert cfg.times.values[1] == pytest.approx(1.0)
 
     def test_canonical_dict_is_json_safe(self):
         cfg = parse_run_config(self.doc())

@@ -1,7 +1,6 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 from qbnet import SweepTable, parse_run_config, run_sweep
@@ -133,15 +132,6 @@ class TestRunSweep:
         doc["sweep"] = {"variable": "n", "values": [1, 2, 3]}
         table = run_sweep(parse_run_config(doc))
         assert [row[0] for row in table.rows] == [1.0, 2.0, 3.0]
-
-    def test_deterministic_row_order_threaded(self, monkeypatch):
-        doc = config_doc()
-        doc["sweep"]["values"] = list(np.linspace(0.001, 0.05, 20))
-        monkeypatch.setenv("QBNET_THREADS", "4")
-        threaded = run_sweep(parse_run_config(doc))
-        monkeypatch.setenv("QBNET_THREADS", "1")
-        serial = run_sweep(parse_run_config(doc))
-        assert threaded.rows == serial.rows
 
     def test_max_power_observable(self):
         doc = config_doc(observables=["max_power"])

@@ -120,6 +120,15 @@ class TestMaxPower:
         with pytest.raises(UnstableSystemError):
             max_power(p)
 
+    def test_marginal_rejected_like_steady_energy(self):
+        # spectral abscissa in [STABILITY_FLOOR, 0): negative, but too
+        # close to zero for a steady state; both observables refuse it
+        p = TopologyParams("cascaded", "r1", 1, 0.01, 1e-14, 1e-14, 0.1, 1.0)
+        with pytest.raises(UnstableSystemError):
+            steady_energy(p)
+        with pytest.raises(UnstableSystemError):
+            max_power(p)
+
 
 class TestGainReport:
     def test_parallel_n2_values(self):
