@@ -20,7 +20,7 @@ from .config import (RunConfig, parse_run_config, run_config_to_dict,
 from .dynamics import (LinearSystem, SteadyState, Trajectory, assemble,
                        evolve, is_stable, steady_state, vacuum)
 from .errors import (ConfigError, NoSteadyStateError, QbnetError,
-                     UnstableSystemError, ValidationError)
+                     ScanEdgeError, UnstableSystemError, ValidationError)
 from .export import (TOOLKIT_VERSION as __version__, SweepTable, write_csv,
                      write_json, write_table)
 from .figures import FIGURE_COLUMNS, FIGURE_IDS, figure_table, run_figure
@@ -32,7 +32,7 @@ from .nonreciprocity import (IsolationResult, PhaseLandscape,
                              phase_landscape, triangle_network, window_check)
 from .observables import (EnergyCurve, GainReport, PowerCurve, energy_curve,
                           gain_report, max_power, power_curve, steady_energy)
-from .optimize import golden_section_max, scan_refine_max
+from .optimize import golden_section_max, refine_argmax, scan_refine_max
 from .sweep import apply_sweep_value, run_sweep
 
 __all__ = [
@@ -40,7 +40,8 @@ __all__ = [
     "EffectiveLink", "EnergyCurve", "FIGURE_COLUMNS", "FIGURE_IDS",
     "GainReport", "IsolationResult", "LinearSystem", "LogFitResult",
     "ModeSpec", "NetworkSpec", "NoSteadyStateError", "PhaseLandscape",
-    "PowerCurve", "QbnetError", "RunConfig", "SteadyState", "SweepTable",
+    "PowerCurve", "QbnetError", "RunConfig", "ScanEdgeError", "SteadyState",
+    "SweepTable",
     "TopologyParams", "Trajectory", "UnstableSystemError", "ValidationError",
     "apply_sweep_value", "assemble", "build_cascaded", "build_network",
     "build_parallel", "cascaded_chain_coeffs", "cascaded_nr_energy",
@@ -52,7 +53,7 @@ __all__ = [
     "logfit_ratio", "matched_coupling", "max_power", "network_from_dict",
     "network_to_dict", "parallel_nr_energy", "parallel_r1_energy",
     "parallel_star_coeffs", "parse_run_config", "phase_landscape",
-    "power_curve", "run_config_to_dict", "run_config_to_json", "run_figure",
+    "power_curve", "refine_argmax", "run_config_to_dict", "run_config_to_json", "run_figure",
     "run_sweep", "scan_refine_max", "steady_energy", "steady_state",
     "topology_from_dict", "topology_to_dict", "triangle_network", "vacuum",
     "validate", "window_check", "wrap_phase", "write_csv", "write_json",

@@ -5,7 +5,8 @@ validate.  Topologies come from inline flags, from a ``--config`` JSON
 file, or both (inline flags override config fields).  Tables go to
 stdout or, with ``--out``, to CSV/JSON files.  Exit codes: 0 success,
 2 configuration or usage error, 3 numerical failure (singular or
-unstable system).  Diagnostics go to standard error.
+unstable system, a maximum outside the scanned range).  Diagnostics go
+to standard error.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .config import (FORMATS, load_json, network_from_dict, parse_run_config,
                      topology_from_dict, topology_to_dict)
 from .errors import (ConfigError, NoSteadyStateError, QbnetError,
-                     UnstableSystemError, ValidationError)
+                     ScanEdgeError, UnstableSystemError, ValidationError)
 from .export import (SweepTable, table_to_csv_text, table_to_json_text,
                      write_table)
 from .figures import FIGURE_IDS, run_figure
@@ -188,7 +189,7 @@ def _cmd_evolve(args) -> int:
     curve = energy_curve(params, target, times)
     table = SweepTable("evolve", ("t", "E_over_omega"),
                        [[t, e] for t, e in zip(curve.times, curve.energy)],
-                       {"target": target})
+                       {"target": target, "method": curve.method})
     _emit(table, args)
     return EXIT_OK
 
@@ -203,8 +204,8 @@ def _cmd_power(args) -> int:
     t_star, p_max = max_power(params, target)
     table = SweepTable("power", ("t", "P"),
                        [[t, p] for t, p in zip(curve.times, curve.power)],
-                       {"target": target, "t_star": repr(t_star),
-                        "p_max": repr(p_max)})
+                       {"target": target, "method": curve.method,
+                        "t_star": repr(t_star), "p_max": repr(p_max)})
     _emit(table, args)
     return EXIT_OK
 
@@ -365,7 +366,7 @@ def cli_main(argv=None) -> int:
     except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NoSteadyStateError, UnstableSystemError) as exc:
+    except (NoSteadyStateError, UnstableSystemError, ScanEdgeError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except np.linalg.LinAlgError as exc:

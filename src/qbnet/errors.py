@@ -2,7 +2,8 @@
 
 The split matters for the command line front end: configuration and
 input problems map to exit code 2, numerical failures (singular or
-unstable systems) map to exit code 3.
+unstable systems, a maximum outside the scanned range) map to exit
+code 3.
 """
 
 
@@ -47,3 +48,15 @@ class UnstableSystemError(QbnetError, RuntimeError):
     def __init__(self, message, spectral_abscissa=None):
         super().__init__(message)
         self.spectral_abscissa = spectral_abscissa
+
+
+class ScanEdgeError(QbnetError, RuntimeError):
+    """A maximiser's scan peaked on the first or last point of its grid.
+
+    The maximum may lie outside the scanned range; ``edge`` is that
+    grid point.
+    """
+
+    def __init__(self, message, edge=None):
+        super().__init__(message)
+        self.edge = edge

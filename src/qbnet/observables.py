@@ -11,24 +11,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
-from .dynamics import assemble, evolve, is_stable, steady_state, vacuum
+from .dynamics import (_propagate_expm, assemble, evolve, is_stable,
+                       steady_state, vacuum)
 from .errors import UnstableSystemError
 from .network import TopologyParams, build_network
-from .optimize import scan_refine_max
+from .optimize import refine_argmax
 
 #: a gain ratio with a denominator below this is reported as undefined
 RATIO_FLOOR = 1e-300
 
-#: log-scan points for the maximum-power search
-POWER_SCAN_POINTS = 2000
-
-#: the scan covers (0, HORIZON_FACTOR / |spectral abscissa|]
+#: the maximum-power scan reaches HORIZON_FACTOR / |spectral abscissa|
 POWER_HORIZON_FACTOR = 50.0
 
-#: ratio of scan upper end to lower end (six decades)
+#: the scan starts this factor below its reach (six decades)
 POWER_SCAN_SPAN = 1e6
+
+#: equal scan steps per octave [a, 2a]: spacing a/145 is at most 0.69%
+#: of t, finer than a 2,000-point log grid over the same six decades
+POWER_STEPS_PER_OCTAVE = 145
 
 #: spectral abscissa above this is treated as non-decaying
 STABILITY_FLOOR = -1e-14
@@ -36,11 +37,15 @@ STABILITY_FLOOR = -1e-14
 
 @dataclass(frozen=True)
 class EnergyCurve:
-    """Stored energy of one mode over a time grid."""
+    """Stored energy of one mode over a time grid.
+
+    ``method`` is the propagator that ran ("expm" or "ivp").
+    """
 
     times: np.ndarray
     energy: np.ndarray
     mode: str
+    method: str
 
 
 @dataclass(frozen=True)
@@ -50,6 +55,7 @@ class PowerCurve:
     times: np.ndarray
     power: np.ndarray
     mode: str
+    method: str
 
 
 @dataclass(frozen=True)
@@ -117,7 +123,7 @@ def energy_curve(params: TopologyParams, target: str | None = None,
     target = target or _default_target(params)
     traj = evolve(sys, vacuum(sys), times)
     energy = np.abs(traj.mode(target)) ** 2
-    return EnergyCurve(traj.times, energy, target)
+    return EnergyCurve(traj.times, energy, target, traj.method)
 
 
 def power_curve(params: TopologyParams, target: str | None = None,
@@ -129,29 +135,47 @@ def power_curve(params: TopologyParams, target: str | None = None,
     if times.size and times[0] <= 0:
         raise ValueError(f"power needs t > 0 everywhere, got t={times[0]}")
     curve = energy_curve(params, target, times)
-    return PowerCurve(curve.times, curve.energy / curve.times, curve.mode)
+    return PowerCurve(curve.times, curve.energy / curve.times, curve.mode,
+                      curve.method)
+
+
+def _octave_grid(t_lo: float, span: float) -> np.ndarray:
+    """Octaves ``[a, 2a]`` from ``t_lo`` until ``span * t_lo`` is covered,
+    each sampled with ``POWER_STEPS_PER_OCTAVE`` equal steps."""
+    octaves = int(np.ceil(np.log2(span)))
+    starts = t_lo * 2.0 ** np.arange(octaves)
+    steps = np.arange(POWER_STEPS_PER_OCTAVE)
+    grid = starts[:, None] + (starts / POWER_STEPS_PER_OCTAVE)[:, None] * steps
+    return np.append(grid.ravel(), t_lo * 2.0 ** octaves)
 
 
 def max_power(params: TopologyParams, target: str | None = None,
               rel_tol: float = 1e-8):
     """Maximise P(t) over charging time; return ``(t_star, p_max)``.
 
-    A logarithmic scan of (0, 50 / |spectral abscissa|] locates the
-    peak (2000 points, six decades), then golden-section refinement of
-    the bracketing interval polishes t to ``rel_tol`` relative.
+    A scan locates the peak over six decades of charging time, from
+    ``t_hi / 1e6`` to ``t_hi = 50 / |spectral abscissa|``: 20 octaves of
+    145 equal steps each, so the stepping propagator spends one
+    ``expm`` per octave.  Golden-section refinement between the
+    argmax's grid neighbours then polishes t to ``rel_tol`` relative.
+    A scan peaking on an end of its grid raises ``ScanEdgeError``.
     """
     sys = _system(params)
     abscissa = _require_decaying(sys)
     row = sys.row(target or _default_target(params))
     alpha_ss = steady_state(sys).amplitudes
+    start = vacuum(sys)
+
+    def power(times):
+        amps = _propagate_expm(sys, start, times, alpha_ss)[:, row]
+        return np.abs(amps) ** 2 / times
 
     def power_at(t):
-        amp = alpha_ss - expm(sys.matrix * t) @ alpha_ss
-        return float(abs(amp[row]) ** 2) / t
+        return float(power(np.array([t]))[0])
 
     t_hi = POWER_HORIZON_FACTOR / abs(abscissa)
-    grid = np.geomspace(t_hi / POWER_SCAN_SPAN, t_hi, POWER_SCAN_POINTS)
-    return scan_refine_max(power_at, grid, rel_tol)
+    grid = _octave_grid(t_hi / POWER_SCAN_SPAN, POWER_SCAN_SPAN)
+    return refine_argmax(power_at, grid, power(grid), rel_tol)
 
 
 def _ratio(numer: float, denom: float, name: str, flags: list) -> float:

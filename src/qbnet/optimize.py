@@ -4,7 +4,9 @@ The pattern everywhere in this package is the same: a dense scan of a
 fixed grid locates the global maximum of a (piecewise) unimodal
 function, and golden-section refinement of the bracketing interval
 polishes it.  The scan guards against accidental multi-modality; the
-refinement gives grid-independent optima.
+refinement gives grid-independent optima.  A scan whose largest
+value sits on an end of its grid has not located the maximum, and is
+refused.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import ScanEdgeError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -44,20 +48,34 @@ def golden_section_max(f, lo: float, hi: float, rel_tol: float = 1e-10,
     return x, f(x)
 
 
-def scan_refine_max(f, grid, rel_tol: float = 1e-10):
-    """Dense-scan ``f`` on ``grid`` then golden-refine around the argmax.
+def refine_argmax(f, grid, values, rel_tol: float = 1e-10):
+    """Golden-refine ``f`` around the argmax of a scan already made.
 
-    ``grid`` must be strictly increasing.  The refinement bracket is the
-    pair of grid neighbours of the scan argmax (clipped at the ends).
+    ``values[i] = f(grid[i])`` on a strictly increasing ``grid``.  The
+    refinement bracket is the pair of grid neighbours of the scan
+    argmax; the better of the refined point and the scan point is
+    returned.  An argmax on the first or last grid point means the
+    maximum may lie outside the grid, and raises ``ScanEdgeError``.
+    """
+    i = int(np.argmax(values))
+    if i == 0 or i == len(grid) - 1:
+        raise ScanEdgeError(
+            f"scan maximum {values[i]:.6g} at the grid edge x = {grid[i]:.6g}; "
+            f"the maximum may lie outside [{grid[0]:.6g}, {grid[-1]:.6g}]",
+            edge=float(grid[i]))
+    x, fx = golden_section_max(f, grid[i - 1], grid[i + 1], rel_tol=rel_tol)
+    if values[i] > fx:
+        return float(grid[i]), float(values[i])
+    return float(x), float(fx)
+
+
+def scan_refine_max(f, grid, rel_tol: float = 1e-10):
+    """Dense-scan ``f`` on ``grid`` then ``refine_argmax``.
+
+    ``grid`` must be strictly increasing.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
         raise ValueError("grid must be 1-d with at least 3 points")
     values = np.array([f(x) for x in grid], dtype=float)
-    i = int(np.argmax(values))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
-    x, fx = golden_section_max(f, lo, hi, rel_tol=rel_tol)
-    if values[i] > fx:
-        return float(grid[i]), float(values[i])
-    return float(x), float(fx)
+    return refine_argmax(f, grid, values, rel_tol)

@@ -1,9 +1,9 @@
 """Parameter sweeps over topology scalars with per-point observables.
 
 A sweep evaluates the requested observables at every grid value of one
-variable.  Points that fail numerically (singular or unstable systems)
-are recorded in the table's error list and skipped; the surviving rows
-keep grid order.
+variable.  Points that fail numerically (singular or unstable systems,
+a maximum outside the scanned range) are recorded in the table's error
+list and skipped; the surviving rows keep grid order.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import dataclasses
 import json
 
 from .config import RunConfig, run_config_to_dict
-from .errors import NoSteadyStateError, UnstableSystemError
+from .errors import NoSteadyStateError, ScanEdgeError, UnstableSystemError
 from .export import SweepTable
 from .network import TopologyParams
 from .observables import gain_report, max_power, steady_energy
@@ -84,7 +84,7 @@ def run_sweep(cfg: RunConfig) -> SweepTable:
         try:
             for _, row_values in chosen:
                 row.extend(row_values(params, cfg.target))
-        except (NoSteadyStateError, UnstableSystemError) as exc:
+        except (NoSteadyStateError, UnstableSystemError, ScanEdgeError) as exc:
             errors.append((index, value, str(exc)))
         else:
             rows.append(row)

@@ -1,0 +1,254 @@
+"""The stepped propagator and the octave scan of ``max_power``.
+
+``oracle_max_power`` is the earlier implementation, kept verbatim as the
+reference: a 2,000-point log scan of six decades with one ``expm(M t)``
+per point, then ``scan_refine_max``.  The stepped scan must find the
+same maximum; where P(t) oscillates and both scans may settle on
+different near-equal peaks, only local optimality is asserted.
+"""
+
+import json
+import sys
+
+import numpy as np
+import pytest
+from scipy.linalg import expm
+
+from qbnet import (DriveSpec, ModeSpec, NetworkSpec, ScanEdgeError,
+                   TopologyParams, assemble, build_network, energy_curve,
+                   evolve, is_stable, max_power, parse_run_config, run_sweep,
+                   scan_refine_max, steady_state, vacuum)
+from qbnet.cli import EXIT_NUMERIC, cli_main
+from qbnet.figures import GAMMA_INTERMEDIATE_POWER, GAMMA_POWER, POWER_SWEEP
+
+VARIANTS = ("nr", "r1", "r2")
+#: the repro of a maximum below the scanned range: P(t) peaks near
+#: t ~ 1/g_b = 0.01, the scan starts at 50 / |abscissa| / 1e6 ~ 0.1
+EDGE_CASE = TopologyParams("parallel", "nr", 2, 100.0, 0.001, 0.001, 1.0, 1.0)
+
+
+def oracle_max_power(params, target, rel_tol=1e-8):
+    sys_ = assemble(build_network(params))
+    _, abscissa = is_stable(sys_)
+    row = sys_.row(target)
+    alpha_ss = steady_state(sys_).amplitudes
+
+    def power_at(t):
+        amp = alpha_ss - expm(sys_.matrix * t) @ alpha_ss
+        return float(abs(amp[row]) ** 2) / t
+
+    t_hi = 50.0 / abs(abscissa)
+    grid = np.geomspace(t_hi / 1e6, t_hi, 2000)
+    return scan_refine_max(power_at, grid, rel_tol)
+
+
+def power_at(params, target, t):
+    sys_ = assemble(build_network(params))
+    alpha_ss = steady_state(sys_).amplitudes
+    amp = alpha_ss - expm(sys_.matrix * t) @ alpha_ss
+    return float(abs(amp[sys_.row(target)]) ** 2) / t
+
+
+def random_params(rng, ratio_lo, ratio_hi):
+    """A seeded network: g_b/gamma log-uniform on [ratio_lo, ratio_hi]."""
+    family = ("cascaded", "parallel")[rng.integers(2)]
+    variant = VARIANTS[rng.integers(3)]
+    n = int(rng.integers(1, 5))
+    gamma = 10.0 ** rng.uniform(-4, -1)
+    ratio = 10.0 ** rng.uniform(np.log10(ratio_lo), np.log10(ratio_hi))
+    params = TopologyParams(
+        family, variant, n, ratio * gamma, gamma * 10.0 ** rng.uniform(-0.3, 0.3),
+        tuple(gamma * 10.0 ** rng.uniform(-0.3, 0.3, n)),
+        gamma * 10.0 ** rng.uniform(0, 4),
+        10.0 ** rng.uniform(-0.5, 0.5) * np.exp(1j * rng.uniform(-np.pi, np.pi)))
+    battery = n if family == "cascaded" else int(rng.integers(1, n + 1))
+    return params, f"b_{battery}"
+
+
+def fig4_params(family):
+    for x in POWER_SWEEP:
+        for variant in VARIANTS:
+            yield TopologyParams(family, variant, 4, x * GAMMA_POWER,
+                                 GAMMA_POWER, GAMMA_POWER,
+                                 GAMMA_INTERMEDIATE_POWER, 1.0)
+
+
+def assert_matches_oracle(params, target):
+    t_star, p_max = max_power(params, target)
+    t_ref, p_ref = oracle_max_power(params, target)
+    assert p_max == pytest.approx(p_ref, rel=1e-10)
+    assert t_star == pytest.approx(t_ref, rel=1e-6)
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("family", ["cascaded", "parallel"])
+    def test_fig4_grid(self, family):
+        for params in fig4_params(family):
+            assert_matches_oracle(params, "b_4")
+
+    def test_seeded_weak_coupling(self):
+        rng = np.random.default_rng(20260)
+        for _ in range(24):
+            assert_matches_oracle(*random_params(rng, 1e-3, 1.0))
+
+    def test_seeded_strong_coupling_locally_optimal(self):
+        # P(t) oscillates; no point 0.1% away in t may beat the result
+        rng = np.random.default_rng(20261)
+        for _ in range(60):
+            params, target = random_params(rng, 1.0, 1e2)
+            t_star, p_max = max_power(params, target)
+            for t in (t_star * (1 - 1e-3), t_star * (1 + 1e-3)):
+                assert power_at(params, target, t) <= p_max * (1 + 1e-10)
+            assert power_at(params, target, t_star) == pytest.approx(p_max,
+                                                                     rel=1e-10)
+
+
+class TestMetamorphic:
+    def test_power_scales_with_drive_squared(self):
+        base = TopologyParams("cascaded", "nr", 4, 0.01 * GAMMA_POWER,
+                              GAMMA_POWER, GAMMA_POWER,
+                              GAMMA_INTERMEDIATE_POWER, 1.0)
+        xi = 2.5 * np.exp(0.7j)
+        scaled = TopologyParams("cascaded", "nr", 4, 0.01 * GAMMA_POWER,
+                                GAMMA_POWER, GAMMA_POWER,
+                                GAMMA_INTERMEDIATE_POWER, xi)
+        t1, p1 = max_power(base, "b_4")
+        t2, p2 = max_power(scaled, "b_4")
+        assert p2 == pytest.approx(abs(xi) ** 2 * p1, rel=1e-10)
+        assert t2 == pytest.approx(t1, rel=1e-6)
+
+
+class TestSteppedOrbit:
+    @pytest.mark.parametrize("t_end", [2000.0, 2e5])
+    def test_matches_per_point_expm(self, t_end):
+        # cascaded nr in the fig4 regime sits near an exceptional point
+        params = TopologyParams("cascaded", "nr", 4, 0.01 * GAMMA_POWER,
+                                GAMMA_POWER, GAMMA_POWER,
+                                GAMMA_INTERMEDIATE_POWER, 1.0)
+        sys_ = assemble(build_network(params))
+        alpha_ss = steady_state(sys_).amplitudes
+        times = np.linspace(0.0, t_end, 2001)
+        stepped = evolve(sys_, vacuum(sys_), times, method="expm").amplitudes
+        per_point = np.array([alpha_ss - expm(sys_.matrix * t) @ alpha_ss
+                              for t in times])
+        err = np.linalg.norm(stepped - per_point, axis=1).max()
+        assert err <= 1e-12 * np.linalg.norm(alpha_ss)
+
+    def test_log_grid_is_per_point_expm(self):
+        params = TopologyParams("parallel", "r1", 3, 0.01, 0.1, 0.1, 0.1, 1.0)
+        sys_ = assemble(build_network(params))
+        alpha_ss = steady_state(sys_).amplitudes
+        times = np.geomspace(1.0, 1e3, 50)
+        got = evolve(sys_, vacuum(sys_), times).amplitudes
+        want = np.array([alpha_ss + expm(sys_.matrix * t) @ -alpha_ss
+                         for t in times])
+        assert np.array_equal(got, want)
+
+    def test_uneven_runs(self):
+        # uniform runs of different steps, joined and offset from zero
+        params = TopologyParams("cascaded", "r2", 2, 0.02, 0.1, 0.1, 0.3, 1.0)
+        sys_ = assemble(build_network(params))
+        alpha_ss = steady_state(sys_).amplitudes
+        times = np.concatenate([np.linspace(0.5, 10.0, 20),
+                                np.linspace(10.5, 100.0, 180)[1:],
+                                [137.0], np.linspace(140.0, 400.0, 53)])
+        got = evolve(sys_, vacuum(sys_), times).amplitudes
+        want = np.array([alpha_ss - expm(sys_.matrix * t) @ alpha_ss
+                         for t in times])
+        err = np.linalg.norm(got - want, axis=1).max()
+        assert err <= 1e-12 * np.linalg.norm(alpha_ss)
+
+    def test_creeping_steps(self):
+        # consecutive steps differ by 2e-13, inside the step tolerance, but
+        # one reused step would drift 4e-7 from the grid by the end
+        params = TopologyParams("cascaded", "nr", 2, 0.05, 0.1, 0.1, 1.0, 1.0)
+        sys_ = assemble(build_network(params))
+        alpha_ss = steady_state(sys_).amplitudes
+        i = np.arange(2001.0)
+        times = i + 1e-13 * i * i
+        got = evolve(sys_, vacuum(sys_), times).amplitudes
+        want = np.array([alpha_ss - expm(sys_.matrix * t) @ alpha_ss
+                         for t in times])
+        want[0] = 0.0
+        err = np.linalg.norm(got - want, axis=1).max()
+        assert err <= 1e-12 * np.linalg.norm(alpha_ss)
+
+
+class TestExpmCount:
+    @pytest.fixture
+    def expm_calls(self, monkeypatch):
+        calls = []
+
+        def counted(a):
+            calls.append(a.shape)
+            return expm(a)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("qbnet") and hasattr(module, "expm"):
+                monkeypatch.setattr(module, "expm", counted)
+        return calls
+
+    def test_max_power_fig4_regime(self, expm_calls):
+        for params in (TopologyParams("cascaded", "nr", 4, 0.01 * GAMMA_POWER,
+                                      GAMMA_POWER, GAMMA_POWER,
+                                      GAMMA_INTERMEDIATE_POWER, 1.0),
+                       TopologyParams("parallel", "r1", 4, 0.1 * GAMMA_POWER,
+                                      GAMMA_POWER, GAMMA_POWER,
+                                      GAMMA_INTERMEDIATE_POWER, 1.0)):
+            expm_calls.clear()
+            max_power(params, "b_4")
+            assert 0 < len(expm_calls) <= 80
+
+    def test_uniform_energy_curve(self, expm_calls):
+        params = TopologyParams("parallel", "nr", 4, 0.001, 0.1, 0.1, 0.1, 1.0)
+        energy_curve(params, "b_4", np.linspace(0.0, 2000.0, 2001))
+        assert 0 < len(expm_calls) <= 2
+        expm_calls.clear()
+        energy_curve(params, "b_4", np.linspace(2.0, 2000.0, 1001))
+        assert 0 < len(expm_calls) <= 2
+
+
+class TestScanEdge:
+    def test_maximum_below_scan_raises(self):
+        with pytest.raises(ScanEdgeError) as err:
+            max_power(EDGE_CASE, "b_2")
+        assert err.value.edge is not None and err.value.edge > 0
+
+    def test_cli_exit_code(self, capsys):
+        code = cli_main(["power", "--family", "parallel", "--variant", "nr",
+                         "--n", "2", "--gb", "100", "--gamma", "0.001",
+                         "--big-gamma", "1", "--target", "b_2"])
+        assert code == EXIT_NUMERIC
+        assert "grid edge" in capsys.readouterr().err
+
+    def test_sweep_sends_point_to_errors(self):
+        doc = {"topology": {"family": "parallel", "variant": "nr", "n": 2,
+                            "g_b": 0.01, "gamma_c": 0.001, "gamma_b": 0.001,
+                            "Gamma": 1.0, "xi": 1.0},
+               "sweep": {"variable": "g_b", "values": [1e-5, 100.0]},
+               "observables": ["max_power"], "target": "b_2"}
+        table = run_sweep(parse_run_config(doc))
+        assert [row[0] for row in table.rows] == [1e-5]
+        assert [(i, v) for i, v, _ in table.errors] == [(1, 100.0)]
+
+
+class TestMethodRecorded:
+    def test_singular_auto_records_ivp(self):
+        spec = NetworkSpec((ModeSpec("c", "charger", 0.0),), (),
+                           (DriveSpec("c", 1.0),))
+        sys_ = assemble(spec)
+        assert evolve(sys_, vacuum(sys_), [0.0, 1.0]).method == "ivp"
+        assert evolve(sys_, vacuum(sys_), [0.0, 1.0], method="ivp").method == "ivp"
+
+    def test_decaying_auto_records_expm(self):
+        sys_ = assemble(build_network(
+            TopologyParams("cascaded", "nr", 1, 0.05, 0.1, 0.1, 0.1, 1.0)))
+        assert evolve(sys_, vacuum(sys_), [0.0, 1.0]).method == "expm"
+
+    @pytest.mark.parametrize("command", ["evolve", "power"])
+    def test_table_metadata(self, capsys, command):
+        code = cli_main([command, "--family", "cascaded", "--variant", "nr",
+                         "--n", "1", "--gb", "0.05", "--gamma", "0.1",
+                         "--t-max", "100", "--points", "11", "--format", "json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["metadata"]["method"] == "expm"
