@@ -10,11 +10,23 @@ The mode amplitudes obey ``d(alpha)/dt = M alpha + d`` with
 By construction ``M + M^dagger = -diag(decay rates)``, so any network
 with all-positive decay is Hurwitz and has a unique steady state
 ``alpha_ss = -M^{-1} d``.
+
+The gates on a steady solve read that structure off the assembled
+matrix first: ``certify`` bounds the Hermitian part ``H = (M + M^dagger)/2``
+by Gershgorin discs in O(n^2), giving ``mu`` with
+``Re<x, M x> <= -mu |x|^2`` for every x.  When ``mu > 0`` the numerical
+range proves ``spectral abscissa <= -mu``, ``sigma_min(M) >= mu`` and
+``cond_2(M) <= ||M||_F / mu``.  A gate skips its dense O(n^3) check
+(``eigvals`` or ``cond``) only when the certificate proves that check's
+accept verdict; anything it cannot prove (a zero-decay mode, a marginal
+decay, a bound near ``CONDITION_LIMIT``) falls back to the dense check.
+``is_stable`` stays the dense reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -33,6 +45,46 @@ STEP_RTOL = 1e-12
 #: equal steps are applied this many points at a time, by ``E_h^B``
 STEP_BLOCK = 16
 
+_EPS = float(np.finfo(float).eps)
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """What the dissipation structure of M proves (see the module doc).
+
+    ``dissipation`` is ``mu``, a lower bound with its own rounding
+    charged.  ``abscissa_bound`` bounds the spectral abscissa as
+    ``eigvals`` computes it: ``-mu`` plus a rounding margin of
+    ``(n + 2) eps ||M||_F`` for the eigensolver's backward error ``E``
+    (every eigenvalue of ``M + E`` lies within ``||E||_2`` of the
+    numerical range of M).  ``condition_bound`` is ``||M||_F / mu``,
+    or infinity unless ``mu > 0``.
+    """
+
+    dissipation: float
+    abscissa_bound: float
+    condition_bound: float
+
+
+def certify(matrix: np.ndarray) -> Certificate:
+    """Gershgorin discs of ``H``: centre ``Re M[i, i]``, radius
+    ``sum_{j != i} |M[i, j] + conj(M[j, i])| / 2``.
+
+    Computed moduli and row sums are within ``(n + 2) eps`` relative,
+    the squared Frobenius sum within ``n^2 eps``; both are charged
+    against the bounds.
+    """
+    n = matrix.shape[0]
+    decay = -matrix.diagonal().real
+    off = matrix + matrix.conj().T
+    off.flat[::n + 1] = 0.0
+    radius = 0.5 * np.abs(off).sum(axis=1)
+    slack = (n + 2) * _EPS
+    mu = float((decay * (1.0 - slack) - radius * (1.0 + slack)).min())
+    norm = float(np.sqrt(np.vdot(matrix, matrix).real)) * (1.0 + n * slack)
+    bound = norm / mu if mu > 0.0 else np.inf
+    return Certificate(mu, slack * norm - mu, bound)
+
 
 @dataclass(frozen=True)
 class LinearSystem:
@@ -50,6 +102,11 @@ class LinearSystem:
     def n(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def certificate(self) -> Certificate:
+        """``certify(matrix)``, computed once per system."""
+        return certify(self.matrix)
+
     def row(self, mode_id: str) -> int:
         try:
             return self.index[mode_id]
@@ -59,10 +116,16 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class SteadyState:
-    """Solution of ``M alpha = -d`` plus the achieved residual norm."""
+    """Solution of ``M alpha = -d`` plus the achieved residual norm.
+
+    ``condition`` is the upper bound on ``cond_2(M)`` that passed the
+    gate: the certified ``||M||_F / mu``, or the dense ``np.linalg.cond``
+    when the certificate was inconclusive.
+    """
 
     amplitudes: np.ndarray
     residual: float
+    condition: float
 
 
 @dataclass(frozen=True)
@@ -104,25 +167,34 @@ def assemble(spec: NetworkSpec) -> LinearSystem:
 def steady_state(sys: LinearSystem) -> SteadyState:
     """Solve ``M alpha = -d``; refuse when M is near-singular.
 
-    One step of iterative refinement keeps the residual at rounding
-    level even for poorly scaled networks.
+    The certificate's ``||M||_F / mu`` admits M when it is at most
+    ``CONDITION_LIMIT``; otherwise the dense ``np.linalg.cond`` decides
+    and a condition above the limit raises ``NoSteadyStateError``.  One
+    step of iterative refinement keeps the residual at rounding level
+    even for poorly scaled networks.
     """
-    cond = np.linalg.cond(sys.matrix)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise NoSteadyStateError(
-            f"no unique steady state: condition estimate {cond:.3e} exceeds "
-            f"{CONDITION_LIMIT:.0e}", condition=cond)
+    cond = sys.certificate.condition_bound
+    if not cond <= CONDITION_LIMIT:
+        cond = np.linalg.cond(sys.matrix)
+        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+            raise NoSteadyStateError(
+                f"no unique steady state: condition estimate {cond:.3e} "
+                f"exceeds {CONDITION_LIMIT:.0e}", condition=cond)
     alpha = np.linalg.solve(sys.matrix, -sys.drive)
     resid = sys.matrix @ alpha + sys.drive
     scale = max(1.0, float(np.linalg.norm(sys.drive)))
     if np.linalg.norm(resid) > 1e-12 * scale:
         alpha = alpha - np.linalg.solve(sys.matrix, resid)
         resid = sys.matrix @ alpha + sys.drive
-    return SteadyState(alpha, float(np.linalg.norm(resid)))
+    return SteadyState(alpha, float(np.linalg.norm(resid)), float(cond))
 
 
 def is_stable(sys: LinearSystem):
-    """Return ``(hurwitz, spectral_abscissa)`` for the dynamics matrix."""
+    """Return ``(hurwitz, spectral_abscissa)`` for the dynamics matrix.
+
+    This is the dense reference (all eigenvalues, O(n^3)); the gates
+    consult ``LinearSystem.certificate`` first and fall back to it.
+    """
     eigvals = np.linalg.eigvals(sys.matrix)
     abscissa = float(eigvals.real.max())
     return abscissa < 0.0, abscissa

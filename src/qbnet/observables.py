@@ -91,12 +91,19 @@ def _system(params: TopologyParams):
     return assemble(build_network(params))
 
 
-def _require_decaying(sys) -> float:
-    """Return the spectral abscissa, refusing marginal (undamped) networks.
+def _require_decaying(sys, dense: bool = False) -> float | None:
+    """Refuse marginal (undamped) networks.
 
     Steady observables and the maximum-power horizon need an attracting
-    steady state, not merely an invertible matrix.
+    steady state, not merely an invertible matrix.  The certificate
+    admits the network when its abscissa bound (``-mu`` plus the
+    eigensolver's rounding margin) is at most ``STABILITY_FLOOR``, and
+    then nothing is returned.  Otherwise, or when ``dense`` asks for the
+    spectral abscissa itself, the dense ``is_stable`` decides and its
+    abscissa is returned.
     """
+    if not dense and sys.certificate.abscissa_bound <= STABILITY_FLOOR:
+        return None
     stable, abscissa = is_stable(sys)
     if not stable or abscissa > STABILITY_FLOOR:
         raise UnstableSystemError(
@@ -161,7 +168,7 @@ def max_power(params: TopologyParams, target: str | None = None,
     A scan peaking on an end of its grid raises ``ScanEdgeError``.
     """
     sys = _system(params)
-    abscissa = _require_decaying(sys)
+    abscissa = _require_decaying(sys, dense=True)
     row = sys.row(target or _default_target(params))
     alpha_ss = steady_state(sys).amplitudes
     start = vacuum(sys)
