@@ -85,9 +85,6 @@ class NetworkSpec:
     couplings: tuple
     drives: tuple
 
-    def mode_ids(self):
-        return tuple(m.id for m in self.modes)
-
 
 @dataclass(frozen=True)
 class TopologyParams:

@@ -14,7 +14,6 @@ import numpy as np
 
 from .dynamics import (_propagate_expm, assemble, evolve, is_stable,
                        steady_state, vacuum)
-from .errors import UnstableSystemError
 from .network import TopologyParams, build_network
 from .optimize import refine_argmax
 
@@ -31,15 +30,12 @@ POWER_SCAN_SPAN = 1e6
 #: of t, finer than a 2,000-point log grid over the same six decades
 POWER_STEPS_PER_OCTAVE = 145
 
-#: spectral abscissa above this is treated as non-decaying
-STABILITY_FLOOR = -1e-14
-
 
 @dataclass(frozen=True)
 class EnergyCurve:
     """Stored energy of one mode over a time grid.
 
-    ``method`` is the propagator that ran ("expm" or "ivp").
+    ``method`` is the propagator that ran ("expm" or "augmented").
     """
 
     times: np.ndarray
@@ -91,34 +87,16 @@ def _system(params: TopologyParams):
     return assemble(build_network(params))
 
 
-def _require_decaying(sys, dense: bool = False) -> float | None:
-    """Refuse marginal (undamped) networks.
-
-    Steady observables and the maximum-power horizon need an attracting
-    steady state, not merely an invertible matrix.  The certificate
-    admits the network when its abscissa bound (``-mu`` plus the
-    eigensolver's rounding margin) is at most ``STABILITY_FLOOR``, and
-    then nothing is returned.  Otherwise, or when ``dense`` asks for the
-    spectral abscissa itself, the dense ``is_stable`` decides and its
-    abscissa is returned.
-    """
-    if not dense and sys.certificate.abscissa_bound <= STABILITY_FLOOR:
-        return None
-    stable, abscissa = is_stable(sys)
-    if not stable or abscissa > STABILITY_FLOOR:
-        raise UnstableSystemError(
-            f"network is not strictly decaying (spectral abscissa "
-            f"{abscissa:.3e})", spectral_abscissa=abscissa)
-    return abscissa
+def _steady_energies(params: TopologyParams, targets) -> tuple:
+    """``|alpha_ss(t)|^2`` of every target, read off one steady solve."""
+    sys = _system(params)
+    amplitudes = steady_state(sys).amplitudes
+    return tuple(float(abs(amplitudes[sys.row(t)]) ** 2) for t in targets)
 
 
 def steady_energy(params: TopologyParams, target: str | None = None) -> float:
     """Steady stored energy ``|alpha_ss(target)|^2`` of the full network."""
-    sys = _system(params)
-    _require_decaying(sys)
-    row = sys.row(target or _default_target(params))
-    ss = steady_state(sys)
-    return float(abs(ss.amplitudes[row]) ** 2)
+    return _steady_energies(params, (target or _default_target(params),))[0]
 
 
 def energy_curve(params: TopologyParams, target: str | None = None,
@@ -168,14 +146,14 @@ def max_power(params: TopologyParams, target: str | None = None,
     A scan peaking on an end of its grid raises ``ScanEdgeError``.
     """
     sys = _system(params)
-    abscissa = _require_decaying(sys, dense=True)
-    row = sys.row(target or _default_target(params))
     alpha_ss = steady_state(sys).amplitudes
-    start = vacuum(sys)
+    abscissa = is_stable(sys)[1]
+    row = sys.row(target or _default_target(params))
+    offset = vacuum(sys) - alpha_ss
 
     def power(times):
-        amps = _propagate_expm(sys, start, times, alpha_ss)[:, row]
-        return np.abs(amps) ** 2 / times
+        amps = _propagate_expm(sys.matrix, offset, times)[:, row]
+        return np.abs(amps + alpha_ss[row]) ** 2 / times
 
     def power_at(t):
         return float(power(np.array([t]))[0])
@@ -205,8 +183,7 @@ def gain_report(params_base: TopologyParams, include_power: bool = False) -> Gai
     else:
         targets = tuple(f"b_{k}" for k in range(1, params_base.n + 1))
     variants = {v: params_base.with_variant(v) for v in ("nr", "r1", "r2")}
-    energies = {v: tuple(steady_energy(p, t) for t in targets)
-                for v, p in variants.items()}
+    energies = {v: _steady_energies(p, targets) for v, p in variants.items()}
     flags: list = []
     g1 = tuple(_ratio(energies["nr"][i], energies["r1"][i], f"G1[{t}]", flags)
                for i, t in enumerate(targets))

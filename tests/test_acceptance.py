@@ -204,7 +204,7 @@ def test_10_isolation():
     assert report(10, "drive-relocation isolation probe", ok), (e_bwd / e_fwd, worst)
 
 
-def test_11_charging_dynamics():
+def test_11_charging_dynamics(ivp_oracle):
     """Propagator/integrator agreement and faster directional charging."""
     times = np.linspace(0.0, 2000.0, 2001)
     curves = {}
@@ -212,12 +212,11 @@ def test_11_charging_dynamics():
     for variant in ("nr", "r1"):
         p = params("parallel", variant, 4, GAMMA / 100)
         sys = assemble(build_network(p))
-        prop = evolve(sys, vacuum(sys), times, method="expm")
-        # integrator run tighter than its 1e-10 default so its own error
-        # stays below the 1e-8 comparison bound
-        ivp = evolve(sys, vacuum(sys), times, method="ivp",
-                     rtol=1e-11, atol=1e-13)
-        agree = agree and np.abs(prop.amplitudes - ivp.amplitudes).max() <= 1e-8
+        prop = evolve(sys, vacuum(sys), times)
+        # integrator tolerances tight enough that its own error stays
+        # below the 1e-8 comparison bound
+        ivp = ivp_oracle(sys, vacuum(sys), times, rtol=1e-11, atol=1e-13)
+        agree = agree and np.abs(prop.amplitudes - ivp).max() <= 1e-8
         curves[variant] = np.abs(prop.mode("b_4")) ** 2
     p_r1 = params("parallel", "r1", 4, GAMMA / 100)
     threshold = 0.9 * steady_energy(p_r1, "b_4")

@@ -13,14 +13,13 @@ import math
 import numpy as np
 import pytest
 
-from qbnet import (DriveSpec, LinearSystem, ModeSpec, NetworkSpec,
-                   NoSteadyStateError, TopologyParams, UnstableSystemError,
-                   assemble, build_network, effective_steady_energy,
-                   gain_report, is_stable, max_power, parse_run_config,
-                   run_sweep, steady_energy, steady_state)
-from qbnet.dynamics import CONDITION_LIMIT
+from qbnet import (CouplingSpec, DriveSpec, LinearSystem, ModeSpec,
+                   NetworkSpec, NoSteadyStateError, TopologyParams,
+                   UnstableSystemError, assemble, build_network,
+                   effective_steady_energy, gain_report, is_stable, max_power,
+                   parse_run_config, run_sweep, steady_energy, steady_state)
+from qbnet.dynamics import CONDITION_LIMIT, STABILITY_FLOOR
 from qbnet.network import FAMILIES, VARIANTS
-from qbnet.observables import STABILITY_FLOOR
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
@@ -165,11 +164,24 @@ class TestDenseCheckCount:
         assert dense_calls["eigvals"] == 1
 
     def test_singular_spec_falls_back(self, dense_calls):
+        # the decay rule refuses a singular undamped M before any cond
         spec = NetworkSpec((ModeSpec("c", "charger", 0.0),), (),
+                           (DriveSpec("c", 1.0),))
+        with pytest.raises(UnstableSystemError) as err:
+            steady_state(assemble(spec))
+        assert err.value.spectral_abscissa == 0.0
+        assert dense_calls == {"eigvals": 1, "cond": 0}
+
+    def test_ill_conditioned_spec_falls_back(self, dense_calls):
+        # certified decaying (abscissa -1e-13), but mu = 1e-13 leaves the
+        # condition bound above CONDITION_LIMIT and cond_2(M) is 2e13
+        modes = (ModeSpec("c", "charger", 2e-13, detuning=1.0),
+                 ModeSpec("b", "battery", 2e-13, detuning=1.0))
+        spec = NetworkSpec(modes, (CouplingSpec("c", "b", 1.0, 0.0),),
                            (DriveSpec("c", 1.0),))
         with pytest.raises(NoSteadyStateError) as err:
             steady_state(assemble(spec))
-        assert err.value.condition > 1e12
+        assert err.value.condition == pytest.approx(2e13, rel=1e-3)
         assert dense_calls == {"eigvals": 0, "cond": 1}
 
     def test_unproven_condition_reports_dense_cond(self, dense_calls):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qbnet import (CouplingSpec, DriveSpec, ModeSpec, NetworkSpec,
-                   NoSteadyStateError, TopologyParams, ValidationError,
+                   TopologyParams, UnstableSystemError, ValidationError,
                    assemble, build_network, evolve, is_stable, steady_state,
                    vacuum)
 
@@ -81,9 +82,18 @@ class TestSteadyState:
     def test_singular_refused(self):
         spec = NetworkSpec((ModeSpec("c", "charger", 0.0),), (),
                            (DriveSpec("c", 1.0),))
-        with pytest.raises(NoSteadyStateError) as err:
+        with pytest.raises(UnstableSystemError) as err:
             steady_state(assemble(spec))
-        assert err.value.condition is None or err.value.condition > 1e12
+        assert err.value.spectral_abscissa == 0.0
+
+    def test_undamped_invertible_refused(self):
+        # M = [[0, -ig], [-ig, 0]] is invertible, but nothing decays: the
+        # drive pumps the modes forever and -M^{-1} d is never reached
+        sys = assemble(two_mode(gamma=0.0))
+        assert abs(np.linalg.det(sys.matrix)) > 0
+        with pytest.raises(UnstableSystemError) as err:
+            steady_state(sys)
+        assert err.value.spectral_abscissa == pytest.approx(0.0, abs=1e-15)
 
 
 class TestIsStable:
@@ -111,7 +121,7 @@ class TestEvolve:
         spec = NetworkSpec((ModeSpec("c", "charger", 0.1),), (), ())
         sys = assemble(spec)
         times = np.linspace(0.0, 50.0, 11)
-        traj = evolve(sys, np.array([1.0 + 0j]), times, method="ivp")
+        traj = evolve(sys, np.array([1.0 + 0j]), times)
         expected = np.exp(-0.05 * times)
         assert np.abs(traj.amplitudes[:, 0] - expected).max() < 1e-9
 
@@ -127,30 +137,43 @@ class TestEvolve:
         traj = evolve(sys, vacuum(sys), [2000.0])
         assert np.abs(traj.amplitudes[-1] - ss).max() < 1e-8
 
-    def test_expm_vs_ivp(self):
+    def test_expm_vs_ivp(self, ivp_oracle):
         p = TopologyParams("parallel", "nr", 2, 0.001, 0.1, 0.1, 0.1, 1.0)
         sys = assemble(build_network(p))
         times = np.linspace(0.0, 500.0, 251)
-        a = evolve(sys, vacuum(sys), times, method="expm").amplitudes
-        b = evolve(sys, vacuum(sys), times, method="ivp",
-                   rtol=1e-11, atol=1e-13).amplitudes
+        a = evolve(sys, vacuum(sys), times).amplitudes
+        b = ivp_oracle(sys, vacuum(sys), times, rtol=1e-11, atol=1e-13)
         assert np.abs(a - b).max() < 1e-8
 
-    def test_explicit_expm_refuses_singular(self):
-        spec = NetworkSpec((ModeSpec("c", "charger", 0.0),), (),
-                           (DriveSpec("c", 1.0),))
-        sys = assemble(spec)
-        with pytest.raises(NoSteadyStateError):
-            evolve(sys, vacuum(sys), [0.0, 1.0], method="expm")
-
-    def test_singular_falls_back_to_ivp(self):
+    def test_singular_falls_back_to_augmented(self):
         # undamped driven mode: amplitude grows as -i xi t
         spec = NetworkSpec((ModeSpec("c", "charger", 0.0),), (),
                            (DriveSpec("c", 1.0),))
         sys = assemble(spec)
         times = np.linspace(0.0, 10.0, 21)
         traj = evolve(sys, vacuum(sys), times)
-        assert np.abs(traj.amplitudes[:, 0] - (-1j * times)).max() < 1e-8
+        assert traj.method == "augmented"
+        assert np.abs(traj.amplitudes[:, 0] - (-1j * times)).max() < 1e-13
+
+    def test_undamped_invertible_is_exact(self, monkeypatch):
+        # c = -i xi sin(g t) / g, b = -xi (1 - cos g t) / g
+        g, xi = 0.05, 1.0
+        sys = assemble(two_mode(g=g, gamma=0.0, xi=xi))
+        calls = []
+
+        def counted(matrix):
+            calls.append(matrix.shape)
+            return expm(matrix)
+
+        monkeypatch.setattr("qbnet.dynamics.expm", counted)
+        times = np.linspace(0.0, 2000.0, 2001)
+        traj = evolve(sys, vacuum(sys), times)
+        assert traj.method == "augmented"
+        assert len(calls) <= 2
+        exact_c = -1j * xi * np.sin(g * times) / g
+        exact_b = -xi * (1.0 - np.cos(g * times)) / g
+        assert np.abs(traj.mode("c") - exact_c).max() <= 1e-11
+        assert np.abs(traj.mode("b") - exact_b).max() <= 1e-11
 
     def test_input_validation(self):
         sys = assemble(single_mode())
@@ -160,16 +183,14 @@ class TestEvolve:
             evolve(sys, vacuum(sys), [-1.0, 2.0])
         with pytest.raises(ValueError):
             evolve(sys, np.array([np.nan + 0j]), [0.0, 1.0])
-        with pytest.raises(ValueError):
-            evolve(sys, vacuum(sys), [0.0, 1.0], method="magic")
 
-    def test_times_offset_grid(self):
+    def test_times_offset_grid(self, ivp_oracle):
         # a grid starting after zero still measures time from t = 0
         sys = assemble(single_mode())
-        expm_traj = evolve(sys, vacuum(sys), [5.0, 10.0], method="expm")
-        ivp_traj = evolve(sys, vacuum(sys), [5.0, 10.0], method="ivp",
-                          rtol=1e-12, atol=1e-14)
-        assert np.abs(expm_traj.amplitudes - ivp_traj.amplitudes).max() < 1e-9
+        expm_traj = evolve(sys, vacuum(sys), [5.0, 10.0])
+        ivp_amps = ivp_oracle(sys, vacuum(sys), [5.0, 10.0], rtol=1e-12,
+                              atol=1e-14)
+        assert np.abs(expm_traj.amplitudes - ivp_amps).max() < 1e-9
 
 
 def test_drive_phase_covariance():

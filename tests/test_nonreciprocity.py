@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qbnet import (TopologyParams, drive_relocation_energies, isolation,
-                   phase_landscape, steady_energy, triangle_network, validate,
-                   window_check)
+from qbnet import (TopologyParams, UnstableSystemError,
+                   drive_relocation_energies, isolation, phase_landscape,
+                   steady_energy, triangle_network, validate, window_check)
 
 
 class TestIsolation:
@@ -74,6 +74,12 @@ class TestDriveRelocation:
             e_fwd, e_bwd = drive_relocation_energies(theta, 0.01, 0.1, 0.1)
             expected = (1 - math.sin(theta)) / (1 + math.sin(theta))
             assert e_fwd / e_bwd == pytest.approx(expected, rel=1e-8)
+
+    def test_dark_mode_refused(self):
+        # theta = 0 with undamped endpoints leaves a dark mode: the
+        # triangle never settles, so there is no steady energy to report
+        with pytest.raises(UnstableSystemError):
+            drive_relocation_energies(0.0, 0.01, 0.1, 0.0)
 
     def test_triangle_network_is_valid(self):
         spec = triangle_network(-1.0, 0.01, 0.1, 0.1, 0.1, 1.0)
