@@ -25,7 +25,8 @@ from .export import (SweepTable, table_to_csv_text, table_to_json_text,
                      write_table)
 from .figures import FIGURE_IDS, run_figure
 from .network import FAMILIES, VARIANTS, TopologyParams, build_network, validate
-from .observables import energy_curve, gain_report, max_power, power_curve, steady_energy
+from .observables import (_energy, _report_targets, _steady_points, energy_curve,
+                          gain_report, max_power, power_curve)
 from .nonreciprocity import phase_landscape
 from .sweep import run_sweep
 
@@ -162,13 +163,9 @@ def _battery_number(target: str) -> float:
 
 def _cmd_steady(args) -> int:
     params = _topology_from_args(args)
-    targets = ([args.target] if args.target
-               else [f"b_{k}" for k in range(1, params.n + 1)]
-               if params.family == "parallel" else [f"b_{params.n}"])
-    rows = []
-    for target in targets:
-        energy = steady_energy(params, target)
-        rows.append((target, energy))
+    point = _steady_points(params)[0]
+    rows = [(t, _energy(point, t))
+            for t in ([args.target] if args.target else _report_targets(params))]
     if args.out or args.format == "json":
         table = SweepTable("steady", ("battery", "E_over_omega"),
                            [[_battery_number(t), e] for t, e in rows],

@@ -15,7 +15,7 @@ with all-positive decay is Hurwitz and has a unique steady state
 the network must decay (spectral abscissa at most ``STABILITY_FLOOR``)
 and M must be well conditioned (``cond_2(M)`` at most
 ``CONDITION_LIMIT``).  Both read the dissipation structure off the
-assembled matrix first: ``certify`` bounds the Hermitian part
+assembled matrix first: the certificate bounds the Hermitian part
 ``H = (M + M^dagger)/2`` by Gershgorin discs in O(n^2), giving ``mu``
 with ``Re<x, M x> <= -mu |x|^2`` for every x.  When ``mu > 0`` the
 numerical range proves ``spectral abscissa <= -mu``,
@@ -23,7 +23,15 @@ numerical range proves ``spectral abscissa <= -mu``,
 its dense O(n^3) check (``eigvals`` or ``cond``) only when the
 certificate cannot prove its accept verdict (a zero-decay mode, a
 marginal decay, a bound near ``CONDITION_LIMIT``).  ``is_stable`` stays
-the dense reference.
+the dense reference; its abscissa is computed once per system.
+
+The gate is written once, over a (P, n, n) stack (``steady_states``):
+dense checks only on slices the certificate cannot prove, one batched
+solve, refinement per slice, a refused slice reported rather than
+raised; ``steady_state`` is its P = 1 case.  ``layout`` compiles each
+built-in topology once from ``build_network``'s output, so
+``assemble_points`` fills P points without a spec, by ``assemble``'s
+entry formula.
 
 ``evolve`` is exact on every network: a decaying one is stepped around
 its steady state, ``alpha(t) = alpha_ss + e^{M t} (alpha0 - alpha_ss)``;
@@ -35,13 +43,15 @@ exponential carries the drive integral (Van Loan, IEEE TAC 23(3), 1978).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 from scipy.linalg import expm
 
 from .errors import NoSteadyStateError, UnstableSystemError, ValidationError
-from .network import NetworkSpec, validate
+from .network import (WITH_INTERMEDIATES, NetworkSpec, TopologyParams,
+                      build_network, parameter_tables, validate)
 
 #: spectral abscissa above this is treated as non-decaying
 STABILITY_FLOOR = -1e-14
@@ -77,24 +87,44 @@ class Certificate:
     condition_bound: float
 
 
-def certify(matrix: np.ndarray) -> Certificate:
-    """Gershgorin discs of ``H``: centre ``Re M[i, i]``, radius
-    ``sum_{j != i} |M[i, j] + conj(M[j, i])| / 2``.
+def _certify(matrices: np.ndarray) -> tuple:
+    """``(mu, abscissa_bound, condition_bound)`` of each slice of a
+    (P, n, n) stack, by the Gershgorin discs of ``H``: centre
+    ``Re M[i, i]``, radius ``sum_{j != i} |M[i, j] + conj(M[j, i])| / 2``.
 
     Computed moduli and row sums are within ``(n + 2) eps`` relative,
     the squared Frobenius sum within ``n^2 eps``; both are charged
     against the bounds.
     """
-    n = matrix.shape[0]
-    decay = -matrix.diagonal().real
-    off = matrix + matrix.conj().T
-    off.flat[::n + 1] = 0.0
-    radius = 0.5 * np.abs(off).sum(axis=1)
+    points, n = matrices.shape[:2]
     slack = (n + 2) * _EPS
-    mu = float((decay * (1.0 - slack) - radius * (1.0 + slack)).min())
-    norm = float(np.sqrt(np.vdot(matrix, matrix).real)) * (1.0 + n * slack)
-    bound = norm / mu if mu > 0.0 else np.inf
-    return Certificate(mu, slack * norm - mu, bound)
+    off = np.conjugate(matrices.swapaxes(1, 2), order="C")
+    off += matrices
+    diagonal = off.reshape(points, n * n)[:, ::n + 1]
+    centre = diagonal.real * (0.5 * (1.0 - slack))
+    diagonal[...] = 0.0
+    radius = np.add.reduce(np.abs(off), axis=2) * (0.5 * (1.0 + slack))
+    mu = -np.maximum.reduce(centre + radius, axis=1)
+    norm = _norms(matrices.reshape(points, n * n)) * (1.0 + n * slack)
+    bound = np.divide(norm, mu, out=np.full(points, np.inf), where=mu > 0.0)
+    return mu, slack * norm - mu, bound
+
+
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """2-norm of each row of a (P, m) array."""
+    flat = np.ascontiguousarray(vectors).view(float)
+    return np.sqrt(np.einsum("pi,pi->p", flat, flat))
+
+
+def _abscissa(matrix: np.ndarray) -> float:
+    return float(np.linalg.eigvals(matrix).real.max())
+
+
+def _row(index, mode_id: str) -> int:
+    try:
+        return index[mode_id]
+    except KeyError:
+        raise KeyError(f"unknown mode id {mode_id!r}") from None
 
 
 @dataclass(frozen=True)
@@ -115,14 +145,16 @@ class LinearSystem:
 
     @cached_property
     def certificate(self) -> Certificate:
-        """``certify(matrix)``, computed once per system."""
-        return certify(self.matrix)
+        """The certificate of M, computed once per system."""
+        return Certificate(*(float(v[0]) for v in _certify(self.matrix[None])))
+
+    @cached_property
+    def abscissa(self) -> float:
+        """The dense spectral abscissa (``eigvals``), computed once."""
+        return _abscissa(self.matrix)
 
     def row(self, mode_id: str) -> int:
-        try:
-            return self.index[mode_id]
-        except KeyError:
-            raise KeyError(f"unknown mode id {mode_id!r}") from None
+        return _row(self.index, mode_id)
 
 
 @dataclass(frozen=True)
@@ -156,71 +188,154 @@ class Trajectory:
         return self.amplitudes[:, self.index[mode_id]]
 
 
+def _fill(detuning, decay, forward, backward, strength, phase) -> np.ndarray:
+    """The (P, n, n) matrices for per-point ``decay`` (P, n) and coupling
+    ``strength`` and ``phase`` (P, couplings), coupling ``k`` entering at
+    flat positions ``forward[k]`` (``M[t, s]``) and ``backward[k]``
+    (``M[s, t]``): the one place the entry formula above is written."""
+    points, n = decay.shape
+    matrices = np.zeros((points, n, n), dtype=complex)
+    flat = matrices.reshape(points, n * n)
+    flat[:, ::n + 1] = -1j * detuning - decay / 2.0
+    coupling = -1j * strength
+    np.add.at(flat, (slice(None), forward), coupling * np.exp(1j * phase))
+    np.add.at(flat, (slice(None), backward), coupling * np.exp(-1j * phase))
+    return matrices
+
+
+def _spec_arrays(spec: NetworkSpec) -> tuple:
+    """``index`` and the ``_fill`` arguments of one spec."""
+    index = {m.id: i for i, m in enumerate(spec.modes)}
+    n = len(index)
+    s, t, strength, phase = np.array(
+        [(index[c.source], index[c.target], c.strength, c.phase)
+         for c in spec.couplings], dtype=float).reshape(-1, 4).T
+    s, t = s.astype(np.intp), t.astype(np.intp)
+    return index, (np.array([m.detuning for m in spec.modes], dtype=float),
+                   np.array([[m.decay_rate for m in spec.modes]], dtype=float),
+                   t * n + s, s * n + t, strength[None], phase[None])
+
+
 def assemble(spec: NetworkSpec) -> LinearSystem:
     """Build the linear system for a validated network spec."""
     problems = validate(spec)
     if problems:
         raise ValidationError(problems)
-    index = {m.id: i for i, m in enumerate(spec.modes)}
-    n = len(spec.modes)
-    matrix = np.zeros((n, n), dtype=complex)
-    for i, m in enumerate(spec.modes):
-        matrix[i, i] = -1j * m.detuning - m.decay_rate / 2.0
-    for c in spec.couplings:
-        s, t = index[c.source], index[c.target]
-        matrix[t, s] += -1j * c.strength * np.exp(1j * c.phase)
-        matrix[s, t] += -1j * c.strength * np.exp(-1j * c.phase)
-    drive = np.zeros(n, dtype=complex)
+    index, arrays = _spec_arrays(spec)
+    drive = np.zeros(len(index), dtype=complex)
     for d in spec.drives:
         drive[index[d.mode]] += -1j * complex(d.amplitude)
-    return LinearSystem(matrix, drive, index)
+    return LinearSystem(_fill(*arrays)[0], drive, index)
+
+
+@lru_cache(maxsize=256)
+def layout(family: str, intermediates: bool, n: int) -> tuple:
+    """``(index, drive row, detuning, decay, forward, backward, strength,
+    phase)`` of a built-in topology: the ``_fill`` arguments of its spec,
+    with each per-point value replaced by its column in the matching
+    ``network.parameter_tables`` table.  Found by building the topology
+    once with a distinct value in every column and reading where each
+    value landed; the variants with intermediates share one layout."""
+    probe = TopologyParams(family, "custom" if intermediates else "r1", n, 2.0,
+                           1.0, tuple(range(3, n + 3)), 2.0, 1.0,
+                           tuple(k / (n + 1) for k in range(1, n + 1)))
+    spec = build_network(probe)
+    index, (detuning, decay, forward, backward, strength, phase) = _spec_arrays(spec)
+
+    def columns(table, values):
+        return np.array([table[0].tolist().index(v) for v in values[0].tolist()])
+
+    rates, strengths, phases, _ = parameter_tables(probe)
+    arrays = (detuning, columns(rates, decay), forward, backward,
+              columns(strengths, strength), columns(phases, phase))
+    for array in arrays:  # shared by every caller
+        array.setflags(write=False)
+    return (MappingProxyType(index), index[spec.drives[0].mode]) + arrays
+
+
+def assemble_points(params: TopologyParams, **columns) -> tuple:
+    """``(matrices, drives, index)`` of P points of a built-in topology,
+    ``columns`` as in ``network.parameter_tables``; no spec is built."""
+    variant = columns["variant"][0] if "variant" in columns else params.variant
+    index, drive, detuning, decay, forward, backward, strength, phase = layout(
+        params.family, variant in WITH_INTERMEDIATES, params.n)
+    rates, strengths, phases, xi = parameter_tables(params, **columns)
+    matrices = _fill(detuning, rates[:, decay], forward, backward,
+                     strengths[:, strength], phases[:, phase])
+    drives = np.zeros(matrices.shape[:2], dtype=complex)
+    drives[:, drive] += -1j * xi
+    return matrices, drives, index
+
+
+def _gate(matrices, drives, abscissa_bound, condition_bound, abscissa) -> list:
+    """The decay rule, the condition rule and the solve over a stack;
+    ``abscissa(i)`` is the dense abscissa of slice ``i``."""
+    states = {}
+    condition = np.array(condition_bound, dtype=float)
+    bounds = zip(abscissa_bound.tolist(), condition.tolist())
+    for i, (abscissa_i, condition_i) in enumerate(bounds):
+        if (not abscissa_i <= STABILITY_FLOOR
+                and not (abscissa_i := abscissa(i)) <= STABILITY_FLOOR):
+            states[i] = UnstableSystemError(
+                f"network is not strictly decaying (spectral abscissa "
+                f"{abscissa_i:.3e})", spectral_abscissa=abscissa_i)
+        elif not condition_i <= CONDITION_LIMIT:
+            condition[i] = cond = np.linalg.cond(matrices[i])
+            if not cond <= CONDITION_LIMIT:
+                states[i] = NoSteadyStateError(
+                    f"no unique steady state: condition estimate {cond:.3e} "
+                    f"exceeds {CONDITION_LIMIT:.0e}", condition=cond)
+    keep = [i for i in range(len(matrices)) if i not in states]
+    if keep:
+        m, d = (matrices, drives) if not states else (matrices[keep], drives[keep])
+        alpha = np.linalg.solve(m, -d[..., None])
+        resid = (m @ alpha)[..., 0] + d
+        norm = _norms(resid)
+        if norm.max() > 1e-12:  # else below every slice's threshold
+            redo = np.flatnonzero(norm > 1e-12 * np.maximum(1.0, _norms(d)))
+            alpha[redo] -= np.linalg.solve(m[redo], resid[redo][..., None])
+            norm[redo] = _norms((m[redo] @ alpha[redo])[..., 0] + d[redo])
+        states.update((i, SteadyState(a, r, float(condition[i])))
+                      for i, a, r in zip(keep, alpha[..., 0], norm.tolist()))
+    return [states[i] for i in range(len(matrices))]
+
+
+def steady_states(matrices: np.ndarray, drives: np.ndarray) -> list:
+    """``steady_state`` of each slice of a (P, n, n) stack with its
+    (P, n) drives, in one batched solve: per slice its ``SteadyState``
+    or, for a refused slice, the error ``steady_state`` raises."""
+    _, abscissa_bound, condition_bound = _certify(matrices)
+    return _gate(matrices, drives, abscissa_bound, condition_bound,
+                 lambda i: _abscissa(matrices[i]))
 
 
 def steady_state(sys: LinearSystem) -> SteadyState:
     """Solve ``M alpha = -d``; refuse a network that does not decay to it.
 
-    The decay rule comes first: the certificate's abscissa bound admits
-    M when it is at most ``STABILITY_FLOOR``; otherwise the dense
-    ``is_stable`` decides and an abscissa above the floor raises
-    ``UnstableSystemError``.  Then the condition rule: the certificate's
-    ``||M||_F / mu`` admits M when it is at most ``CONDITION_LIMIT``;
-    otherwise the dense ``np.linalg.cond`` decides and a condition above
-    the limit raises ``NoSteadyStateError``.  One step of iterative
-    refinement keeps the residual at rounding level even for poorly
-    scaled networks.
+    The decay rule comes first (``UnstableSystemError``), then the
+    condition rule (``NoSteadyStateError``), each proven by the
+    certificate or decided by its dense check (see the module doc).  One
+    step of iterative refinement keeps the residual at rounding level
+    even for poorly scaled networks.  This is ``steady_states`` on a
+    stack of one.
     """
-    if not sys.certificate.abscissa_bound <= STABILITY_FLOOR:
-        stable, abscissa = is_stable(sys)
-        if not stable or abscissa > STABILITY_FLOOR:
-            raise UnstableSystemError(
-                f"network is not strictly decaying (spectral abscissa "
-                f"{abscissa:.3e})", spectral_abscissa=abscissa)
-    cond = sys.certificate.condition_bound
-    if not cond <= CONDITION_LIMIT:
-        cond = np.linalg.cond(sys.matrix)
-        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-            raise NoSteadyStateError(
-                f"no unique steady state: condition estimate {cond:.3e} "
-                f"exceeds {CONDITION_LIMIT:.0e}", condition=cond)
-    alpha = np.linalg.solve(sys.matrix, -sys.drive)
-    resid = sys.matrix @ alpha + sys.drive
-    scale = max(1.0, float(np.linalg.norm(sys.drive)))
-    if np.linalg.norm(resid) > 1e-12 * scale:
-        alpha = alpha - np.linalg.solve(sys.matrix, resid)
-        resid = sys.matrix @ alpha + sys.drive
-    return SteadyState(alpha, float(np.linalg.norm(resid)), float(cond))
+    cert = sys.certificate
+    (state,) = _gate(sys.matrix[None], sys.drive[None],
+                     np.array([cert.abscissa_bound]),
+                     np.array([cert.condition_bound]), lambda _: sys.abscissa)
+    if isinstance(state, Exception):
+        raise state
+    return state
 
 
 def is_stable(sys: LinearSystem):
     """Return ``(hurwitz, spectral_abscissa)`` for the dynamics matrix.
 
-    This is the dense reference (all eigenvalues, O(n^3));
-    ``steady_state`` consults ``LinearSystem.certificate`` first and
-    falls back to it.
+    This is the dense reference (all eigenvalues, O(n^3), once per
+    system); ``steady_state`` consults ``LinearSystem.certificate``
+    first and falls back to it.
     """
-    eigvals = np.linalg.eigvals(sys.matrix)
-    abscissa = float(eigvals.real.max())
-    return abscissa < 0.0, abscissa
+    return sys.abscissa < 0.0, sys.abscissa
 
 
 def _check_times(times: np.ndarray):

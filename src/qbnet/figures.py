@@ -17,7 +17,8 @@ from .closed_forms import g_opt_odd, logfit_ratio
 from .export import SweepTable, write_table
 from .network import TopologyParams
 from .nonreciprocity import phase_landscape
-from .observables import energy_curve, gain_report, max_power, power_curve
+from .observables import (_gain_points, _gains_row, energy_curve, max_power,
+                          power_curve)
 
 #: fig2/fig3 regime
 GAMMA_WEAK = 0.1
@@ -57,11 +58,9 @@ def _landscape_panel(name, family):
     params = _params(family, "custom", 2, g_b, GAMMA_WEAK, GAMMA_WEAK,
                      thetas=(0.0, 0.0))
     scape = phase_landscape(params, target="b_2", grid_points=LANDSCAPE_POINTS)
-    rows = []
     g1, g2 = scape.theta_grids
-    for i, t1 in enumerate(g1):
-        for j, t2 in enumerate(g2):
-            rows.append([t1, t2, scape.energy[i, j]])
+    rows = [[t1, t2, scape.energy[i, j]]
+            for i, t1 in enumerate(g1) for j, t2 in enumerate(g2)]
     argmax = "; ".join(f"({a:.10g}, {b:.10g})" for a, b in scape.argmax)
     md = _base_metadata(family, 2, GAMMA_WEAK, GAMMA_WEAK,
                         {"g_b": repr(g_b), "target": "b_2",
@@ -70,28 +69,26 @@ def _landscape_panel(name, family):
     return SweepTable(name, ("theta_1", "theta_2", "E_over_omega"), rows, md)
 
 
-def _energy_panel(name, family, n):
-    rows = []
-    for x in ENERGY_SWEEP:
-        base = _params(family, "nr", n, x * GAMMA_WEAK, GAMMA_WEAK, GAMMA_WEAK)
-        report = gain_report(base)
-        rows.append([x, report.e_nr[-1], report.e_r1[-1], report.e_r2[-1]])
+def _steady_panel(name, family, n, columns, part):
+    """One ``ENERGY_SWEEP`` row per point: the ``part`` of
+    ``[E_nr, E_r1, E_r2, G1, G2]`` at ``b_n``, from ``_gain_points``."""
+    base = _params(family, "nr", n, GAMMA_WEAK, GAMMA_WEAK, GAMMA_WEAK)
+    g_b = ENERGY_SWEEP * GAMMA_WEAK
+    solved = _gain_points(base, g_b=g_b)
+    rows = [[x] + _gains_row(base, None, lambda v, i=i: solved[v][i])[part]
+            for i, x in enumerate(ENERGY_SWEEP)]
     md = _base_metadata(family, n, GAMMA_WEAK, GAMMA_WEAK,
                         {"sweep": "gb_over_gamma linear 301 points on [0.001, 0.3]",
                          "target": f"b_{n}"})
-    return SweepTable(name, ("gb_over_gamma", "E_nr", "E_r1", "E_r2"), rows, md)
+    return SweepTable(name, ("gb_over_gamma",) + columns, rows, md)
+
+
+def _energy_panel(name, family, n):
+    return _steady_panel(name, family, n, ("E_nr", "E_r1", "E_r2"), slice(3))
 
 
 def _gain_panel(name, family, n):
-    rows = []
-    for x in ENERGY_SWEEP:
-        base = _params(family, "nr", n, x * GAMMA_WEAK, GAMMA_WEAK, GAMMA_WEAK)
-        report = gain_report(base)
-        rows.append([x, report.g1[-1], report.g2[-1]])
-    md = _base_metadata(family, n, GAMMA_WEAK, GAMMA_WEAK,
-                        {"sweep": "gb_over_gamma linear 301 points on [0.001, 0.3]",
-                         "target": f"b_{n}"})
-    return SweepTable(name, ("gb_over_gamma", f"G_{n}1", f"G_{n}2"), rows, md)
+    return _steady_panel(name, family, n, (f"G_{n}1", f"G_{n}2"), slice(3, 5))
 
 
 def _fig2f():

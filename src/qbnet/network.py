@@ -22,6 +22,9 @@ coupling: 0 for ``r2``, -pi/2 for ``nr``, caller-supplied for
 ``custom``.  Intermediate couplings are fixed at the matched strength
 ``sqrt(g_b * Gamma / 2)`` with phase 0, so only the loop flux is
 physical.
+
+``parameter_tables`` lays out the scalars of many points of one topology
+as per-point tables, for ``dynamics.assemble_points``.
 """
 
 from __future__ import annotations
@@ -30,10 +33,15 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError
 
 FAMILIES = ("cascaded", "parallel")
 VARIANTS = ("r1", "r2", "nr", "custom")
+#: the variants with an intermediate mode per link; they differ only in
+#: the direct phases, so they share one layout
+WITH_INTERMEDIATES = ("r2", "nr", "custom")
 ROLES = ("charger", "battery", "intermediate")
 
 
@@ -158,17 +166,29 @@ class TopologyParams:
 
     def direct_phases(self) -> tuple:
         """The resolved phase of each direct coupling, link by link."""
-        if self.variant == "nr":
-            return (-math.pi / 2.0,) * self.n
-        if self.variant == "r2":
-            return (0.0,) * self.n
-        if self.thetas is None:
-            return (0.0,) * self.n
-        return tuple(wrap_phase(t) for t in self.thetas)
+        return _direct_phases(self.variant, self.n, self.thetas)
 
     @property
     def has_intermediates(self) -> bool:
-        return self.variant in ("r2", "nr", "custom")
+        return self.variant in WITH_INTERMEDIATES
+
+
+def _direct_phases(variant: str, n: int, thetas) -> tuple:
+    if variant == "nr":
+        return (-math.pi / 2.0,) * n
+    if variant == "r2" or thetas is None:
+        return (0.0,) * n
+    return tuple(wrap_phase(t) for t in thetas)
+
+
+def _intermediate_coupling(variant: str, g_b: float, Gamma: float) -> float:
+    """The matched ``g_i`` of a variant with intermediates, else 0."""
+    if variant not in WITH_INTERMEDIATES:
+        return 0.0
+    if Gamma <= 0:
+        raise ValidationError(
+            [f"variant {variant!r} needs Gamma > 0, got {Gamma!r}"])
+    return matched_coupling(g_b, Gamma)
 
 
 def matched_coupling(g_b: float, Gamma: float) -> float:
@@ -193,13 +213,10 @@ def build_network(params: TopologyParams) -> NetworkSpec:
     intermediates every link gains a mode ``a_k`` coupled as
     ``up -> a_k -> b_k`` at the matched strength.
     """
-    if params.has_intermediates and params.Gamma <= 0:
-        raise ValidationError(
-            [f"variant {params.variant!r} needs Gamma > 0, got {params.Gamma!r}"])
+    g_i = _intermediate_coupling(params.variant, params.g_b, params.Gamma)
     thetas = params.direct_phases()
     modes = [ModeSpec("c", "charger", params.gamma_c)]
     couplings = []
-    g_i = matched_coupling(params.g_b, params.Gamma) if params.has_intermediates else 0.0
     for k in range(1, params.n + 1):
         upstream = "c" if k == 1 or params.family == "parallel" else f"b_{k - 1}"
         if params.has_intermediates:
@@ -209,6 +226,28 @@ def build_network(params: TopologyParams) -> NetworkSpec:
         modes.append(ModeSpec(f"b_{k}", "battery", params.gamma_b[k - 1]))
         couplings.append(CouplingSpec(upstream, f"b_{k}", params.g_b, thetas[k - 1]))
     return NetworkSpec(tuple(modes), tuple(couplings), (DriveSpec("c", params.xi),))
+
+
+def parameter_tables(params: TopologyParams, **columns) -> tuple:
+    """Rates ``[gamma_c, Gamma, *gamma_b]``, strengths ``[g_b, g_i]``,
+    phases ``[0, *direct_phases]`` and drives ``xi`` of P points, one row
+    each, computed as ``build_network`` does.  ``columns`` maps a field
+    of ``params`` to one (trusted, already valid) value per point; a
+    ``variant`` column may mix variants that share one layout."""
+    points = len(next(iter(columns.values()))) if columns else 1
+
+    def column(name):
+        return columns[name] if name in columns else [getattr(params, name)] * points
+
+    rates, strengths, phases = [], [], []
+    for g_b, gamma_c, gamma_b, Gamma, thetas, variant in zip(
+            column("g_b"), column("gamma_c"), column("gamma_b"),
+            column("Gamma"), column("thetas"), column("variant")):
+        rates.append((gamma_c, Gamma, *gamma_b))
+        strengths.append((g_b, _intermediate_coupling(variant, g_b, Gamma)))
+        phases.append((0.0, *_direct_phases(variant, params.n, thetas)))
+    return (np.array(rates, dtype=float), np.array(strengths, dtype=float),
+            np.array(phases, dtype=float), np.array(column("xi"), dtype=complex))
 
 
 def _build_family(params: TopologyParams, family: str) -> NetworkSpec:

@@ -8,7 +8,6 @@ battery instead of the charger and compare the transmitted energies).
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from .closed_forms import effective_link
 from .dynamics import assemble, steady_state
 from .network import (CouplingSpec, DriveSpec, ModeSpec, NetworkSpec,
                       TopologyParams, matched_coupling)
-from .observables import steady_energy
+from .observables import _energy, _steady_points
 
 #: landscape grid values within this relative slack of the maximum tie
 ARGMAX_TIE_REL = 1e-9
@@ -126,7 +125,7 @@ def phase_landscape(params: TopologyParams, target: str | None = None,
     Accepts ``custom`` variants (full triangles) and ``r1`` (direct
     couplings only, where the landscape is flat for loop-free graphs).
     The grid excludes -pi and includes +pi; every energy is a full
-    network solve.
+    network solve, all of them one batch.
     """
     if params.variant not in ("custom", "r1"):
         raise ValueError(
@@ -138,11 +137,9 @@ def phase_landscape(params: TopologyParams, target: str | None = None,
     grids = (grid,) * params.n
     combos = list(itertools.product(range(grid_points), repeat=params.n))
 
-    energy = np.zeros((grid_points,) * params.n)
-    for combo in combos:
-        thetas = tuple(float(grid[i]) for i in combo)
-        energy[combo] = steady_energy(dataclasses.replace(params, thetas=thetas),
-                                      target)
+    points = _steady_points(params, thetas=grid[np.array(combos)])
+    energy = np.reshape([_energy(point, target) for point in points],
+                        (grid_points,) * params.n)
     peak = float(energy.max())
     tie = peak - abs(peak) * ARGMAX_TIE_REL
     argmax = tuple(

@@ -1,9 +1,11 @@
 """Energies, charging power, maximum power and gain factors.
 
 Everything here runs on the full network (intermediates included): the
-topology parameters are built, assembled and solved or propagated from
-vacuum.  Stored energy is ``|amplitude|^2`` of the target mode in units
-of the mode frequency, and charging power is ``P(t) = E(t) / t``.
+topology parameters are filled into the dynamics matrix and solved or
+propagated from vacuum; many points of one topology are solved as one
+batch (``_steady_points``).  Stored energy is ``|amplitude|^2`` of the
+target mode in units of the mode frequency, and charging power is
+``P(t) = E(t) / t``.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (_propagate_expm, assemble, evolve, is_stable,
-                       steady_state, vacuum)
-from .network import TopologyParams, build_network
+from .dynamics import (LinearSystem, _propagate_expm, _row, assemble_points,
+                       evolve, steady_state, steady_states, vacuum)
+from .network import TopologyParams
 from .optimize import refine_argmax
 
 #: a gain ratio with a denominator below this is reported as undefined
@@ -25,6 +27,12 @@ POWER_HORIZON_FACTOR = 50.0
 
 #: the scan starts this factor below its reach (six decades)
 POWER_SCAN_SPAN = 1e6
+
+#: the variants a gain report compares, in the order they are solved
+GAIN_VARIANTS = ("nr", "r1", "r2")
+
+#: relative tolerance on t of the golden refinement of a power peak
+POWER_REL_TOL = 1e-8
 
 #: equal scan steps per octave [a, 2a]: spacing a/145 is at most 0.69%
 #: of t, finer than a 2,000-point log grid over the same six decades
@@ -83,20 +91,49 @@ def _default_target(params: TopologyParams) -> str:
     return f"b_{params.n}"
 
 
-def _system(params: TopologyParams):
-    return assemble(build_network(params))
+def _report_targets(params: TopologyParams) -> tuple:
+    if params.family == "cascaded":
+        return (f"b_{params.n}",)
+    return tuple(f"b_{k}" for k in range(1, params.n + 1))
 
 
-def _steady_energies(params: TopologyParams, targets) -> tuple:
-    """``|alpha_ss(t)|^2`` of every target, read off one steady solve."""
-    sys = _system(params)
-    amplitudes = steady_state(sys).amplitudes
-    return tuple(float(abs(amplitudes[sys.row(t)]) ** 2) for t in targets)
+def _system(params: TopologyParams) -> LinearSystem:
+    matrices, drives, index = assemble_points(params)
+    return LinearSystem(matrices[0], drives[0], dict(index))
+
+
+def _steady_points(params: TopologyParams, **columns) -> list:
+    """Per point of a batch (``columns`` as in ``assemble_points``), its
+    ``(steady amplitudes, index)`` or the error refusing it."""
+    matrices, drives, index = assemble_points(params, **columns)
+    return [state if isinstance(state, Exception) else (state.amplitudes, index)
+            for state in steady_states(matrices, drives)]
+
+
+def _gain_points(params: TopologyParams, **columns) -> dict:
+    """``_steady_points`` of each gain variant: ``nr`` and ``r2`` share a
+    layout, so they are one batch of twice the points."""
+    points = len(next(iter(columns.values()))) if columns else 1
+    both = {f: list(v) * 2 for f, v in columns.items()}
+    both["variant"] = ["nr"] * points + ["r2"] * points
+    links = _steady_points(params, **both)
+    return {"nr": links[:points],
+            "r1": _steady_points(params.with_variant("r1"), **columns),
+            "r2": links[points:]}
+
+
+def _energy(point, target: str) -> float:
+    """``|alpha_ss(target)|^2`` of one solved point; a refused point
+    raises its error."""
+    if isinstance(point, Exception):
+        raise point
+    amplitudes, index = point
+    return float(abs(amplitudes[_row(index, target)]) ** 2)
 
 
 def steady_energy(params: TopologyParams, target: str | None = None) -> float:
     """Steady stored energy ``|alpha_ss(target)|^2`` of the full network."""
-    return _steady_energies(params, (target or _default_target(params),))[0]
+    return _energy(_steady_points(params)[0], target or _default_target(params))
 
 
 def energy_curve(params: TopologyParams, target: str | None = None,
@@ -134,8 +171,28 @@ def _octave_grid(t_lo: float, span: float) -> np.ndarray:
     return np.append(grid.ravel(), t_lo * 2.0 ** octaves)
 
 
+def _peak_powers(sys: LinearSystem, alpha_ss: np.ndarray, targets,
+                 rel_tol: float) -> list:
+    """``(t_star, p_max)`` of every target, all read off one octave scan."""
+    t_hi = POWER_HORIZON_FACTOR / abs(sys.abscissa)
+    rows = [sys.row(t) for t in targets]
+    offset = vacuum(sys) - alpha_ss
+
+    def power(amps, row, times):
+        return np.abs(amps[:, row] + alpha_ss[row]) ** 2 / times
+
+    def power_at(t, row):
+        times = np.array([t])
+        return float(power(_propagate_expm(sys.matrix, offset, times), row, times)[0])
+
+    grid = _octave_grid(t_hi / POWER_SCAN_SPAN, POWER_SCAN_SPAN)
+    amps = _propagate_expm(sys.matrix, offset, grid)
+    return [refine_argmax(lambda t, row=row: power_at(t, row), grid,
+                          power(amps, row, grid), rel_tol) for row in rows]
+
+
 def max_power(params: TopologyParams, target: str | None = None,
-              rel_tol: float = 1e-8):
+              rel_tol: float = POWER_REL_TOL):
     """Maximise P(t) over charging time; return ``(t_star, p_max)``.
 
     A scan locates the peak over six decades of charging time, from
@@ -147,20 +204,8 @@ def max_power(params: TopologyParams, target: str | None = None,
     """
     sys = _system(params)
     alpha_ss = steady_state(sys).amplitudes
-    abscissa = is_stable(sys)[1]
-    row = sys.row(target or _default_target(params))
-    offset = vacuum(sys) - alpha_ss
-
-    def power(times):
-        amps = _propagate_expm(sys.matrix, offset, times)[:, row]
-        return np.abs(amps + alpha_ss[row]) ** 2 / times
-
-    def power_at(t):
-        return float(power(np.array([t]))[0])
-
-    t_hi = POWER_HORIZON_FACTOR / abs(abscissa)
-    grid = _octave_grid(t_hi / POWER_SCAN_SPAN, POWER_SCAN_SPAN)
-    return refine_argmax(power_at, grid, power(grid), rel_tol)
+    return _peak_powers(sys, alpha_ss, (target or _default_target(params),),
+                        rel_tol)[0]
 
 
 def _ratio(numer: float, denom: float, name: str, flags: list) -> float:
@@ -170,35 +215,52 @@ def _ratio(numer: float, denom: float, name: str, flags: list) -> float:
     return numer / denom
 
 
+def _ratios(values: dict, name: str, targets, flags: list) -> tuple:
+    """``nr / r1`` and ``nr / r2`` per target, flagged ``{name}1[target]``
+    and ``{name}2[target]`` where undefined."""
+    return tuple(tuple(_ratio(values["nr"][i], values[v][i], f"{name}{k}[{t}]", flags)
+                       for i, t in enumerate(targets))
+                 for k, v in ((1, "r1"), (2, "r2")))
+
+
+def _gains_row(params: TopologyParams, target, point) -> list:
+    """``[E_nr, E_r1, E_r2, G1, G2]`` at ``target`` (a report target,
+    else the last one) off ``point(variant)``, the solved point of each
+    gain variant; the first refused variant raises."""
+    targets = _report_targets(params)
+    target = target if target in targets else targets[-1]
+    energies = {v: (_energy(point(v), target),) for v in GAIN_VARIANTS}
+    return [*(e for e, in energies.values()),
+            *(g for g, in _ratios(energies, "G", (target,), []))]
+
+
 def gain_report(params_base: TopologyParams, include_power: bool = False) -> GainReport:
     """Steady energies of the r1/r2/nr variants and their gain ratios.
 
     The three variants share every parameter except the variant tag.
     Cascaded scenarios report the terminal battery; parallel ones
     report each battery.  ``include_power`` adds maximum-power triples
-    and the corresponding eta ratios.
+    and the corresponding eta ratios.  Each variant is assembled and
+    solved once: as a batch without ``include_power``, else as a system
+    whose maximum powers all come off one scan.
     """
-    if params_base.family == "cascaded":
-        targets = (f"b_{params_base.n}",)
+    targets = _report_targets(params_base)
+    if include_power:
+        systems = {v: _system(params_base.with_variant(v)) for v in GAIN_VARIANTS}
+        points = {v: (steady_state(sys).amplitudes, sys.index)
+                  for v, sys in systems.items()}
     else:
-        targets = tuple(f"b_{k}" for k in range(1, params_base.n + 1))
-    variants = {v: params_base.with_variant(v) for v in ("nr", "r1", "r2")}
-    energies = {v: _steady_energies(p, targets) for v, p in variants.items()}
+        points = {v: solved[0] for v, solved in _gain_points(params_base).items()}
+    energies = {v: tuple(_energy(points[v], t) for t in targets)
+                for v in GAIN_VARIANTS}
     flags: list = []
-    g1 = tuple(_ratio(energies["nr"][i], energies["r1"][i], f"G1[{t}]", flags)
-               for i, t in enumerate(targets))
-    g2 = tuple(_ratio(energies["nr"][i], energies["r2"][i], f"G2[{t}]", flags)
-               for i, t in enumerate(targets))
-    report = GainReport(params_base, targets, energies["nr"], energies["r1"],
-                        energies["r2"], g1, g2, flags=tuple(flags))
+    gains = _ratios(energies, "G", targets, flags)
     if not include_power:
-        return report
-    power = {v: tuple(max_power(p, t)[1] for t in targets)
-             for v, p in variants.items()}
-    eta1 = tuple(_ratio(power["nr"][i], power["r1"][i], f"eta1[{t}]", flags)
-                 for i, t in enumerate(targets))
-    eta2 = tuple(_ratio(power["nr"][i], power["r2"][i], f"eta2[{t}]", flags)
-                 for i, t in enumerate(targets))
-    return GainReport(params_base, targets, energies["nr"], energies["r1"],
-                      energies["r2"], g1, g2, power["nr"], power["r1"],
-                      power["r2"], eta1, eta2, tuple(flags))
+        return GainReport(params_base, targets, *energies.values(), *gains,
+                          flags=tuple(flags))
+    power = {v: tuple(p for _, p in _peak_powers(sys, points[v][0], targets,
+                                                 POWER_REL_TOL))
+             for v, sys in systems.items()}
+    return GainReport(params_base, targets, *energies.values(), *gains,
+                      *power.values(), *_ratios(power, "eta", targets, flags),
+                      tuple(flags))

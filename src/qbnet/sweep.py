@@ -1,21 +1,25 @@
 """Parameter sweeps over topology scalars with per-point observables.
 
 A sweep evaluates the requested observables at every grid value of one
-variable.  Points that fail numerically (singular or unstable systems,
-a maximum outside the scanned range) are recorded in the table's error
-list and skipped; the surviving rows keep grid order.
+variable.  Each variant the steady observables need is solved once for
+the whole grid, in one batch unless ``n`` is swept, so ``steady_energy``
+and the ``nr`` energy of ``gains`` read the same solve; ``max_power``
+runs point by point.  Points that fail numerically (singular or
+unstable systems, a maximum outside the scanned range) are recorded in
+the table's error list and skipped; the surviving rows keep grid order.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 
 from .config import RunConfig, run_config_to_dict
 from .errors import NoSteadyStateError, ScanEdgeError, UnstableSystemError
 from .export import SweepTable
 from .network import TopologyParams
-from .observables import gain_report, max_power, steady_energy
+from .observables import _energy, _gains_row, _steady_points, max_power
 
 
 def apply_sweep_value(params: TopologyParams, variable: str, value,
@@ -49,21 +53,25 @@ def apply_sweep_value(params: TopologyParams, variable: str, value,
     raise ValueError(f"unknown sweep variable {variable!r}")
 
 
-def _gains_row(params: TopologyParams, target):
-    report = gain_report(params)
-    i = (report.targets.index(target) if target in report.targets
-         else len(report.targets) - 1)
-    return [report.e_nr[i], report.e_r1[i], report.e_r2[i],
-            report.g1[i], report.g2[i]]
+def _solve(points: list, variant: str) -> list:
+    """Per point, its ``_steady_points`` entry under ``variant``: one
+    batch, or one per point when the battery count varies."""
+    if len({p.n for p in points}) > 1:
+        return [_steady_points(p.with_variant(variant))[0] for p in points]
+    columns = {f: [getattr(p, f) for p in points]
+               for f in ("g_b", "gamma_c", "gamma_b", "Gamma", "xi", "thetas")
+               if getattr(points[0], f) is not None}
+    return _steady_points(points[0].with_variant(variant), **columns)
 
 
-#: observable name -> (table columns, row values at ``(params, target)``)
+#: observable name -> (table columns, row values at ``(params, target,
+#: point)``, ``point(variant)`` the solved point of a variant)
 _OBSERVABLES = {
-    "steady_energy": (("steady_energy",),
-                      lambda params, target: [steady_energy(params, target)]),
+    "steady_energy": (("steady_energy",), lambda params, target, point: [
+        _energy(point(params.variant), target or f"b_{params.n}")]),
     "gains": (("E_nr", "E_r1", "E_r2", "G1", "G2"), _gains_row),
-    "max_power": (("t_star", "p_max"),
-                  lambda params, target: list(max_power(params, target))),
+    "max_power": (("t_star", "p_max"), lambda params, target, point:
+                  list(max_power(params, target))),
 }
 
 
@@ -77,13 +85,18 @@ def run_sweep(cfg: RunConfig) -> SweepTable:
         raise ValueError(f"unknown observable {exc.args[0]!r}") from None
     variable = cfg.sweep.variable
     label = variable if cfg.sweep.index is None else f"{variable}_{cfg.sweep.index}"
+    values = cfg.sweep.grid.values
+    points = [apply_sweep_value(cfg.topology, variable, value, cfg.sweep.index)
+              for value in values]
+    solved = functools.cache(lambda variant: _solve(points, variant))
+
     rows, errors = [], []
-    for index, value in enumerate(cfg.sweep.grid.values):
-        params = apply_sweep_value(cfg.topology, variable, value, cfg.sweep.index)
+    for index, (value, params) in enumerate(zip(values, points)):
         row = [value]
         try:
             for _, row_values in chosen:
-                row.extend(row_values(params, cfg.target))
+                row.extend(row_values(params, cfg.target,
+                                      lambda v: solved(v)[index]))
         except (NoSteadyStateError, UnstableSystemError, ScanEdgeError) as exc:
             errors.append((index, value, str(exc)))
         else:

@@ -1,0 +1,236 @@
+"""Batched steady solves against the per-point path.
+
+A batch of points of one built-in topology is filled from its compiled
+layout into a (P, n, n) stack and gated and solved in one call.  Every
+value must equal the per-point one exactly, every refusal must be the
+per-point error, and the counters check that the batching and the
+shared solves actually happen.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from qbnet import (NoSteadyStateError, TopologyParams, UnstableSystemError,
+                   ValidationError, assemble, build_network, figure_table,
+                   gain_report, is_stable, max_power, parse_run_config,
+                   run_sweep, steady_energy, steady_state)
+from qbnet.dynamics import assemble_points, layout, steady_states
+from qbnet.network import FAMILIES, VARIANTS, WITH_INTERMEDIATES
+from qbnet.observables import GAIN_VARIANTS, _energy, _steady_points
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st  # noqa: E402
+
+#: the fields a batch varies per point
+FIELDS = ("g_b", "gamma_c", "gamma_b", "Gamma", "xi", "thetas")
+
+
+@st.composite
+def batches(draw):
+    """A family, a variant (custom with thetas, r1 with or without),
+    n <= 8 and 1..6 points with g_b/gamma in [1e-6, 1e3] and per-battery
+    decays: one zero decay in a third of the points, no charger or
+    battery decay at all in a sixth (refused without intermediates)."""
+    family = draw(st.sampled_from(FAMILIES))
+    variant = draw(st.sampled_from(VARIANTS))
+    n = draw(st.integers(1, 8))
+    with_thetas = variant == "custom" or (variant == "r1" and draw(st.booleans()))
+    points = []
+    for _ in range(draw(st.integers(1, 6))):
+        gamma = 10.0 ** draw(st.floats(-3.0, 1.0))
+        rate = st.floats(-1.0, 1.0).map(lambda u, g=gamma: g * 10.0 ** u)
+        decays = draw(st.lists(rate, min_size=n + 1, max_size=n + 1))
+        zeros = draw(st.integers(0, 5))
+        if zeros < 2:
+            decays[draw(st.integers(0, n))] = 0.0
+        elif zeros == 2:
+            decays = [0.0] * (n + 1)
+        thetas = (tuple(draw(st.lists(st.floats(-4.0, 4.0), min_size=n,
+                                      max_size=n))) if with_thetas else None)
+        xi = complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+        points.append(TopologyParams(
+            family, variant, n, gamma * 10.0 ** draw(st.floats(-6.0, 3.0)),
+            decays[0], tuple(decays[1:]), draw(rate), xi, thetas))
+    return points
+
+
+def as_batch(points):
+    first = points[0]
+    columns = {f: [getattr(p, f) for p in points]
+               for f in FIELDS if getattr(first, f) is not None}
+    return first, columns
+
+
+def loop_assemble(spec):
+    """The entry formula one coupling at a time, as a scalar loop."""
+    index = {m.id: i for i, m in enumerate(spec.modes)}
+    matrix = np.zeros((len(index), len(index)), dtype=complex)
+    for i, m in enumerate(spec.modes):
+        matrix[i, i] = -1j * m.detuning - m.decay_rate / 2.0
+    for c in spec.couplings:
+        s, t = index[c.source], index[c.target]
+        matrix[t, s] += -1j * c.strength * np.exp(1j * c.phase)
+        matrix[s, t] += -1j * c.strength * np.exp(-1j * c.phase)
+    drive = np.zeros(len(index), dtype=complex)
+    for d in spec.drives:
+        drive[index[d.mode]] += -1j * complex(d.amplitude)
+    return matrix, drive
+
+
+@given(batches())
+def test_batch_equals_per_point(points):
+    first, columns = as_batch(points)
+    batch = _steady_points(first, **columns)
+    matrices, drives, _ = assemble_points(first, **columns)
+    targets = [f"b_{k}" for k in range(1, first.n + 1)] + ["c"]
+    for i, params in enumerate(points):
+        spec = build_network(params)
+        sys = assemble(spec)
+        matrix, drive = loop_assemble(spec)
+        assert matrices[i].tobytes() == sys.matrix.tobytes() == matrix.tobytes()
+        assert drives[i].tobytes() == sys.drive.tobytes() == drive.tobytes()
+        for target in targets:
+            try:
+                expected = steady_energy(params, target)
+            except (NoSteadyStateError, UnstableSystemError) as exc:
+                with pytest.raises(type(exc)) as err:
+                    _energy(batch[i], target)
+                assert str(err.value) == str(exc)
+                with pytest.raises(type(exc)) as err:
+                    steady_state(sys)
+                assert str(err.value) == str(exc)
+                continue
+            assert _energy(batch[i], target) == expected
+            spec_path = steady_state(sys).amplitudes[sys.row(target)]
+            assert float(abs(spec_path) ** 2) == expected
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("corner", [False, True])
+def test_layout_is_the_builders(family, variant, n, corner):
+    # the compiled layout reproduces build_network + assemble bit for bit,
+    # signed zeros included (no coupling, zero and wrapped phases)
+    thetas = (0.0, -0.0, math.pi, -math.pi / 2, 4.0) if corner else (
+        tuple(0.3 * k - 1.0 for k in range(5)))
+    params = TopologyParams(family, variant, n, 0.0 if corner else 0.013,
+                            0.0 if corner else 0.1,
+                            tuple(0.1 + 0.01 * k for k in range(n)), 0.7,
+                            complex(1.0, -0.0) if corner else 1.0 - 0.3j,
+                            thetas[:n])
+    spec = build_network(params)
+    sys = assemble(spec)
+    matrix, drive = loop_assemble(spec)
+    matrices, drives, index = assemble_points(params)
+    assert matrices.shape == (1, sys.n, sys.n)
+    assert matrices[0].tobytes() == sys.matrix.tobytes() == matrix.tobytes()
+    assert drives[0].tobytes() == sys.drive.tobytes() == drive.tobytes()
+    assert dict(index) == sys.index
+    assert layout(family, params.has_intermediates, n) is layout(
+        family, variant in WITH_INTERMEDIATES, n)
+
+
+def test_gamma_check_survives_the_batch():
+    # built-in families skip validate(), not the builder's own check
+    with pytest.raises(ValidationError) as built:
+        build_network(TopologyParams("cascaded", "nr", 2, 0.01, 0.1, 0.1,
+                                     0.0, 1.0))
+    params = TopologyParams("cascaded", "nr", 2, 0.01, 0.1, 0.1, 0.1, 1.0)
+    with pytest.raises(ValidationError) as batched:
+        assemble_points(params, Gamma=[0.1, 0.0])
+    assert str(batched.value) == str(built.value)
+
+
+def test_refused_slice_does_not_abort_the_batch():
+    # without intermediates an undamped chain has no steady state
+    params = TopologyParams("cascaded", "r1", 3, 0.01, 0.1, 0.1, 0.1, 1.0)
+    gammas = [0.1, 0.0, 0.2, 0.0]
+    matrices, drives, _ = assemble_points(
+        params, gamma_c=gammas, gamma_b=[(g,) * 3 for g in gammas])
+    states = steady_states(matrices, drives)
+    for g, state in zip(gammas, states):
+        sys = assemble(build_network(TopologyParams(
+            "cascaded", "r1", 3, 0.01, g, g, 0.1, 1.0)))
+        if g == 0.0:
+            with pytest.raises(UnstableSystemError) as err:
+                steady_state(sys)
+            assert type(state) is UnstableSystemError
+            assert str(state) == str(err.value)
+            assert state.spectral_abscissa == err.value.spectral_abscissa
+        else:
+            ss = steady_state(sys)
+            assert state.amplitudes.tobytes() == ss.amplitudes.tobytes()
+            assert (state.residual, state.condition) == (ss.residual,
+                                                         ss.condition)
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Per numpy.linalg kernel, the leading stack size of every call
+    (1 for a single matrix)."""
+    calls = {"solve": [], "eigvals": [], "cond": []}
+    for name, sizes in calls.items():
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _sizes=sizes, _original=original, **kwargs):
+            _sizes.append(a.shape[0] if np.ndim(a) == 3 else 1)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+class TestCounters:
+    def test_fig2c_solves_in_batches(self, linalg_calls):
+        # nr and r2 share a layout: one batch of 602, one of 301 for r1,
+        # and at most one refinement batch each
+        figure_table("fig2c")
+        assert linalg_calls["solve"][:2] == [602, 301]
+        assert len(linalg_calls["solve"]) <= 4
+
+    @pytest.mark.parametrize("fig_id", ["fig2a", "fig3a"])
+    def test_landscape_is_one_batch(self, fig_id, linalg_calls):
+        figure_table(fig_id)
+        assert linalg_calls["solve"][0] == 41 * 41
+        assert len(linalg_calls["solve"]) <= 2
+
+    def test_sweep_solves_nr_once_per_point(self, linalg_calls):
+        doc = {"topology": {"family": "cascaded", "variant": "nr", "n": 4,
+                            "g_b": 0.01, "gamma_c": 0.1, "gamma_b": 0.1,
+                            "Gamma": 0.1, "xi": 1.0},
+               "sweep": {"variable": "gamma", "values": [0.1, 0.05, 0.2]},
+               "observables": ["steady_energy", "gains"]}
+        table = run_sweep(parse_run_config(doc))
+        # three variants solved for three points, one batch each
+        assert linalg_calls["solve"] == [3, 3, 3]
+        assert [row[1] for row in table.rows] == [row[2] for row in table.rows]
+
+    def test_max_power_runs_eigvals_once(self, linalg_calls):
+        # charger and batteries undamped, decay only through the
+        # intermediates: the certificate cannot prove it, so the gate
+        # falls back to the dense abscissa, which the horizon reuses
+        params = TopologyParams("cascaded", "nr", 4, 0.01, 0.0, 0.0, 0.1, 1.0)
+        max_power(params)
+        assert linalg_calls["eigvals"] == [1]
+
+    def test_is_stable_reuses_the_abscissa(self, linalg_calls):
+        sys = assemble(build_network(
+            TopologyParams("cascaded", "r1", 2, 0.01, 0.1, 0.1, 0.1, 1.0)))
+        assert is_stable(sys) == is_stable(sys)
+        assert linalg_calls["eigvals"] == [1]
+
+    def test_gain_report_power_builds_each_variant_once(self, linalg_calls):
+        gamma = 5e-4
+        params = TopologyParams("parallel", "nr", 3, gamma * 0.01, gamma,
+                                (gamma, 1.5 * gamma, 0.7 * gamma), 1.0, 1.0)
+        report = gain_report(params, include_power=True)
+        assert len(linalg_calls["eigvals"]) <= 3
+        assert len(linalg_calls["solve"]) <= 6
+        for v in GAIN_VARIANTS:
+            expected = tuple(max_power(params.with_variant(v), t)[1]
+                             for t in report.targets)
+            assert getattr(report, f"p_max_{v}") == expected
+        assert all(math.isfinite(e) for e in report.eta1 + report.eta2)
