@@ -66,6 +66,10 @@ STEP_RTOL = 1e-12
 #: equal steps are applied this many points at a time, by ``E_h^B``
 STEP_BLOCK = 16
 
+#: isolated grid points are exponentiated in stacks of at most this
+#: many matrix entries (4 MiB of complex128)
+_EXPM_STACK_ENTRIES = 2 ** 18
+
 _EPS = float(np.finfo(float).eps)
 
 
@@ -300,13 +304,17 @@ def _gate(matrices, drives, abscissa_bound, condition_bound, abscissa) -> list:
     return [states[i] for i in range(len(matrices))]
 
 
-def steady_states(matrices: np.ndarray, drives: np.ndarray) -> list:
+def steady_states(matrices: np.ndarray, drives: np.ndarray,
+                  abscissas: np.ndarray | None = None) -> list:
     """``steady_state`` of each slice of a (P, n, n) stack with its
     (P, n) drives, in one batched solve: per slice its ``SteadyState``
-    or, for a refused slice, the error ``steady_state`` raises."""
+    or, for a refused slice, the error ``steady_state`` raises.
+    ``abscissas``, the dense abscissa of every slice when the caller has
+    computed them, stand in for the gate's own ``eigvals``."""
     _, abscissa_bound, condition_bound = _certify(matrices)
-    return _gate(matrices, drives, abscissa_bound, condition_bound,
-                 lambda i: _abscissa(matrices[i]))
+    dense = ((lambda i: _abscissa(matrices[i])) if abscissas is None
+             else (lambda i: float(abscissas[i])))
+    return _gate(matrices, drives, abscissa_bound, condition_bound, dense)
 
 
 def steady_state(sys: LinearSystem) -> SteadyState:
@@ -376,20 +384,23 @@ def _runs(times: np.ndarray):
 
 
 def _step(e_h: np.ndarray, x: np.ndarray, rows: np.ndarray) -> None:
-    """Fill ``rows[m] = E_h^(m+1) x``.
+    """Fill ``rows[..., m, :] = E_h^(m+1) x``, for one ``E_h`` or a
+    stack of them (``x`` and ``rows`` then carry the same leading axis).
 
     The first ``STEP_BLOCK`` rows are single steps; every later block
     is the block before it times ``E_h^STEP_BLOCK``, one matrix product
     per block.
     """
-    block = min(STEP_BLOCK, len(rows))
+    count = rows.shape[-2]
+    block = min(STEP_BLOCK, count)
     for m in range(block):
-        x = e_h @ x
-        rows[m] = x
-    if len(rows) > block:
-        jump = np.linalg.matrix_power(e_h, block).T
-        for m in range(block, len(rows), block):
-            rows[m:m + block] = (rows[m - block:m] @ jump)[:len(rows) - m]
+        x = (e_h @ x[..., None])[..., 0]
+        rows[..., m, :] = x
+    if count > block:
+        jump = np.linalg.matrix_power(e_h, block).swapaxes(-1, -2)
+        for m in range(block, count, block):
+            rows[..., m:m + block, :] = (
+                rows[..., m - block:m, :] @ jump)[..., :count - m, :]
 
 
 def _propagate_expm(matrix: np.ndarray, x0: np.ndarray, times) -> np.ndarray:
@@ -399,21 +410,27 @@ def _propagate_expm(matrix: np.ndarray, x0: np.ndarray, times) -> np.ndarray:
     each run of equal steps ``h``: a uniform grid costs one ``expm``
     however long it is.  A point whose step differs from both
     neighbours' (every point of a log grid) is ``expm(K t) x0`` straight
-    from ``t = 0``.  For ``K = M``, ``M + M^dagger`` is negative
-    semidefinite, so ``E_h`` is a 2-norm contraction and stepping does
-    not amplify rounding.  scipy's expm is a scaling-and-squaring Pade
-    method with controlled backward error; no diagonalisability of K
-    is assumed.
+    from ``t = 0``; such points are exponentiated together, one stacked
+    ``expm`` call per ``_EXPM_STACK_ENTRIES`` matrix entries.  For
+    ``K = M``, ``M + M^dagger`` is negative semidefinite, so ``E_h`` is
+    a 2-norm contraction and stepping does not amplify rounding.
+    scipy's expm is a scaling-and-squaring Pade method with controlled
+    backward error; no diagonalisability of K is assumed.
     """
     out = np.empty((times.size, x0.size), dtype=complex)
+    runs = list(_runs(times))
+    alone = np.array([start for start, stop, _ in runs
+                      if stop - start == 1 and times[start] != 0.0], dtype=np.intp)
+    chunk = max(1, _EXPM_STACK_ENTRIES // matrix.size)
+    for at in range(0, alone.size, chunk):
+        points = alone[at:at + chunk]
+        out[points] = expm(matrix * times[points, None, None]) @ x0
     x = x0
-    for start, stop, step in _runs(times):
+    for start, stop, step in runs:
         if stop - start > 1:
             _step(expm(matrix * step), x, out[start:stop])
         elif times[start] == 0.0:
             out[start] = x0
-        else:
-            out[start] = expm(matrix * times[start]) @ x0
         x = out[stop - 1]
     return out
 

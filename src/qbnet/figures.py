@@ -17,8 +17,8 @@ from .closed_forms import g_opt_odd, logfit_ratio
 from .export import SweepTable, write_table
 from .network import TopologyParams
 from .nonreciprocity import phase_landscape
-from .observables import (_gain_points, _gains_row, energy_curve, max_power,
-                          power_curve)
+from .observables import (GAIN_VARIANTS, _gain_points, _gains_row, _value,
+                          energy_curve, power_curve)
 
 #: fig2/fig3 regime
 GAMMA_WEAK = 0.1
@@ -136,15 +136,13 @@ def _power_curve_panel(name, family):
 
 
 def _eta_panel(name, family):
-    def etas(x):
-        p_max = {}
-        for variant in ("nr", "r1", "r2"):
-            params = _params(family, variant, 4, x * GAMMA_POWER, GAMMA_POWER,
-                             GAMMA_INTERMEDIATE_POWER)
-            p_max[variant] = max_power(params, target="b_4")[1]
-        return [x, p_max["nr"] / p_max["r1"], p_max["nr"] / p_max["r2"]]
-
-    rows = [etas(x) for x in POWER_SWEEP]
+    base = _params(family, "nr", 4, GAMMA_POWER, GAMMA_POWER,
+                   GAMMA_INTERMEDIATE_POWER)
+    solved = _gain_points(base, ("b_4",), g_b=POWER_SWEEP * GAMMA_POWER)
+    rows = []
+    for i, x in enumerate(POWER_SWEEP):
+        p_max = {v: _value(solved[v][i][1][0])[1] for v in GAIN_VARIANTS}
+        rows.append([x, p_max["nr"] / p_max["r1"], p_max["nr"] / p_max["r2"]])
     md = _base_metadata(family, 4, GAMMA_POWER, GAMMA_INTERMEDIATE_POWER,
                         {"sweep": "gb_over_gamma log 21 points on [0.001, 0.1]",
                          "target": "b_4"})

@@ -3,21 +3,25 @@
 Everything here runs on the full network (intermediates included): the
 topology parameters are filled into the dynamics matrix and solved or
 propagated from vacuum; many points of one topology are solved as one
-batch (``_steady_points``).  Stored energy is ``|amplitude|^2`` of the
+batch (``_steady_points``), and their charging-power peaks found as one
+(``_power_points``).  Stored energy is ``|amplitude|^2`` of the
 target mode in units of the mode frequency, and charging power is
 ``P(t) = E(t) / t``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
-from .dynamics import (LinearSystem, _propagate_expm, _row, assemble_points,
-                       evolve, steady_state, steady_states, vacuum)
+from .dynamics import (LinearSystem, _row, _step, assemble_points, evolve,
+                       steady_states, vacuum)
+from .errors import ScanEdgeError
 from .network import TopologyParams
-from .optimize import refine_argmax
+from .optimize import _scan_argmax
 
 #: a gain ratio with a denominator below this is reported as undefined
 RATIO_FLOOR = 1e-300
@@ -31,8 +35,12 @@ POWER_SCAN_SPAN = 1e6
 #: the variants a gain report compares, in the order they are solved
 GAIN_VARIANTS = ("nr", "r1", "r2")
 
-#: relative tolerance on t of the golden refinement of a power peak
+#: a power peak is refined until its Newton step in t is below this,
+#: relative; the step's end is returned, so t_star is far closer
 POWER_REL_TOL = 1e-8
+
+#: the Newton search of a power peak stops after this many steps
+_NEWTON_STEPS = 64
 
 #: equal scan steps per octave [a, 2a]: spacing a/145 is at most 0.69%
 #: of t, finer than a 2,000-point log grid over the same six decades
@@ -110,24 +118,32 @@ def _steady_points(params: TopologyParams, **columns) -> list:
             for state in steady_states(matrices, drives)]
 
 
-def _gain_points(params: TopologyParams, **columns) -> dict:
-    """``_steady_points`` of each gain variant: ``nr`` and ``r2`` share a
-    layout, so they are one batch of twice the points."""
+def _gain_points(params: TopologyParams, targets=None, **columns) -> dict:
+    """``_steady_points`` of each gain variant, or ``_power_points`` at
+    ``targets`` when given: ``nr`` and ``r2`` share a layout, so they are
+    one batch of twice the points."""
+    solve = (_steady_points if targets is None
+             else functools.partial(_power_points, targets=targets))
     points = len(next(iter(columns.values()))) if columns else 1
     both = {f: list(v) * 2 for f, v in columns.items()}
     both["variant"] = ["nr"] * points + ["r2"] * points
-    links = _steady_points(params, **both)
+    links = solve(params, **both)
     return {"nr": links[:points],
-            "r1": _steady_points(params.with_variant("r1"), **columns),
+            "r1": solve(params.with_variant("r1"), **columns),
             "r2": links[points:]}
+
+
+def _value(found):
+    """A per-point result; an error in its place is raised."""
+    if isinstance(found, Exception):
+        raise found
+    return found
 
 
 def _energy(point, target: str) -> float:
     """``|alpha_ss(target)|^2`` of one solved point; a refused point
     raises its error."""
-    if isinstance(point, Exception):
-        raise point
-    amplitudes, index = point
+    amplitudes, index = _value(point)
     return float(abs(amplitudes[_row(index, target)]) ** 2)
 
 
@@ -161,34 +177,138 @@ def power_curve(params: TopologyParams, target: str | None = None,
                       curve.method)
 
 
-def _octave_grid(t_lo: float, span: float) -> np.ndarray:
-    """Octaves ``[a, 2a]`` from ``t_lo`` until ``span * t_lo`` is covered,
-    each sampled with ``POWER_STEPS_PER_OCTAVE`` equal steps."""
+def _octave_grid(t_lo: np.ndarray, span: float) -> np.ndarray:
+    """Per start in ``t_lo``, octaves ``[a, 2a]`` from it until
+    ``span * t_lo`` is covered, each sampled with
+    ``POWER_STEPS_PER_OCTAVE`` equal steps: a (P, T) array, filled in
+    place."""
     octaves = int(np.ceil(np.log2(span)))
-    starts = t_lo * 2.0 ** np.arange(octaves)
-    steps = np.arange(POWER_STEPS_PER_OCTAVE)
-    grid = starts[:, None] + (starts / POWER_STEPS_PER_OCTAVE)[:, None] * steps
-    return np.append(grid.ravel(), t_lo * 2.0 ** octaves)
+    steps = POWER_STEPS_PER_OCTAVE
+    starts = t_lo[:, None] * 2.0 ** np.arange(octaves)
+    grid = np.empty((len(t_lo), octaves * steps + 1))
+    body = grid[:, :-1].reshape(len(t_lo), octaves, steps)
+    np.multiply((starts / steps)[..., None], np.arange(steps), out=body)
+    body += starts[..., None]
+    grid[:, -1] = t_lo * 2.0 ** octaves
+    return grid
 
 
-def _peak_powers(sys: LinearSystem, alpha_ss: np.ndarray, targets,
-                 rel_tol: float) -> list:
-    """``(t_star, p_max)`` of every target, all read off one octave scan."""
-    t_hi = POWER_HORIZON_FACTOR / abs(sys.abscissa)
-    rows = [sys.row(t) for t in targets]
-    offset = vacuum(sys) - alpha_ss
+def _scan(matrices, offsets, alpha_rows, rows, grid) -> np.ndarray:
+    """``P(t)`` of every target of every slice on its octave grid, as
+    (P, targets, T): the offsets ``alpha0 - alpha_ss`` are stepped one
+    octave at a time, one batched ``expm`` per octave, and only the
+    target rows of each octave are kept."""
+    steps = POWER_STEPS_PER_OCTAVE
+    power = np.empty(alpha_rows.shape + grid.shape[-1:])
+    x = (expm(matrices * grid[:, :1, None]) @ offsets[..., None])[..., 0]
+    power[..., 0] = np.abs(x[:, rows] + alpha_rows) ** 2 / grid[:, :1]
+    octave = np.empty((len(matrices), steps, offsets.shape[-1]), dtype=complex)
+    for start in range(1, grid.shape[-1], steps):
+        step = grid[:, start] - grid[:, start - 1]
+        _step(expm(matrices * step[:, None, None]), x, octave)
+        times = grid[:, None, start:start + steps]
+        power[..., start:start + steps] = np.abs(
+            octave[:, :, rows].swapaxes(1, 2) + alpha_rows[..., None]) ** 2 / times
+        x = octave[:, -1].copy()
+    return power
 
-    def power(amps, row, times):
-        return np.abs(amps[:, row] + alpha_ss[row]) ** 2 / times
 
-    def power_at(t, row):
-        times = np.array([t])
-        return float(power(_propagate_expm(sys.matrix, offset, times), row, times)[0])
+def _newton(matrices, offsets, alpha, rows, t, lo, hi, rel_tol) -> tuple:
+    """``(t, P(t))`` per pair at the root of ``dP/dt = N(t) / t^2`` in
+    ``[lo, hi]``, starting from ``t``; all pairs in lockstep, one
+    batched ``expm`` per step.
 
+    ``N(t) = 2t Re(conj(a) a') - |a|^2`` of the target amplitude ``a``,
+    with ``a' = (M x)_row``, ``a'' = (M a')_row`` and
+    ``x = e^{Mt}(alpha0 - alpha_ss)``, so one exponential gives N and
+    ``N' = 2t (|a'|^2 + Re(conj(a) a''))``.  ``N > 0`` moves ``lo`` up
+    to t, else ``hi`` down; a Newton step that leaves the bracket is a
+    bisection.  Once a step is below ``rel_tol * t`` its end is
+    evaluated once more and returned; after ``_NEWTON_STEPS`` the
+    last point evaluated is.
+    """
+    t, lo, hi = t.copy(), lo.copy(), hi.copy()
+    found_t, found_p = t.copy(), np.empty_like(t)
+    final = np.zeros(t.shape, dtype=bool)
+    active = np.arange(t.size)
+    for _ in range(_NEWTON_STEPS):
+        m, at = matrices[active], t[active]
+        x = expm(m * at[:, None, None]) @ offsets[active, :, None]
+        slope = m @ x
+        curve = m @ slope
+        pick = (np.arange(active.size), rows[active], 0)
+        a = x[pick] + alpha[active]
+        a1, a2 = slope[pick], curve[pick]
+        energy = np.abs(a) ** 2
+        found_t[active], found_p[active] = at, energy / at
+        todo = ~final[active]
+        active, at, a, a1, a2, energy = (
+            v[todo] for v in (active, at, a, a1, a2, energy))
+        if not active.size:
+            break
+        n = 2.0 * at * (a.conjugate() * a1).real - energy
+        dn = 2.0 * at * (np.abs(a1) ** 2 + (a.conjugate() * a2).real)
+        lo[active] = np.where(n > 0.0, at, lo[active])
+        hi[active] = np.where(n > 0.0, hi[active], at)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = at - n / dn
+        inside = (new > lo[active]) & (new < hi[active])
+        new = np.where(inside, new, 0.5 * (lo[active] + hi[active]))
+        final[active] = np.abs(new - at) <= rel_tol * at
+        t[active] = new
+    return found_t, found_p
+
+
+def _peak_powers(matrices, alpha_ss, abscissas, rows, rel_tol) -> list:
+    """Per slice of a stack of decaying networks, from vacuum, the
+    ``(t_star, p_max)`` of each target row, or its ``ScanEdgeError``.
+
+    The octave scan (``_scan``) reaches ``t_hi = 50 / |abscissa|`` of
+    each slice; the peak of each (slice, target) pair is refined by
+    ``_newton`` between the scan argmax's grid neighbours, and the
+    better of the refined point and the scan point is kept.
+    """
+    t_hi = POWER_HORIZON_FACTOR / np.abs(abscissas)
     grid = _octave_grid(t_hi / POWER_SCAN_SPAN, POWER_SCAN_SPAN)
-    amps = _propagate_expm(sys.matrix, offset, grid)
-    return [refine_argmax(lambda t, row=row: power_at(t, row), grid,
-                          power(amps, row, grid), rel_tol) for row in rows]
+    offsets = -alpha_ss
+    alpha_rows = alpha_ss[:, rows]
+    power = _scan(matrices, offsets, alpha_rows, rows, grid)
+    peaks = [[None] * len(rows) for _ in range(len(matrices))]
+    pairs = []
+    for s, k in np.ndindex(power.shape[:2]):
+        try:
+            pairs.append((s, k, _scan_argmax(grid[s], power[s, k])))
+        except ScanEdgeError as exc:
+            peaks[s][k] = exc
+    if pairs:
+        s, k, i = np.array(pairs).T
+        t, p = _newton(matrices[s], offsets[s], alpha_rows[s, k], rows[k],
+                       grid[s, i], grid[s, i - 1], grid[s, i + 1], rel_tol)
+        scan_t, scan_p = grid[s, i], power[s, k, i]
+        keep = scan_p > p
+        t, p = np.where(keep, scan_t, t), np.where(keep, scan_p, p)
+        for s_, k_, t_, p_ in zip(s.tolist(), k.tolist(), t.tolist(), p.tolist()):
+            peaks[s_][k_] = (t_, p_)
+    return peaks
+
+
+def _power_points(params: TopologyParams, targets, rel_tol: float = POWER_REL_TOL,
+                  **columns) -> list:
+    """Per point of a batch (``columns`` as in ``assemble_points``), its
+    ``_steady_points`` entry and, per target, its ``(t_star, p_max)``
+    from vacuum or its ``ScanEdgeError``; a refused point has its error
+    in both places.  One batched ``eigvals`` gives every horizon and
+    stands in for the gate's dense abscissa."""
+    matrices, drives, index = assemble_points(params, **columns)
+    rows = np.array([_row(index, t) for t in targets], dtype=np.intp)
+    abscissas = np.linalg.eigvals(matrices).real.max(axis=-1)
+    states = steady_states(matrices, drives, abscissas)
+    keep = [i for i, s in enumerate(states) if not isinstance(s, Exception)]
+    peaks = iter(_peak_powers(
+        matrices[keep], np.array([states[i].amplitudes for i in keep]),
+        abscissas[keep], rows, rel_tol) if keep else ())
+    return [(s, [s] * len(targets)) if isinstance(s, Exception)
+            else ((s.amplitudes, index), next(peaks)) for s in states]
 
 
 def max_power(params: TopologyParams, target: str | None = None,
@@ -197,15 +317,15 @@ def max_power(params: TopologyParams, target: str | None = None,
 
     A scan locates the peak over six decades of charging time, from
     ``t_hi / 1e6`` to ``t_hi = 50 / |spectral abscissa|``: 20 octaves of
-    145 equal steps each, so the stepping propagator spends one
-    ``expm`` per octave.  Golden-section refinement between the
-    argmax's grid neighbours then polishes t to ``rel_tol`` relative.
-    A scan peaking on an end of its grid raises ``ScanEdgeError``.
+    145 equal steps each, one ``expm`` per octave.  A safeguarded Newton
+    search for the root of dP/dt between the argmax's grid neighbours
+    then polishes t until its step is below ``rel_tol`` relative, one
+    ``expm`` per step.  A scan peaking on an end of its grid raises
+    ``ScanEdgeError``.  This is ``_power_points`` on a batch of one.
     """
-    sys = _system(params)
-    alpha_ss = steady_state(sys).amplitudes
-    return _peak_powers(sys, alpha_ss, (target or _default_target(params),),
-                        rel_tol)[0]
+    (_, (peak,)), = _power_points(params, (target or _default_target(params),),
+                                  rel_tol)
+    return _value(peak)
 
 
 def _ratio(numer: float, denom: float, name: str, flags: list) -> float:
@@ -241,16 +361,14 @@ def gain_report(params_base: TopologyParams, include_power: bool = False) -> Gai
     Cascaded scenarios report the terminal battery; parallel ones
     report each battery.  ``include_power`` adds maximum-power triples
     and the corresponding eta ratios.  Each variant is assembled and
-    solved once: as a batch without ``include_power``, else as a system
-    whose maximum powers all come off one scan.
+    solved once, ``nr`` and ``r2`` in one batch; with ``include_power``
+    every battery's peak comes off one octave scan and one lockstep
+    Newton search per batch (``_power_points``).
     """
     targets = _report_targets(params_base)
-    if include_power:
-        systems = {v: _system(params_base.with_variant(v)) for v in GAIN_VARIANTS}
-        points = {v: (steady_state(sys).amplitudes, sys.index)
-                  for v, sys in systems.items()}
-    else:
-        points = {v: solved[0] for v, solved in _gain_points(params_base).items()}
+    solved = _gain_points(params_base, targets if include_power else None)
+    points = {v: solved[v][0][0] if include_power else solved[v][0]
+              for v in GAIN_VARIANTS}
     energies = {v: tuple(_energy(points[v], t) for t in targets)
                 for v in GAIN_VARIANTS}
     flags: list = []
@@ -258,9 +376,8 @@ def gain_report(params_base: TopologyParams, include_power: bool = False) -> Gai
     if not include_power:
         return GainReport(params_base, targets, *energies.values(), *gains,
                           flags=tuple(flags))
-    power = {v: tuple(p for _, p in _peak_powers(sys, points[v][0], targets,
-                                                 POWER_REL_TOL))
-             for v, sys in systems.items()}
+    power = {v: tuple(_value(peak)[1] for peak in solved[v][0][1])
+             for v in GAIN_VARIANTS}
     return GainReport(params_base, targets, *energies.values(), *gains,
                       *power.values(), *_ratios(power, "eta", targets, flags),
                       tuple(flags))

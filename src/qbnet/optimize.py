@@ -1,12 +1,13 @@
-"""Scan-plus-golden-section maximisation of smooth 1-d objectives.
+"""Scan-plus-refinement maximisation of smooth 1-d objectives.
 
 The pattern everywhere in this package is the same: a dense scan of a
 fixed grid locates the global maximum of a (piecewise) unimodal
-function, and golden-section refinement of the bracketing interval
-polishes it.  The scan guards against accidental multi-modality; the
-refinement gives grid-independent optima.  A scan whose largest
-value sits on an end of its grid has not located the maximum, and is
-refused.
+function, and refinement inside the bracketing interval polishes it:
+golden-section search here, a Newton root of dP/dt for the charging
+power (``observables``).  The scan guards against accidental
+multi-modality; the refinement gives grid-independent optima.  A scan
+whose largest value sits on an end of its grid has not located the
+maximum, and is refused (``_scan_argmax``).
 """
 
 from __future__ import annotations
@@ -48,6 +49,19 @@ def golden_section_max(f, lo: float, hi: float, rel_tol: float = 1e-10,
     return x, f(x)
 
 
+def _scan_argmax(grid, values) -> int:
+    """Index of the largest of ``values``, sampled on ``grid``; an argmax
+    on the first or last grid point means the maximum may lie outside
+    the grid, and raises ``ScanEdgeError``."""
+    i = int(np.argmax(values))
+    if i == 0 or i == len(grid) - 1:
+        raise ScanEdgeError(
+            f"scan maximum {values[i]:.6g} at the grid edge x = {grid[i]:.6g}; "
+            f"the maximum may lie outside [{grid[0]:.6g}, {grid[-1]:.6g}]",
+            edge=float(grid[i]))
+    return i
+
+
 def refine_argmax(f, grid, values, rel_tol: float = 1e-10):
     """Golden-refine ``f`` around the argmax of a scan already made.
 
@@ -57,12 +71,7 @@ def refine_argmax(f, grid, values, rel_tol: float = 1e-10):
     returned.  An argmax on the first or last grid point means the
     maximum may lie outside the grid, and raises ``ScanEdgeError``.
     """
-    i = int(np.argmax(values))
-    if i == 0 or i == len(grid) - 1:
-        raise ScanEdgeError(
-            f"scan maximum {values[i]:.6g} at the grid edge x = {grid[i]:.6g}; "
-            f"the maximum may lie outside [{grid[0]:.6g}, {grid[-1]:.6g}]",
-            edge=float(grid[i]))
+    i = _scan_argmax(grid, values)
     x, fx = golden_section_max(f, grid[i - 1], grid[i + 1], rel_tol=rel_tol)
     if values[i] > fx:
         return float(grid[i]), float(values[i])

@@ -4,7 +4,8 @@ A sweep evaluates the requested observables at every grid value of one
 variable.  Each variant the steady observables need is solved once for
 the whole grid, in one batch unless ``n`` is swept, so ``steady_energy``
 and the ``nr`` energy of ``gains`` read the same solve; ``max_power``
-runs point by point.  Points that fail numerically (singular or
+scans and refines the whole grid as one batch of its own, again unless
+``n`` is swept.  Points that fail numerically (singular or
 unstable systems, a maximum outside the scanned range) are recorded in
 the table's error list and skipped; the surviving rows keep grid order.
 """
@@ -19,7 +20,8 @@ from .config import RunConfig, run_config_to_dict
 from .errors import NoSteadyStateError, ScanEdgeError, UnstableSystemError
 from .export import SweepTable
 from .network import TopologyParams
-from .observables import _energy, _gains_row, _steady_points, max_power
+from .observables import (_energy, _gains_row, _power_points, _steady_points,
+                          _value)
 
 
 def apply_sweep_value(params: TopologyParams, variable: str, value,
@@ -53,25 +55,27 @@ def apply_sweep_value(params: TopologyParams, variable: str, value,
     raise ValueError(f"unknown sweep variable {variable!r}")
 
 
-def _solve(points: list, variant: str) -> list:
-    """Per point, its ``_steady_points`` entry under ``variant``: one
-    batch, or one per point when the battery count varies."""
+def _batches(points: list, solve) -> list:
+    """Per point, its entry of ``solve(params, **columns)``: one batch,
+    or one per point when the battery count varies."""
     if len({p.n for p in points}) > 1:
-        return [_steady_points(p.with_variant(variant))[0] for p in points]
+        return [solve(p)[0] for p in points]
     columns = {f: [getattr(p, f) for p in points]
                for f in ("g_b", "gamma_c", "gamma_b", "Gamma", "xi", "thetas")
                if getattr(points[0], f) is not None}
-    return _steady_points(points[0].with_variant(variant), **columns)
+    return solve(points[0], **columns)
 
 
 #: observable name -> (table columns, row values at ``(params, target,
-#: point)``, ``point(variant)`` the solved point of a variant)
+#: point, peaks)``: ``point(variant)`` the solved point of a variant,
+#: ``peaks()`` the point's ``_power_points`` peaks at the target)
 _OBSERVABLES = {
-    "steady_energy": (("steady_energy",), lambda params, target, point: [
+    "steady_energy": (("steady_energy",), lambda params, target, point, _: [
         _energy(point(params.variant), target or f"b_{params.n}")]),
-    "gains": (("E_nr", "E_r1", "E_r2", "G1", "G2"), _gains_row),
-    "max_power": (("t_star", "p_max"), lambda params, target, point:
-                  list(max_power(params, target))),
+    "gains": (("E_nr", "E_r1", "E_r2", "G1", "G2"),
+              lambda params, target, point, _: _gains_row(params, target, point)),
+    "max_power": (("t_star", "p_max"), lambda params, target, point, peaks:
+                  list(_value(peaks()[0]))),
 }
 
 
@@ -88,7 +92,10 @@ def run_sweep(cfg: RunConfig) -> SweepTable:
     values = cfg.sweep.grid.values
     points = [apply_sweep_value(cfg.topology, variable, value, cfg.sweep.index)
               for value in values]
-    solved = functools.cache(lambda variant: _solve(points, variant))
+    solved = functools.cache(lambda variant: _batches(
+        points, lambda p, **c: _steady_points(p.with_variant(variant), **c)))
+    peaks = functools.cache(lambda: _batches(
+        points, lambda p, **c: _power_points(p, (cfg.target or f"b_{p.n}",), **c)))
 
     rows, errors = [], []
     for index, (value, params) in enumerate(zip(values, points)):
@@ -96,7 +103,8 @@ def run_sweep(cfg: RunConfig) -> SweepTable:
         try:
             for _, row_values in chosen:
                 row.extend(row_values(params, cfg.target,
-                                      lambda v: solved(v)[index]))
+                                      lambda v: solved(v)[index],
+                                      lambda: peaks()[index][1]))
         except (NoSteadyStateError, UnstableSystemError, ScanEdgeError) as exc:
             errors.append((index, value, str(exc)))
         else:

@@ -12,16 +12,18 @@ import math
 import numpy as np
 import pytest
 
-from qbnet import (NoSteadyStateError, TopologyParams, UnstableSystemError,
-                   ValidationError, assemble, build_network, figure_table,
-                   gain_report, is_stable, max_power, parse_run_config,
-                   run_sweep, steady_energy, steady_state)
+from qbnet import (NoSteadyStateError, ScanEdgeError, TopologyParams,
+                   UnstableSystemError, ValidationError, assemble,
+                   build_network, figure_table, gain_report, is_stable,
+                   max_power, parse_run_config, run_sweep, steady_energy,
+                   steady_state)
 from qbnet.dynamics import assemble_points, layout, steady_states
 from qbnet.network import FAMILIES, VARIANTS, WITH_INTERMEDIATES
-from qbnet.observables import GAIN_VARIANTS, _energy, _steady_points
+from qbnet.observables import (GAIN_VARIANTS, _energy, _power_points,
+                               _steady_points)
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import example, given, strategies as st  # noqa: E402
 
 #: the fields a batch varies per point
 FIELDS = ("g_b", "gamma_c", "gamma_b", "Gamma", "xi", "thetas")
@@ -105,6 +107,75 @@ def test_batch_equals_per_point(points):
             assert _energy(batch[i], target) == expected
             spec_path = steady_state(sys).amplitudes[sys.row(target)]
             assert float(abs(spec_path) ** 2) == expected
+
+
+@st.composite
+def power_batches(draw):
+    """A family, a variant, n <= 4 and 1..3 points in the regime of the
+    stepped-propagator tests: gamma in [1e-4, 0.1], per-mode decays
+    within a factor 2 of it, Gamma/gamma in [1, 1e4] and g_b/gamma in
+    [1e-3, 1e2] (weak coupling, and the strong coupling where P(t)
+    oscillates), or in [3e4, 1e6] in a sixth of the points (peaks near
+    or below the start of the scan); no charger or battery decay at all
+    in a sixth (refused without intermediates)."""
+    family = draw(st.sampled_from(FAMILIES))
+    variant = draw(st.sampled_from(VARIANTS))
+    n = draw(st.integers(1, 4))
+    with_thetas = variant == "custom" or (variant == "r1" and draw(st.booleans()))
+    points = []
+    for _ in range(draw(st.integers(1, 3))):
+        gamma = 10.0 ** draw(st.floats(-4.0, -1.0))
+        rate = st.floats(-0.3, 0.3).map(lambda u, g=gamma: g * 10.0 ** u)
+        decays = draw(st.lists(rate, min_size=n + 1, max_size=n + 1))
+        regime = draw(st.integers(0, 5))
+        if regime == 0:
+            decays = [0.0] * (n + 1)
+        ratio = draw(st.floats(4.5, 6.0) if regime == 1 else st.floats(-3.0, 2.0))
+        thetas = (tuple(draw(st.lists(st.floats(-4.0, 4.0), min_size=n,
+                                      max_size=n))) if with_thetas else None)
+        xi = 10.0 ** draw(st.floats(-0.5, 0.5)) * complex(
+            math.cos(phase := draw(st.floats(-3.0, 3.0))), math.sin(phase))
+        points.append(TopologyParams(
+            family, variant, n, gamma * 10.0 ** ratio, decays[0],
+            tuple(decays[1:]), gamma * 10.0 ** draw(st.floats(0.0, 4.0)), xi,
+            thetas))
+    return points
+
+
+#: a peak below the scan (see test_stepped_propagator.EDGE_CASE) between
+#: two points that scan normally
+EDGE_BATCH = [TopologyParams("parallel", "nr", 2, g_b, 0.001, 0.001, 1.0, 1.0)
+              for g_b in (1e-5, 100.0, 0.1)]
+
+
+@given(power_batches())
+@example(EDGE_BATCH)
+def test_power_batch_equals_max_power(points):
+    # every slice of a stack is max_power alone, bit for bit, and every
+    # refused or edge slice is max_power's error
+    first, columns = as_batch(points)
+    targets = [f"b_{k}" for k in range(1, first.n + 1)]
+    batch = _power_points(first, targets, **columns)
+    for (steady, peaks), params in zip(batch, points):
+        for target, peak in zip(targets, peaks):
+            try:
+                expected = max_power(params, target)
+            except (NoSteadyStateError, UnstableSystemError,
+                    ScanEdgeError) as exc:
+                assert type(peak) is type(exc)
+                assert str(peak) == str(exc)
+                if not isinstance(exc, ScanEdgeError):
+                    assert steady is peak
+                continue
+            assert peak == expected
+            assert _energy(steady, target) == steady_energy(params, target)
+
+
+def test_edge_batch_has_an_edge():
+    # the explicit example above exercises the edge path
+    peaks = [p for _, ps in _power_points(EDGE_BATCH[0], ["b_2"], g_b=[
+        p.g_b for p in EDGE_BATCH]) for p in ps]
+    assert [type(p) for p in peaks] == [tuple, ScanEdgeError, tuple]
 
 
 @pytest.mark.parametrize("family", FAMILIES)

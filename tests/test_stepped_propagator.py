@@ -7,6 +7,7 @@ same maximum; where P(t) oscillates and both scans may settle on
 different near-equal peaks, only local optimality is asserted.
 """
 
+import functools
 import json
 import sys
 
@@ -16,8 +17,9 @@ from scipy.linalg import expm
 
 from qbnet import (DriveSpec, ModeSpec, NetworkSpec, ScanEdgeError,
                    TopologyParams, assemble, build_network, energy_curve,
-                   evolve, is_stable, max_power, parse_run_config, run_sweep,
-                   scan_refine_max, steady_state, vacuum)
+                   evolve, figure_table, is_stable, max_power,
+                   parse_run_config, run_sweep, scan_refine_max, steady_state,
+                   vacuum)
 from qbnet.cli import EXIT_NUMERIC, cli_main
 from qbnet.figures import GAMMA_INTERMEDIATE_POWER, GAMMA_POWER, POWER_SWEEP
 
@@ -101,6 +103,56 @@ class TestAgainstOracle:
                 assert power_at(params, target, t) <= p_max * (1 + 1e-10)
             assert power_at(params, target, t_star) == pytest.approx(p_max,
                                                                      rel=1e-10)
+
+
+class TestRootOfPowerSlope:
+    """``t_star`` against a 40-digit root of dP/dt.
+
+    P(t) = |a(t)|^2 / t peaks where ``N(t) = 2t Re(conj(a) a') - |a|^2``
+    vanishes.  The oracle evaluates N with ``mpmath.expm`` on the
+    assembled matrix at 40 digits and finds its root with Newton's
+    method, started from ``t_star`` rounded to six digits.  A search
+    that compares values of P alone cannot place a flat peak much
+    better than sqrt(eps) ~ 1.5e-8 relative; the root of the slope can
+    be found to rounding level.
+    """
+
+    @staticmethod
+    def oracle_root(params, target, t_start):
+        mp = pytest.importorskip("mpmath")
+        sys_ = assemble(build_network(params))
+        with mp.workdps(40):
+            m = mp.matrix([[mp.mpc(complex(v)) for v in r] for r in sys_.matrix])
+            alpha_ss = -mp.lu_solve(m, mp.matrix([mp.mpc(complex(v))
+                                                  for v in sys_.drive]))
+            row = sys_.row(target)
+
+            @functools.lru_cache(maxsize=None)
+            def parts(t):
+                x = mp.expm(m * t) * (-alpha_ss)
+                slope = m * x
+                return x[row] + alpha_ss[row], slope[row], (m * slope)[row]
+
+            def n(t):
+                a, a1, _ = parts(t)
+                return 2 * t * mp.re(mp.conj(a) * a1) - abs(a) ** 2
+
+            def dn(t):
+                a, a1, a2 = parts(t)
+                return 2 * t * (abs(a1) ** 2 + mp.re(mp.conj(a) * a2))
+
+            return float(mp.findroot(n, mp.mpf(float(f"{t_start:.6g}")),
+                                     solver="newton", df=dn))
+
+    @pytest.mark.parametrize("family, variant, x", [
+        ("cascaded", "nr", POWER_SWEEP[0]), ("cascaded", "r1", POWER_SWEEP[-1]),
+        ("parallel", "r2", POWER_SWEEP[10]), ("parallel", "nr", POWER_SWEEP[-1])])
+    def test_fig4_peaks(self, family, variant, x):
+        params = TopologyParams(family, variant, 4, x * GAMMA_POWER, GAMMA_POWER,
+                                GAMMA_POWER, GAMMA_INTERMEDIATE_POWER, 1.0)
+        t_star, _ = max_power(params, "b_4")
+        assert t_star == pytest.approx(self.oracle_root(params, "b_4", t_star),
+                                       rel=1e-11)
 
 
 class TestMetamorphic:
@@ -197,7 +249,14 @@ class TestExpmCount:
                                       GAMMA_INTERMEDIATE_POWER, 1.0)):
             expm_calls.clear()
             max_power(params, "b_4")
-            assert 0 < len(expm_calls) <= 80
+            # 21 for the scan, the rest Newton steps
+            assert 0 < len(expm_calls) <= 30
+
+    def test_eta_panel_is_two_stacks(self, expm_calls):
+        # nr with r2, then r1: 21 points each, scanned and refined together
+        figure_table("fig4c")
+        assert 0 < len(expm_calls) <= 60
+        assert expm_calls[0] == (42, 9, 9)
 
     def test_uniform_energy_curve(self, expm_calls):
         params = TopologyParams("parallel", "nr", 4, 0.001, 0.1, 0.1, 0.1, 1.0)
