@@ -25,14 +25,13 @@ from .export import (TOOLKIT_VERSION as __version__, SweepTable, write_csv,
                      write_json, write_table)
 from .figures import FIGURE_COLUMNS, FIGURE_IDS, figure_table, run_figure
 from .network import (CouplingSpec, DriveSpec, ModeSpec, NetworkSpec,
-                      TopologyParams, build_cascaded, build_network,
-                      build_parallel, matched_coupling, validate, wrap_phase)
+                      TopologyParams, build_network, matched_coupling,
+                      validate, wrap_phase)
 from .nonreciprocity import (IsolationResult, PhaseLandscape,
                              drive_relocation_energies, isolation,
                              phase_landscape, triangle_network, window_check)
 from .observables import (EnergyCurve, GainReport, PowerCurve, energy_curve,
                           gain_report, max_power, power_curve, steady_energy)
-from .optimize import golden_section_max, refine_argmax, scan_refine_max
 from .sweep import apply_sweep_value, run_sweep
 
 __all__ = [
@@ -43,19 +42,17 @@ __all__ = [
     "PowerCurve", "QbnetError", "RunConfig", "ScanEdgeError", "SteadyState",
     "SweepTable",
     "TopologyParams", "Trajectory", "UnstableSystemError", "ValidationError",
-    "apply_sweep_value", "assemble", "build_cascaded", "build_network",
-    "build_parallel", "cascaded_chain_coeffs", "cascaded_nr_energy",
-    "directional_chain_steady", "directional_star_steady",
-    "drive_relocation_energies", "effective_link",
+    "apply_sweep_value", "assemble", "build_network", "cascaded_chain_coeffs",
+    "cascaded_nr_energy", "directional_chain_steady",
+    "directional_star_steady", "drive_relocation_energies", "effective_link",
     "effective_steady_amplitudes", "effective_steady_energy", "energy_curve",
     "evolve", "figure_table", "g_opt_odd", "gain_approx", "gain_bounds",
-    "gain_report", "golden_section_max", "is_stable", "isolation",
-    "logfit_ratio", "matched_coupling", "max_power", "network_from_dict",
-    "network_to_dict", "parallel_nr_energy", "parallel_r1_energy",
-    "parallel_star_coeffs", "parse_run_config", "phase_landscape",
-    "power_curve", "refine_argmax", "run_config_to_dict", "run_config_to_json", "run_figure",
-    "run_sweep", "scan_refine_max", "steady_energy", "steady_state",
-    "topology_from_dict", "topology_to_dict", "triangle_network", "vacuum",
-    "validate", "window_check", "wrap_phase", "write_csv", "write_json",
-    "write_table",
+    "gain_report", "is_stable", "isolation", "logfit_ratio",
+    "matched_coupling", "max_power", "network_from_dict", "network_to_dict",
+    "parallel_nr_energy", "parallel_r1_energy", "parallel_star_coeffs",
+    "parse_run_config", "phase_landscape", "power_curve",
+    "run_config_to_dict", "run_config_to_json", "run_figure", "run_sweep",
+    "steady_energy", "steady_state", "topology_from_dict", "topology_to_dict",
+    "triangle_network", "vacuum", "validate", "window_check", "wrap_phase",
+    "write_csv", "write_json", "write_table",
 ]

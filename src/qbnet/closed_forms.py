@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import NoSteadyStateError
 from .network import TopologyParams, matched_coupling
-from .optimize import scan_refine_max
 
 
 @dataclass(frozen=True)
@@ -319,42 +318,51 @@ class LogFitResult:
     e_max_r1: tuple
 
 
-def _max_over_g(f, gamma: float, rel_tol: float = 1e-10, points: int = 400):
-    grid = np.geomspace(1e-4, 10.0, points) * gamma
-    return scan_refine_max(f, grid, rel_tol=rel_tol)
+def _r1_stationary_poly(n: int) -> list:
+    """Coefficients, constant first, of the polynomial in
+    ``u = 4 g^2 / gamma^2`` whose positive roots are the stationary
+    points of the direct-coupling chain energy at uniform decay.
+
+    That energy is ``|xi|^2 g^{2n} / D_{n+1}^2`` with the continuant
+    ``D_0 = 1``, ``D_1 = gamma/2``, ``D_m = (gamma/2) D_{m-1} + g^2
+    D_{m-2}``, i.e. ``D_m = (gamma/2)^m sum_k C(m-k, k) u^k``; its
+    logarithmic derivative in u vanishes where
+    ``sum_k (n - 2k) C(n+1-k, k) u^k = 0``.  For odd n the coefficients
+    change sign once, so by Descartes' rule there is exactly one
+    positive root (the maximum); for even n there is none.
+    """
+    return [(n - 2 * k) * math.comb(n + 1 - k, k) for k in range((n + 1) // 2 + 1)]
+
+
+def _g_opt_r1(n: int, gamma: float) -> float:
+    """Coupling maximising the direct-coupling chain energy for odd n:
+    ``(gamma/2) sqrt(u)`` at the positive root of ``_r1_stationary_poly``."""
+    roots = np.roots(_r1_stationary_poly(n)[::-1])
+    (u,) = [r.real for r in roots if r.imag == 0 and r.real > 0]
+    return 0.5 * gamma * math.sqrt(u)
 
 
 def logfit_ratio(odd_n_list, gamma: float = 0.1, xi: complex = 1.0) -> LogFitResult:
     """Best-over-coupling energy ratio of the two chain routes, fitted.
 
     For each odd n the directional-chain energy and the direct-chain
-    energy are separately maximised over ``g_b`` (grid scan on
-    ``[1e-4, 10] gamma`` plus golden-section refinement), and their
-    ratio is least-squares fitted to ``1 + k ln n``.
+    energy (uniform decay ``gamma``) are each taken at their exact
+    optimum over ``g_b``: ``g_opt_odd`` and ``_g_opt_r1``, the stationary
+    points of the closed-form energies, both unique.  Their ratio is
+    least-squares fitted to ``1 + k ln n``.
     """
     ns = tuple(int(n) for n in odd_n_list)
     if len(ns) < 3:
         raise ValueError("need at least 3 odd battery counts")
     if any(n < 1 or n % 2 == 0 for n in ns):
         raise ValueError(f"battery counts must be odd and >= 1, got {ns}")
-    g_nr, g_r1, e_nr, e_r1, ratios = [], [], [], [], []
-    for n in ns:
-        def nr_energy(g, n=n):
-            return cascaded_nr_energy(n, g, gamma, xi)
-
-        def r1_energy(g, n=n):
-            p = TopologyParams("cascaded", "r1", n, g, gamma, gamma, gamma, xi)
-            return effective_steady_energy(p)
-
-        gn, en = _max_over_g(nr_energy, gamma)
-        gr, er = _max_over_g(r1_energy, gamma)
-        g_nr.append(gn)
-        g_r1.append(gr)
-        e_nr.append(en)
-        e_r1.append(er)
-        ratios.append(en / er)
+    g_nr = tuple(g_opt_odd(n, gamma) for n in ns)
+    g_r1 = tuple(_g_opt_r1(n, gamma) for n in ns)
+    e_nr = tuple(cascaded_nr_energy(n, g, gamma, xi) for n, g in zip(ns, g_nr))
+    e_r1 = tuple(effective_steady_energy(TopologyParams(
+        "cascaded", "r1", n, g, gamma, gamma, gamma, xi)) for n, g in zip(ns, g_r1))
+    ratios = [en / er for en, er in zip(e_nr, e_r1)]
     ln = np.log(ns)
     denom = float(np.sum(ln * ln))
     k = float(np.sum((np.array(ratios) - 1.0) * ln) / denom) if denom > 0 else 0.0
-    return LogFitResult(k, ns, tuple(ratios), tuple(g_nr), tuple(g_r1),
-                        tuple(e_nr), tuple(e_r1))
+    return LogFitResult(k, ns, tuple(ratios), g_nr, g_r1, e_nr, e_r1)

@@ -98,7 +98,7 @@ def _fig2f():
             for i, n in enumerate(ns)]
     md = _base_metadata("cascaded", "1..15 odd", GAMMA_WEAK, GAMMA_WEAK,
                         {"logfit_k": repr(fit.coefficient),
-                         "optimisation": "g_b scan+golden on [1e-4, 10]*gamma"})
+                         "optimisation": "exact stationary points"})
     return SweepTable("fig2f", ("N", "gb_opt", "ratio_Emax"), rows, md)
 
 

@@ -250,23 +250,6 @@ def parameter_tables(params: TopologyParams, **columns) -> tuple:
             np.array(phases, dtype=float), np.array(column("xi"), dtype=complex))
 
 
-def _build_family(params: TopologyParams, family: str) -> NetworkSpec:
-    if params.family != family:
-        raise ValidationError(
-            [f"expected family {family!r}, got {params.family!r}"])
-    return build_network(params)
-
-
-def build_cascaded(params: TopologyParams) -> NetworkSpec:
-    """Chain topology ``c - b_1 - ... - b_N``; refuses parallel params."""
-    return _build_family(params, "cascaded")
-
-
-def build_parallel(params: TopologyParams) -> NetworkSpec:
-    """Star topology, every battery on the charger; refuses cascaded params."""
-    return _build_family(params, "parallel")
-
-
 def validate(spec: NetworkSpec) -> list:
     """Check every NetworkSpec invariant; return one message per violation.
 

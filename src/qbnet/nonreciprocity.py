@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_forms import effective_link
 from .dynamics import assemble, steady_state
 from .network import (CouplingSpec, DriveSpec, ModeSpec, NetworkSpec,
                       TopologyParams, matched_coupling)
@@ -49,26 +48,18 @@ class PhaseLandscape:
     target: str
 
 
-def isolation(theta: float, g_b: float, Gamma: float, matched: bool = True,
-              g1: float | None = None, g2: float | None = None) -> IsolationResult:
-    """Forward/backward transmission of one triangle link.
+def isolation(theta: float, g_b: float, Gamma: float) -> IsolationResult:
+    """Forward/backward transmission of one matched triangle link.
 
     At matched coupling the squared magnitudes reduce to
     ``2 g_b^2 (1 -/+ sin theta)``, so forward wins exactly for
     ``theta`` in (-pi, 0) and the backward path closes at -pi/2.
     """
-    if matched:
-        if Gamma <= 0:
-            raise ValueError(f"Gamma must be > 0, got {Gamma!r}")
-        s = math.sin(theta)
-        forward_t = 2.0 * g_b * g_b * (1.0 - s)
-        backward_t = 2.0 * g_b * g_b * (1.0 + s)
-    else:
-        if g1 is None or g2 is None:
-            raise ValueError("unmatched isolation needs explicit g1 and g2")
-        link = effective_link(theta, g_b, g1, g2, Gamma)
-        forward_t = abs(link.forward_amp) ** 2
-        backward_t = abs(link.backward_amp) ** 2
+    if Gamma <= 0:
+        raise ValueError(f"Gamma must be > 0, got {Gamma!r}")
+    s = math.sin(theta)
+    forward_t = 2.0 * g_b * g_b * (1.0 - s)
+    backward_t = 2.0 * g_b * g_b * (1.0 + s)
     ratio = forward_t / backward_t if backward_t > 0 else math.inf
     return IsolationResult(theta, forward_t, backward_t, ratio)
 

@@ -21,7 +21,6 @@ from .dynamics import (LinearSystem, _row, _step, assemble_points, evolve,
                        steady_states, vacuum)
 from .errors import ScanEdgeError
 from .network import TopologyParams
-from .optimize import _scan_argmax
 
 #: a gain ratio with a denominator below this is reported as undefined
 RATIO_FLOOR = 1e-300
@@ -34,10 +33,6 @@ POWER_SCAN_SPAN = 1e6
 
 #: the variants a gain report compares, in the order they are solved
 GAIN_VARIANTS = ("nr", "r1", "r2")
-
-#: a power peak is refined until its Newton step in t is below this,
-#: relative; the step's end is returned, so t_star is far closer
-POWER_REL_TOL = 1e-8
 
 #: the Newton search of a power peak stops after this many steps
 _NEWTON_STEPS = 64
@@ -177,6 +172,19 @@ def power_curve(params: TopologyParams, target: str | None = None,
                       curve.method)
 
 
+def _scan_argmax(grid, values) -> int:
+    """Index of the largest of ``values``, sampled on ``grid``; an argmax
+    on the first or last grid point means the maximum may lie outside
+    the grid, and raises ``ScanEdgeError``."""
+    i = int(np.argmax(values))
+    if i == 0 or i == len(grid) - 1:
+        raise ScanEdgeError(
+            f"scan maximum {values[i]:.6g} at the grid edge x = {grid[i]:.6g}; "
+            f"the maximum may lie outside [{grid[0]:.6g}, {grid[-1]:.6g}]",
+            edge=float(grid[i]))
+    return i
+
+
 def _octave_grid(t_lo: np.ndarray, span: float) -> np.ndarray:
     """Per start in ``t_lo``, octaves ``[a, 2a]`` from it until
     ``span * t_lo`` is covered, each sampled with
@@ -213,7 +221,7 @@ def _scan(matrices, offsets, alpha_rows, rows, grid) -> np.ndarray:
     return power
 
 
-def _newton(matrices, offsets, alpha, rows, t, lo, hi, rel_tol) -> tuple:
+def _newton(matrices, offsets, alpha, rows, t, lo, hi) -> tuple:
     """``(t, P(t))`` per pair at the root of ``dP/dt = N(t) / t^2`` in
     ``[lo, hi]``, starting from ``t``; all pairs in lockstep, one
     batched ``expm`` per step.
@@ -227,6 +235,7 @@ def _newton(matrices, offsets, alpha, rows, t, lo, hi, rel_tol) -> tuple:
     evaluated once more and returned; after ``_NEWTON_STEPS`` the
     last point evaluated is.
     """
+    rel_tol = 1e-8  # the step's end is returned, so t_star is far closer
     t, lo, hi = t.copy(), lo.copy(), hi.copy()
     found_t, found_p = t.copy(), np.empty_like(t)
     final = np.zeros(t.shape, dtype=bool)
@@ -259,7 +268,7 @@ def _newton(matrices, offsets, alpha, rows, t, lo, hi, rel_tol) -> tuple:
     return found_t, found_p
 
 
-def _peak_powers(matrices, alpha_ss, abscissas, rows, rel_tol) -> list:
+def _peak_powers(matrices, alpha_ss, abscissas, rows) -> list:
     """Per slice of a stack of decaying networks, from vacuum, the
     ``(t_star, p_max)`` of each target row, or its ``ScanEdgeError``.
 
@@ -283,7 +292,7 @@ def _peak_powers(matrices, alpha_ss, abscissas, rows, rel_tol) -> list:
     if pairs:
         s, k, i = np.array(pairs).T
         t, p = _newton(matrices[s], offsets[s], alpha_rows[s, k], rows[k],
-                       grid[s, i], grid[s, i - 1], grid[s, i + 1], rel_tol)
+                       grid[s, i], grid[s, i - 1], grid[s, i + 1])
         scan_t, scan_p = grid[s, i], power[s, k, i]
         keep = scan_p > p
         t, p = np.where(keep, scan_t, t), np.where(keep, scan_p, p)
@@ -292,8 +301,7 @@ def _peak_powers(matrices, alpha_ss, abscissas, rows, rel_tol) -> list:
     return peaks
 
 
-def _power_points(params: TopologyParams, targets, rel_tol: float = POWER_REL_TOL,
-                  **columns) -> list:
+def _power_points(params: TopologyParams, targets, **columns) -> list:
     """Per point of a batch (``columns`` as in ``assemble_points``), its
     ``_steady_points`` entry and, per target, its ``(t_star, p_max)``
     from vacuum or its ``ScanEdgeError``; a refused point has its error
@@ -306,25 +314,23 @@ def _power_points(params: TopologyParams, targets, rel_tol: float = POWER_REL_TO
     keep = [i for i, s in enumerate(states) if not isinstance(s, Exception)]
     peaks = iter(_peak_powers(
         matrices[keep], np.array([states[i].amplitudes for i in keep]),
-        abscissas[keep], rows, rel_tol) if keep else ())
+        abscissas[keep], rows) if keep else ())
     return [(s, [s] * len(targets)) if isinstance(s, Exception)
             else ((s.amplitudes, index), next(peaks)) for s in states]
 
 
-def max_power(params: TopologyParams, target: str | None = None,
-              rel_tol: float = POWER_REL_TOL):
+def max_power(params: TopologyParams, target: str | None = None):
     """Maximise P(t) over charging time; return ``(t_star, p_max)``.
 
     A scan locates the peak over six decades of charging time, from
     ``t_hi / 1e6`` to ``t_hi = 50 / |spectral abscissa|``: 20 octaves of
     145 equal steps each, one ``expm`` per octave.  A safeguarded Newton
     search for the root of dP/dt between the argmax's grid neighbours
-    then polishes t until its step is below ``rel_tol`` relative, one
+    then polishes t until its step is below 1e-8 relative, one
     ``expm`` per step.  A scan peaking on an end of its grid raises
     ``ScanEdgeError``.  This is ``_power_points`` on a batch of one.
     """
-    (_, (peak,)), = _power_points(params, (target or _default_target(params),),
-                                  rel_tol)
+    (_, (peak,)), = _power_points(params, (target or _default_target(params),))
     return _value(peak)
 
 

@@ -4,8 +4,9 @@ A sweep evaluates the requested observables at every grid value of one
 variable.  Each variant the steady observables need is solved once for
 the whole grid, in one batch unless ``n`` is swept, so ``steady_energy``
 and the ``nr`` energy of ``gains`` read the same solve; ``max_power``
-scans and refines the whole grid as one batch of its own, again unless
-``n`` is swept.  Points that fail numerically (singular or
+scans and refines the whole grid as one batch, again unless ``n`` is
+swept, and its solve of the topology's own variant is the one the
+steady columns read.  Points that fail numerically (singular or
 unstable systems, a maximum outside the scanned range) are recorded in
 the table's error list and skipped; the surviving rows keep grid order.
 """
@@ -92,10 +93,13 @@ def run_sweep(cfg: RunConfig) -> SweepTable:
     values = cfg.sweep.grid.values
     points = [apply_sweep_value(cfg.topology, variable, value, cfg.sweep.index)
               for value in values]
-    solved = functools.cache(lambda variant: _batches(
-        points, lambda p, **c: _steady_points(p.with_variant(variant), **c)))
     peaks = functools.cache(lambda: _batches(
         points, lambda p, **c: _power_points(p, (cfg.target or f"b_{p.n}",), **c)))
+    solved = functools.cache(lambda variant: (
+        [point for point, _ in peaks()]
+        if variant == cfg.topology.variant and "max_power" in cfg.observables
+        else _batches(points, lambda p, **c: _steady_points(
+            p.with_variant(variant), **c))))
 
     rows, errors = [], []
     for index, (value, params) in enumerate(zip(values, points)):

@@ -1,22 +1,18 @@
-"""Scan-plus-refinement maximisation of smooth 1-d objectives.
+"""Reference maximiser for the tests: a dense scan plus golden-section
+refinement.
 
-The pattern everywhere in this package is the same: a dense scan of a
-fixed grid locates the global maximum of a (piecewise) unimodal
-function, and refinement inside the bracketing interval polishes it:
-golden-section search here, a Newton root of dP/dt for the charging
-power (``observables``).  The scan guards against accidental
-multi-modality; the refinement gives grid-independent optima.  A scan
-whose largest value sits on an end of its grid has not located the
-maximum, and is refused (``_scan_argmax``).
+It shares no code with qbnet's own optima (closed-form stationary points
+for the chain energies, a Newton root of dP/dt for the charging power),
+so tests compare those against it.  A scan whose largest value sits on
+an end of its grid has not located the maximum, and is refused
+(``_scan_argmax``).
 """
-
-from __future__ import annotations
 
 import math
 
 import numpy as np
 
-from .errors import ScanEdgeError
+from qbnet import ScanEdgeError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 

@@ -13,7 +13,9 @@ from qbnet import (TopologyParams, assemble, build_network,
                    cascaded_nr_energy, drive_relocation_energies,
                    effective_steady_energy, evolve, g_opt_odd, is_stable,
                    logfit_ratio, max_power, parallel_nr_energy,
-                   phase_landscape, scan_refine_max, steady_energy, vacuum)
+                   phase_landscape, steady_energy, vacuum)
+
+from oracles import scan_refine_max
 
 GAMMA = 0.1
 XI = 1.0

@@ -279,6 +279,17 @@ class TestCounters:
         assert linalg_calls["solve"] == [3, 3, 3]
         assert [row[1] for row in table.rows] == [row[2] for row in table.rows]
 
+    def test_sweep_max_power_shares_the_steady_solve(self, linalg_calls):
+        doc = {"topology": {"family": "cascaded", "variant": "nr", "n": 4,
+                            "g_b": 0.01, "gamma_c": 0.1, "gamma_b": 0.1,
+                            "Gamma": 0.1, "xi": 1.0},
+               "sweep": {"variable": "gamma", "values": [0.1, 0.05, 0.2]},
+               "observables": ["steady_energy", "max_power"]}
+        table = run_sweep(parse_run_config(doc))
+        # the steady column reads the max_power batch's own solve
+        assert linalg_calls["solve"] == [3]
+        assert len(table.rows) == 3
+
     def test_max_power_runs_eigvals_once(self, linalg_calls):
         # charger and batteries undamped, decay only through the
         # intermediates: the certificate cannot prove it, so the gate

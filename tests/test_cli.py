@@ -1,9 +1,11 @@
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import qbnet
 from qbnet.cli import cli_main
 
 
@@ -214,9 +216,12 @@ class TestOtherCommands:
 
 
 def test_console_entry_point():
+    # run from the directory holding the package under test, so ``-m``
+    # finds it whether or not it is installed or on PYTHONPATH
+    src = pathlib.Path(qbnet.__file__).resolve().parents[1]
     result = subprocess.run(
         [sys.executable, "-m", "qbnet", "steady", "--family", "cascaded",
          "--variant", "nr", "--n", "1", "--gb", "0.05", "--gamma", "0.1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, cwd=src)
     assert result.returncode == 0
     assert float(result.stdout.split("=")[1]) == pytest.approx(100.0, rel=1e-9)

@@ -9,7 +9,10 @@ from qbnet import (NoSteadyStateError, TopologyParams, cascaded_chain_coeffs,
                    effective_steady_amplitudes, effective_steady_energy,
                    g_opt_odd, gain_approx, gain_bounds, logfit_ratio,
                    parallel_nr_energy, parallel_r1_energy,
-                   parallel_star_coeffs, scan_refine_max)
+                   parallel_star_coeffs)
+from qbnet.closed_forms import _r1_stationary_poly
+
+from oracles import scan_refine_max
 
 
 def chain_params(variant, n, g_b, gamma=0.1, Gamma=0.1, xi=1.0, thetas=None):
@@ -41,14 +44,19 @@ class TestEffectiveLink:
         assert link.forward_amp == 0.0
 
     def test_general_coefficients(self):
-        theta, g, g1, g2, Gamma = 0.4, 0.03, 0.01, 0.07, 0.9
-        link = effective_link(theta, g, g1, g2, Gamma)
-        assert link.forward_amp == pytest.approx(
-            -1j * g * np.exp(1j * theta) - 2 * g1 * g2 / Gamma, rel=1e-14)
-        assert link.backward_amp == pytest.approx(
-            -1j * g * np.exp(-1j * theta) - 2 * g1 * g2 / Gamma, rel=1e-14)
-        assert link.induced_decay_upstream == pytest.approx(2 * g1 ** 2 / Gamma)
-        assert link.induced_decay_downstream == pytest.approx(2 * g2 ** 2 / Gamma)
+        # the second input is unmatched at the reciprocal phase, where
+        # forward and backward agree exactly
+        for theta, g, g1, g2, Gamma in ((0.4, 0.03, 0.01, 0.07, 0.9),
+                                        (0.0, 0.02, 0.01, 0.03, 0.5)):
+            link = effective_link(theta, g, g1, g2, Gamma)
+            assert link.forward_amp == pytest.approx(
+                -1j * g * np.exp(1j * theta) - 2 * g1 * g2 / Gamma, rel=1e-14)
+            assert link.backward_amp == pytest.approx(
+                -1j * g * np.exp(-1j * theta) - 2 * g1 * g2 / Gamma, rel=1e-14)
+            assert link.induced_decay_upstream == pytest.approx(2 * g1 ** 2 / Gamma)
+            assert link.induced_decay_downstream == pytest.approx(2 * g2 ** 2 / Gamma)
+            if theta == 0.0:
+                assert link.forward_amp == link.backward_amp
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -201,6 +209,47 @@ class TestLogFit:
             logfit_ratio([1, 2, 3])
         with pytest.raises(ValueError):
             logfit_ratio([1, 3])
+
+    def test_optima_are_stationary(self):
+        # relative slope |E'(g) g / E| at each optimum, at 40 digits: the
+        # nr energy from its closed form, the r1 energy from a dense solve
+        # of the direct chain; a float-rounded optimum leaves O(eps)
+        mp = pytest.importorskip("mpmath")
+        gamma = 0.1
+        fit = logfit_ratio(range(1, 16, 2), gamma=gamma)
+
+        def nr_energy(n, g):
+            amp = (2 ** (2 * n + 1) * g ** n
+                   / ((2 * g + gamma) ** 2 * (4 * g + gamma) ** (n - 1)))
+            return amp * amp
+
+        def r1_energy(n, g):
+            m = mp.matrix(n + 1, n + 1)
+            for k in range(n + 1):
+                m[k, k] = mp.mpf(gamma) / 2
+                if k:
+                    m[k, k - 1] = m[k - 1, k] = 1j * g
+            drive = mp.matrix(n + 1, 1)
+            drive[0] = -1j
+            return abs(mp.lu_solve(m, drive)[n]) ** 2
+
+        with mp.workdps(40):
+            for n, g_nr, g_r1 in zip(fit.n, fit.gb_opt_nr, fit.gb_opt_r1):
+                for energy, g in ((nr_energy, g_nr), (r1_energy, g_r1)):
+                    g = mp.mpf(g)
+                    slope = mp.diff(lambda x: energy(n, x), g) * g / energy(n, g)
+                    assert abs(slope) <= 1e-12, (n, energy.__name__, slope)
+
+    def test_r1_stationary_roots(self):
+        # Descartes: one sign change (odd n) or none (even n), and the
+        # polynomial has exactly that many positive roots
+        for n in range(1, 26):
+            coeffs = _r1_stationary_poly(n)
+            signs = [c > 0 for c in coeffs if c != 0]
+            changes = sum(a != b for a, b in zip(signs, signs[1:]))
+            positive = [r for r in np.roots(coeffs[::-1])
+                        if r.imag == 0 and r.real > 0]
+            assert changes == len(positive) == n % 2, (n, coeffs)
 
 
 class TestDirectChainStructure:

@@ -3,9 +3,8 @@ import math
 import pytest
 
 from qbnet import (CouplingSpec, DriveSpec, ModeSpec, NetworkSpec,
-                   TopologyParams, ValidationError, build_cascaded,
-                   build_network, build_parallel, matched_coupling, validate,
-                   wrap_phase)
+                   TopologyParams, ValidationError, build_network,
+                   matched_coupling, validate, wrap_phase)
 
 
 def params(family="cascaded", variant="nr", n=3, g_b=0.01, gamma=0.1,
@@ -36,18 +35,18 @@ class TestMatchedCoupling:
 
 class TestBuildCascaded:
     def test_r1_counts(self):
-        spec = build_cascaded(params(variant="r1", n=2))
+        spec = build_network(params(variant="r1", n=2))
         assert len(spec.modes) == 3
         assert len(spec.couplings) == 2
         assert len(spec.drives) == 1
 
     def test_nr_counts(self):
-        spec = build_cascaded(params(variant="nr", n=3))
+        spec = build_network(params(variant="nr", n=3))
         assert len(spec.modes) == 7  # c, 3 intermediates, 3 batteries
         assert len(spec.couplings) == 9  # 3 direct + 6 indirect
 
     def test_matched_strength(self):
-        spec = build_cascaded(params(variant="nr", n=1, g_b=0.01, Gamma=0.1))
+        spec = build_network(params(variant="nr", n=1, g_b=0.01, Gamma=0.1))
         indirect = [c for c in spec.couplings if "a_1" in (c.source, c.target)]
         assert len(indirect) == 2
         for c in indirect:
@@ -55,7 +54,7 @@ class TestBuildCascaded:
             assert c.phase == 0.0
 
     def test_nr_phases(self):
-        spec = build_cascaded(params(variant="nr", n=4))
+        spec = build_network(params(variant="nr", n=4))
         direct = [c for c in spec.couplings if c.strength == 0.01]
         assert len(direct) == 4
         for c in direct:
@@ -63,39 +62,35 @@ class TestBuildCascaded:
 
     def test_coupling_count_contract(self):
         for n in (1, 2, 5):
-            assert len(build_cascaded(params(variant="r1", n=n)).couplings) == n
-            assert len(build_cascaded(params(variant="nr", n=n)).couplings) == 3 * n
+            assert len(build_network(params(variant="r1", n=n)).couplings) == n
+            assert len(build_network(params(variant="nr", n=n)).couplings) == 3 * n
 
     def test_chain_wiring(self):
-        spec = build_cascaded(params(variant="r1", n=3))
+        spec = build_network(params(variant="r1", n=3))
         pairs = {(c.source, c.target) for c in spec.couplings}
         assert pairs == {("c", "b_1"), ("b_1", "b_2"), ("b_2", "b_3")}
-
-    def test_family_mismatch(self):
-        with pytest.raises(ValidationError):
-            build_cascaded(params(family="parallel"))
 
 
 class TestBuildParallel:
     def test_r1_counts(self):
-        spec = build_parallel(params(family="parallel", variant="r1", n=3))
+        spec = build_network(params(family="parallel", variant="r1", n=3))
         assert len(spec.modes) == 4
         assert len(spec.couplings) == 3
 
     def test_nr_counts_and_strengths(self):
-        spec = build_parallel(params(family="parallel", variant="nr", n=2))
+        spec = build_network(params(family="parallel", variant="nr", n=2))
         assert len(spec.modes) == 5
         assert len(spec.couplings) == 6
         indirect = [c.strength for c in spec.couplings if c.phase == 0.0]
         assert len(set(indirect)) == 1  # all matched arms identical
 
     def test_star_wiring(self):
-        spec = build_parallel(params(family="parallel", variant="r1", n=3))
+        spec = build_network(params(family="parallel", variant="r1", n=3))
         assert all(c.source == "c" for c in spec.couplings)
 
     def test_custom_passthrough(self):
         thetas = (math.pi / 2, -math.pi / 2)
-        spec = build_parallel(params(family="parallel", variant="custom", n=2,
+        spec = build_network(params(family="parallel", variant="custom", n=2,
                                      thetas=thetas))
         direct = [c for c in spec.couplings if c.strength == 0.01]
         assert tuple(c.phase for c in direct) == thetas
@@ -119,8 +114,8 @@ class TestBuilderInvariants:
         assert spec.drives[0].mode == "c"
 
     def test_nr_r2_differ_only_in_direct_phases(self):
-        nr = build_cascaded(params(variant="nr", n=3))
-        r2 = build_cascaded(params(variant="r2", n=3))
+        nr = build_network(params(variant="nr", n=3))
+        r2 = build_network(params(variant="r2", n=3))
         assert nr.modes == r2.modes
         assert nr.drives == r2.drives
         strip = lambda spec: {(c.source, c.target, c.strength)
@@ -156,12 +151,12 @@ class TestParamsValidation:
 
     def test_intermediates_need_Gamma(self):
         with pytest.raises(ValidationError):
-            build_cascaded(params(variant="nr", Gamma=0.0))
+            build_network(params(variant="nr", Gamma=0.0))
 
 
 class TestValidate:
     def good_spec(self):
-        return build_cascaded(params(variant="r1", n=2))
+        return build_network(params(variant="r1", n=2))
 
     def test_clean(self):
         assert validate(self.good_spec()) == []

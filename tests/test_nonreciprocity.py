@@ -40,12 +40,6 @@ class TestIsolation:
             assert fwd.forward_t == rev.backward_t
             assert fwd.backward_t == rev.forward_t
 
-    def test_unmatched_needs_strengths(self):
-        with pytest.raises(ValueError):
-            isolation(0.1, 0.02, 0.5, matched=False)
-        res = isolation(0.0, 0.02, 0.5, matched=False, g1=0.01, g2=0.03)
-        assert res.forward_t == res.backward_t
-
 
 class TestWindowCheck:
     def test_window(self):

@@ -15,8 +15,8 @@ import pytest
 
 from qbnet import (TopologyParams, assemble, build_network,
                    cascaded_nr_energy, effective_steady_energy, gain_approx,
-                   is_stable, parallel_nr_energy, parallel_r1_energy,
-                   steady_energy, steady_state, validate)
+                   is_stable, max_power, parallel_nr_energy,
+                   parallel_r1_energy, steady_energy, steady_state, validate)
 
 GAMMA = 0.1
 
@@ -158,6 +158,32 @@ class TestGaugeAndScaling:
         a1 = steady_state(s1).amplitudes
         assert np.abs(a1 - a0 * np.exp(1j * phi)).max() < 1e-12
         assert np.abs(np.abs(a1) ** 2 - np.abs(a0) ** 2).max() < 1e-12
+
+
+def scaling_networks():
+    """24 seeded decaying networks: both families, nr/r1/r2, n = 1..4."""
+    rng = np.random.default_rng(17)
+    for family in ("cascaded", "parallel"):
+        for variant in ("nr", "r1", "r2"):
+            for n in range(1, 5):
+                yield TopologyParams(
+                    family, variant, n, float(rng.uniform(0.005, 0.2)),
+                    float(rng.uniform(0.01, 1.0)), tuple(rng.uniform(0.01, 1.0, n)),
+                    float(rng.uniform(0.05, 2.0)), complex(rng.normal(), rng.normal()))
+
+
+@pytest.mark.parametrize("s", [2.0, 3.0, 0.1])
+def test_rate_scaling_law(s):
+    # scaling every rate and the drive by s maps alpha(t) to alpha(s t):
+    # the steady energy is unchanged, t_star -> t_star / s, p_max -> s p_max
+    for p in scaling_networks():
+        scaled = dataclasses.replace(
+            p, g_b=s * p.g_b, gamma_c=s * p.gamma_c,
+            gamma_b=tuple(s * g for g in p.gamma_b), Gamma=s * p.Gamma, xi=s * p.xi)
+        assert steady_energy(scaled) == pytest.approx(steady_energy(p), rel=1e-13), p
+        (t1, p1), (t2, p2) = max_power(p), max_power(scaled)
+        assert t2 == pytest.approx(t1 / s, rel=1e-11), p
+        assert p2 == pytest.approx(s * p1, rel=1e-11), p
 
 
 class TestParityOfMaxima:

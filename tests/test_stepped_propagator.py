@@ -18,10 +18,11 @@ from scipy.linalg import expm
 from qbnet import (DriveSpec, ModeSpec, NetworkSpec, ScanEdgeError,
                    TopologyParams, assemble, build_network, energy_curve,
                    evolve, figure_table, is_stable, max_power,
-                   parse_run_config, run_sweep, scan_refine_max, steady_state,
-                   vacuum)
+                   parse_run_config, run_sweep, steady_state, vacuum)
 from qbnet.cli import EXIT_NUMERIC, cli_main
 from qbnet.figures import GAMMA_INTERMEDIATE_POWER, GAMMA_POWER, POWER_SWEEP
+
+from oracles import scan_refine_max
 
 VARIANTS = ("nr", "r1", "r2")
 #: the repro of a maximum below the scanned range: P(t) peaks near
