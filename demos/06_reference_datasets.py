@@ -2,8 +2,9 @@
 """Regenerate every reference dataset into ./figure_data/.
 
 Each panel id maps to a fixed parameter set (declared in the CSV
-metadata).  Pass panel ids as arguments to rebuild a subset; the eta
-panels (fig4c, fig4d) are the slow ones at a few seconds each.
+metadata).  Pass panel ids as arguments to rebuild a subset; every
+panel takes well under a second (the eta panels fig4c and fig4d, once
+the slow ones, about 0.1 s each).
 """
 
 import sys

@@ -7,13 +7,11 @@ closed-form layer (intermediate-mode elimination, continued-fraction
 chains) and the dense numeric layer cross-validate each other.
 """
 
-from .closed_forms import (ChainLinkCoeffs, EffectiveLink, LogFitResult,
-                           cascaded_chain_coeffs, cascaded_nr_energy,
-                           directional_chain_steady, directional_star_steady,
+from .closed_forms import (EffectiveLink, LogFitResult, cascaded_nr_energy,
                            effective_link, effective_steady_amplitudes,
                            effective_steady_energy, g_opt_odd, gain_approx,
                            gain_bounds, logfit_ratio, parallel_nr_energy,
-                           parallel_r1_energy, parallel_star_coeffs)
+                           parallel_r1_energy)
 from .config import (RunConfig, parse_run_config, run_config_to_dict,
                      run_config_to_json, topology_from_dict, topology_to_dict,
                      network_from_dict, network_to_dict)
@@ -35,24 +33,22 @@ from .observables import (EnergyCurve, GainReport, PowerCurve, energy_curve,
 from .sweep import apply_sweep_value, run_sweep
 
 __all__ = [
-    "ChainLinkCoeffs", "ConfigError", "CouplingSpec", "DriveSpec",
-    "EffectiveLink", "EnergyCurve", "FIGURE_COLUMNS", "FIGURE_IDS",
-    "GainReport", "IsolationResult", "LinearSystem", "LogFitResult",
-    "ModeSpec", "NetworkSpec", "NoSteadyStateError", "PhaseLandscape",
-    "PowerCurve", "QbnetError", "RunConfig", "ScanEdgeError", "SteadyState",
-    "SweepTable",
-    "TopologyParams", "Trajectory", "UnstableSystemError", "ValidationError",
-    "apply_sweep_value", "assemble", "build_network", "cascaded_chain_coeffs",
-    "cascaded_nr_energy", "directional_chain_steady",
-    "directional_star_steady", "drive_relocation_energies", "effective_link",
-    "effective_steady_amplitudes", "effective_steady_energy", "energy_curve",
-    "evolve", "figure_table", "g_opt_odd", "gain_approx", "gain_bounds",
-    "gain_report", "is_stable", "isolation", "logfit_ratio",
-    "matched_coupling", "max_power", "network_from_dict", "network_to_dict",
-    "parallel_nr_energy", "parallel_r1_energy", "parallel_star_coeffs",
+    "ConfigError", "CouplingSpec", "DriveSpec", "EffectiveLink",
+    "EnergyCurve", "FIGURE_COLUMNS", "FIGURE_IDS", "GainReport",
+    "IsolationResult", "LinearSystem", "LogFitResult", "ModeSpec",
+    "NetworkSpec", "NoSteadyStateError", "PhaseLandscape", "PowerCurve",
+    "QbnetError", "RunConfig", "ScanEdgeError", "SteadyState",
+    "SweepTable", "TopologyParams", "Trajectory", "UnstableSystemError",
+    "ValidationError", "apply_sweep_value", "assemble", "build_network",
+    "cascaded_nr_energy", "drive_relocation_energies", "effective_link",
+    "effective_steady_amplitudes", "effective_steady_energy",
+    "energy_curve", "evolve", "figure_table", "g_opt_odd", "gain_approx",
+    "gain_bounds", "gain_report", "is_stable", "isolation", "logfit_ratio",
+    "matched_coupling", "max_power", "network_from_dict",
+    "network_to_dict", "parallel_nr_energy", "parallel_r1_energy",
     "parse_run_config", "phase_landscape", "power_curve",
     "run_config_to_dict", "run_config_to_json", "run_figure", "run_sweep",
-    "steady_energy", "steady_state", "topology_from_dict", "topology_to_dict",
-    "triangle_network", "vacuum", "validate", "window_check", "wrap_phase",
-    "write_csv", "write_json", "write_table",
+    "steady_energy", "steady_state", "topology_from_dict",
+    "topology_to_dict", "triangle_network", "vacuum", "validate",
+    "window_check", "wrap_phase", "write_csv", "write_json", "write_table",
 ]

@@ -1,12 +1,13 @@
-"""Analytic steady states: effective links, chain recursion, optima, bounds.
+"""Analytic steady states: effective links, one continued fraction, optima, bounds.
 
 This is the oracle layer.  Eliminating a lossy intermediate mode at
 steady state (its time derivative set to zero) is exact and turns each
-charger-battery triangle into a directional effective link; folding a
-whole chain from its far end gives a backward continued-fraction
-recursion whose forward substitution yields every amplitude in closed
-form.  None of this touches the dense solver, so the two routes
-cross-validate each other.
+charger-battery triangle into a directional effective link hanging
+from an upstream mode: the previous battery in a chain, the charger in
+a star.  One backward continued-fraction fold over that upstream map,
+from the last mode to the charger, followed by forward substitution,
+yields every amplitude of either family in closed form.  None of this
+touches the dense solver, so the two routes cross-validate each other.
 
 Throughout, decay rates are energy rates (amplitudes damp at half the
 rate) and energies are reported as ``|amplitude|^2`` in units of the
@@ -39,27 +40,6 @@ class EffectiveLink:
     backward_amp: complex
     induced_decay_upstream: float
     induced_decay_downstream: float
-
-
-@dataclass(frozen=True)
-class ChainLinkCoeffs:
-    """Per-link forward/backward amplitudes and per-mode effective decay.
-
-    ``effective_decay`` holds energy decay rates, charger first, with
-    any intermediate-induced damping already folded in; the steady-state
-    recursion uses half of each entry.
-    """
-
-    forward: tuple
-    backward: tuple
-    effective_decay: tuple
-
-    def __post_init__(self):
-        n = len(self.forward)
-        if len(self.backward) != n or len(self.effective_decay) != n + 1:
-            raise ValueError(
-                f"inconsistent lengths: {n} forward, {len(self.backward)} "
-                f"backward, {len(self.effective_decay)} decays (need n+1)")
 
 
 _QUADRANT_PHASES = {0.0: 1.0 + 0.0j, math.pi / 2: 1.0j, -math.pi / 2: -1.0j,
@@ -95,105 +75,62 @@ def effective_link(theta: float, g_b: float, g1: float, g2: float,
                          2.0 * g1 * g1 / Gamma, 2.0 * g2 * g2 / Gamma)
 
 
-def _link_coeffs(params: TopologyParams):
-    """Forward/backward amplitude and induced decays for each direct link."""
-    thetas = params.direct_phases()
-    forward, backward, up, down = [], [], [], []
+def _links(params: TopologyParams):
+    """The effective model of ``params``, intermediates eliminated.
+
+    Per link, its forward and backward amplitude and its upstream mode:
+    link k ends at battery k+1 and hangs from mode k in a chain, from
+    the charger in a star.  Per mode, charger first, its energy decay
+    with each link's induced damping added.
+    """
+    n = params.n
+    upstream = list(range(n)) if params.family == "cascaded" else [0] * n
+    decay = [params.gamma_c] + list(params.gamma_b)
+    forward, backward = [], []
     if params.has_intermediates:
         g_i = matched_coupling(params.g_b, params.Gamma)
-        for th in thetas:
+    for k, th in enumerate(params.direct_phases()):
+        if params.has_intermediates:
             link = effective_link(th, params.g_b, g_i, g_i, params.Gamma)
-            forward.append(link.forward_amp)
-            backward.append(link.backward_amp)
-            up.append(link.induced_decay_upstream)
-            down.append(link.induced_decay_downstream)
-    else:
-        for th in thetas:
-            forward.append(-1j * params.g_b * _unit_phase(th))
-            backward.append(-1j * params.g_b * _unit_phase(-th))
-            up.append(0.0)
-            down.append(0.0)
-    return forward, backward, up, down
-
-
-def _fold_links(params: TopologyParams, family: str) -> ChainLinkCoeffs:
-    """Fold each link's induced decays into its end modes.
-
-    Link k's downstream end is battery k; its upstream end is mode k in
-    a chain and the charger (mode 0) in a star.
-    """
-    if params.family != family:
-        raise ValueError(f"expected {family} params, got {params.family!r}")
-    forward, backward, up, down = _link_coeffs(params)
-    decay = [params.gamma_c] + list(params.gamma_b)
-    for k in range(params.n):
-        decay[k if family == "cascaded" else 0] += 2.0 * up[k]
-        decay[k + 1] += 2.0 * down[k]
-    return ChainLinkCoeffs(tuple(forward), tuple(backward), tuple(decay))
-
-
-def cascaded_chain_coeffs(params: TopologyParams) -> ChainLinkCoeffs:
-    """Effective chain for a cascaded topology (intermediates eliminated)."""
-    return _fold_links(params, "cascaded")
-
-
-def parallel_star_coeffs(params: TopologyParams) -> ChainLinkCoeffs:
-    """Effective star for a parallel topology (arm k couples c to b_k)."""
-    return _fold_links(params, "parallel")
-
-
-def directional_chain_steady(coeffs: ChainLinkCoeffs, xi: complex) -> np.ndarray:
-    """Steady amplitudes of the effective chain, charger first.
-
-    Backward recursion ``chi_k = decay_k/2 - h_{k+1} f_{k+1} / chi_{k+1}``
-    folds everything downstream of mode k into an effective complex
-    decay; forward substitution then gives ``b_k = f_k b_{k-1} / chi_k``
-    with ``c = -i xi / chi_0``.  Exact for any linear chain.
-    """
-    n = len(coeffs.forward)
-    half = [g / 2.0 for g in coeffs.effective_decay]
-    chi = np.zeros(n + 1, dtype=complex)
-    chi[n] = half[n]
-    for k in range(n - 1, -1, -1):
-        if chi[k + 1] == 0:
-            raise NoSteadyStateError(
-                f"resonant divergence: chi_{k + 1} vanished in the chain recursion")
-        chi[k] = half[k] - coeffs.backward[k] * coeffs.forward[k] / chi[k + 1]
-    if np.any(chi == 0):
-        raise NoSteadyStateError("resonant divergence: vanishing chi coefficient")
-    amps = np.zeros(n + 1, dtype=complex)
-    amps[0] = -1j * complex(xi) / chi[0]
-    for k in range(1, n + 1):
-        amps[k] = coeffs.forward[k - 1] * amps[k - 1] / chi[k]
-    return amps
-
-
-def directional_star_steady(coeffs: ChainLinkCoeffs, xi: complex) -> np.ndarray:
-    """Steady amplitudes of the effective star, charger first.
-
-    Every arm folds independently into the charger equation:
-    ``c = -i xi / (decay_0/2 - sum_k h_k f_k / (decay_k/2))``.
-    """
-    n = len(coeffs.forward)
-    half = [g / 2.0 for g in coeffs.effective_decay]
-    if any(h == 0 for h in half[1:]):
-        raise NoSteadyStateError("resonant divergence: undamped star arm")
-    chi0 = half[0] - sum(
-        coeffs.backward[k] * coeffs.forward[k] / half[k + 1] for k in range(n))
-    if chi0 == 0:
-        raise NoSteadyStateError("resonant divergence: vanishing charger coefficient")
-    amps = np.zeros(n + 1, dtype=complex)
-    amps[0] = -1j * complex(xi) / chi0
-    for k in range(1, n + 1):
-        amps[k] = coeffs.forward[k - 1] * amps[0] / half[k]
-    return amps
+        else:
+            link = EffectiveLink(-1j * params.g_b * _unit_phase(th),
+                                 -1j * params.g_b * _unit_phase(-th), 0.0, 0.0)
+        forward.append(link.forward_amp)
+        backward.append(link.backward_amp)
+        decay[upstream[k]] += 2.0 * link.induced_decay_upstream
+        decay[k + 1] += 2.0 * link.induced_decay_downstream
+    return forward, backward, upstream, decay
 
 
 def effective_steady_amplitudes(params: TopologyParams) -> np.ndarray:
-    """Charger and battery steady amplitudes from the effective model."""
-    if params.family == "cascaded":
-        return directional_chain_steady(cascaded_chain_coeffs(params), params.xi)
-    return directional_star_steady(parallel_star_coeffs(params), params.xi)
+    """Charger and battery steady amplitudes from the effective model.
+
+    One continued fraction over the upstream map, for chains and stars
+    alike.  From the last mode back to the charger,
+    ``chi_m = decay_m/2 - sum_j h_j f_j / chi_{j+1}`` over the links j
+    hanging from mode m folds everything downstream of m into an
+    effective complex decay; then ``c = -i xi / chi_0`` and each link
+    gives ``b_{j+1} = f_j a_{up(j)} / chi_{j+1}``.  Exact for any tree
+    whose links hang from an earlier mode; a vanishing ``chi`` is a
+    resonant divergence and raises ``NoSteadyStateError``.
+    """
+    forward, backward, upstream, decay = _links(params)
+    n = params.n
+    hanging = [[] for _ in range(n + 1)]
+    for j, m in enumerate(upstream):
+        hanging[m].append(j)
+    chi = np.zeros(n + 1, dtype=complex)
+    for m in range(n, -1, -1):
+        chi[m] = decay[m] / 2.0 - sum(
+            backward[j] * forward[j] / chi[j + 1] for j in hanging[m])
+        if chi[m] == 0:
+            raise NoSteadyStateError(
+                f"resonant divergence: chi_{m} vanished in the continued fraction")
+    amps = np.zeros(n + 1, dtype=complex)
+    amps[0] = -1j * params.xi / chi[0]
+    for j, m in enumerate(upstream):
+        amps[j + 1] = forward[j] * amps[m] / chi[j + 1]
+    return amps
 
 
 def effective_steady_energy(params: TopologyParams, battery: int | None = None) -> float:

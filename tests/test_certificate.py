@@ -22,7 +22,7 @@ from qbnet.dynamics import CONDITION_LIMIT, STABILITY_FLOOR
 from qbnet.network import FAMILIES, VARIANTS
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import given, settings, strategies as st  # noqa: E402
 
 EPS = np.finfo(float).eps
 #: the dense oracle is backward stable: its eigenvalues and singular
@@ -38,18 +38,20 @@ def system(params):
 
 
 @st.composite
-def networks(draw):
+def networks(draw, families=FAMILIES, variants=VARIANTS,
+             sizes=st.integers(1, 50), near_floor=True):
     """g_b/gamma in [1e-6, 1e3], n <= 50, per-mode decays within a
     decade of gamma, in half the networks one charger or battery decay
-    near ``STABILITY_FLOOR``, custom or random r1 phases."""
-    family = draw(st.sampled_from(FAMILIES))
-    variant = draw(st.sampled_from(VARIANTS))
-    n = draw(st.integers(1, 50))
+    near ``STABILITY_FLOOR`` (unless ``near_floor`` is false), custom or
+    random r1 phases."""
+    family = draw(st.sampled_from(families))
+    variant = draw(st.sampled_from(variants))
+    n = draw(sizes)
     gamma = 10.0 ** draw(st.floats(-3.0, 1.0))
     ratio = 10.0 ** draw(st.floats(-6.0, 3.0))
     rate = st.floats(-1.0, 1.0).map(lambda u: gamma * 10.0 ** u)
     decays = draw(st.lists(rate, min_size=n + 1, max_size=n + 1))
-    if draw(st.booleans()):
+    if near_floor and draw(st.booleans()):
         decays[draw(st.integers(0, n))] = draw(st.floats(1e-14, 1e-12))
     thetas = None
     if variant == "custom" or (variant == "r1" and draw(st.booleans())):
@@ -90,11 +92,9 @@ def test_certificate_is_sound_on_general_matrices(n, log_scale, seed):
         LinearSystem(matrix, np.zeros(n, dtype=complex), {}))
 
 
-@given(networks(), st.data())
-def test_dense_agrees_with_closed_route(params, data):
+def assert_routes_agree(params, k):
     # amplitudes are compared normwise: the dense solve's error is
     # about eps * cond * ||alpha||, spread over every mode
-    k = data.draw(st.integers(1, params.n))
     try:
         dense = steady_energy(params, f"b_{k}")
     except (NoSteadyStateError, UnstableSystemError):
@@ -104,6 +104,25 @@ def test_dense_agrees_with_closed_route(params, data):
     tol = (1e-10 * math.sqrt(closed)
            + EPS * ss.condition * np.linalg.norm(ss.amplitudes))
     assert abs(math.sqrt(dense) - math.sqrt(closed)) <= tol
+
+
+@given(networks(), st.data())
+def test_dense_agrees_with_closed_route(params, data):
+    assert_routes_agree(params, data.draw(st.integers(1, params.n)))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=3)
+@given(data=st.data())
+def test_long_networks_dense_agrees_with_closed_route(family, variant, data):
+    # 200 down to 51 batteries (200 is the first draw), positive decays
+    # only: the certificate admits them, so a dense solve costs
+    # milliseconds, not the dense eigvals fallback's most of a second
+    sizes = st.integers(0, 149).map(lambda k: 200 - k)
+    params = data.draw(networks((family,), (variant,), sizes,
+                                near_floor=False))
+    assert_routes_agree(params, data.draw(st.integers(1, params.n)))
 
 
 #: positive-decay networks: the fig4 regime, heterogeneous decays with

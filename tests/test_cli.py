@@ -208,6 +208,14 @@ class TestOtherCommands:
         assert lines[0] == "theta_1,theta_2,E_over_omega"
         assert len(lines) == 1 + 21 * 21
 
+    def test_landscape_size_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(qbnet.nonreciprocity, "MAX_LANDSCAPE_POINTS", 1000)
+        code, out, err = run(capsys, "landscape", "--family", "cascaded",
+                             "--variant", "custom", "--n", "2", "--gb", "0.01",
+                             "--gamma", "0.1", "--theta", "0,0", "--points", "41")
+        assert code == 2
+        assert out == "" and "landscape limit" in err
+
     def test_figure(self, tmp_path, capsys):
         code, out, _ = run(capsys, "figure", "fig2f", "--out", str(tmp_path),
                            "--deterministic")

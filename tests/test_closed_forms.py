@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from qbnet import (NoSteadyStateError, TopologyParams, cascaded_chain_coeffs,
-                   cascaded_nr_energy, directional_chain_steady,
-                   directional_star_steady, effective_link,
-                   effective_steady_amplitudes, effective_steady_energy,
-                   g_opt_odd, gain_approx, gain_bounds, logfit_ratio,
-                   parallel_nr_energy, parallel_r1_energy,
-                   parallel_star_coeffs)
+from qbnet import (NoSteadyStateError, TopologyParams, cascaded_nr_energy,
+                   effective_link, effective_steady_amplitudes,
+                   effective_steady_energy, g_opt_odd, gain_approx,
+                   gain_bounds, logfit_ratio, parallel_nr_energy,
+                   parallel_r1_energy)
 from qbnet.closed_forms import _r1_stationary_poly
 
 from oracles import scan_refine_max
@@ -66,35 +64,35 @@ class TestEffectiveLink:
 class TestDirectionalChain:
     def test_r1_n2_value(self):
         # dense 3x3 oracle gives (20/27)^2
-        amps = directional_chain_steady(
-            cascaded_chain_coeffs(chain_params("r1", 2, 0.01)), 1.0)
+        amps = effective_steady_amplitudes(chain_params("r1", 2, 0.01))
         assert abs(amps[2]) ** 2 == pytest.approx(400.0 / 729.0, rel=1e-12)
 
     def test_nr_matches_closed_form(self):
-        amps = directional_chain_steady(
-            cascaded_chain_coeffs(chain_params("nr", 3, 0.01)), 1.0)
+        amps = effective_steady_amplitudes(chain_params("nr", 3, 0.01))
         assert abs(amps[3]) ** 2 == pytest.approx(
             cascaded_nr_energy(3, 0.01, 0.1, 1.0), rel=1e-12)
 
     def test_decoupled_limit(self):
-        amps = directional_chain_steady(
-            cascaded_chain_coeffs(chain_params("r1", 3, 0.0)), 1.0)
+        amps = effective_steady_amplitudes(chain_params("r1", 3, 0.0))
         assert amps[0] == pytest.approx(-20j, rel=1e-12)
         assert np.abs(amps[1:]).max() == 0.0
 
     def test_resonant_divergence(self):
-        p = chain_params("r1", 1, 0.0, gamma=0.1)
-        coeffs = cascaded_chain_coeffs(p)
-        dead = type(coeffs)(coeffs.forward, coeffs.backward, (0.1, 0.0))
-        with pytest.raises(NoSteadyStateError):
-            directional_chain_steady(dead, 1.0)
+        # an undamped, uncoupled battery at the end of a chain, and an
+        # undamped arm of a star: the fold meets a vanishing chi
+        chain = TopologyParams("cascaded", "r1", 1, 0.0, 0.1, 0.0, 0.1, 1.0)
+        star = TopologyParams("parallel", "r1", 2, 0.01, 0.1, (0.1, 0.0),
+                              0.1, 1.0)
+        for p in (chain, star):
+            with pytest.raises(NoSteadyStateError):
+                effective_steady_amplitudes(p)
 
 
 class TestStar:
     def test_star_matches_closed_forms(self):
         p = TopologyParams("parallel", "nr", 3, 0.01, 0.1, (0.05, 0.1, 0.2),
                            0.1, 1.0)
-        amps = directional_star_steady(parallel_star_coeffs(p), 1.0)
+        amps = effective_steady_amplitudes(p)
         for k, gb_k in enumerate((0.05, 0.1, 0.2), start=1):
             expected = parallel_nr_energy(3, 0.01, 0.1, gb_k, 1.0)
             assert abs(amps[k]) ** 2 == pytest.approx(expected, rel=1e-12)
@@ -102,7 +100,7 @@ class TestStar:
     def test_star_r1_matches_closed_form(self):
         gamma_b = (0.05, 0.1)
         p = TopologyParams("parallel", "r1", 2, 0.01, 0.1, gamma_b, 0.1, 1.0)
-        amps = directional_star_steady(parallel_star_coeffs(p), 1.0)
+        amps = effective_steady_amplitudes(p)
         for k in (1, 2):
             expected = parallel_r1_energy(2, 0.01, 0.1, gamma_b, 1.0, k)
             assert abs(amps[k]) ** 2 == pytest.approx(expected, rel=1e-12)
@@ -258,33 +256,31 @@ class TestDirectChainStructure:
     @pytest.mark.parametrize("g", [0.001, 0.01, 0.13, 0.9])
     def test_n1_denominator(self, g):
         gamma, xi = 0.1, 1.0
-        amps = directional_chain_steady(
-            cascaded_chain_coeffs(chain_params("r1", 1, g, gamma)), xi)
+        amps = effective_steady_amplitudes(chain_params("r1", 1, g, gamma, xi=xi))
         expected = (4 * g * xi / (4 * g * g + gamma * gamma)) ** 2
         assert abs(amps[1]) ** 2 == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("g", [0.001, 0.01, 0.13, 0.9])
     def test_n2_denominator(self, g):
         gamma, xi = 0.1, 1.0
-        amps = directional_chain_steady(
-            cascaded_chain_coeffs(chain_params("r1", 2, g, gamma)), xi)
+        amps = effective_steady_amplitudes(chain_params("r1", 2, g, gamma, xi=xi))
         expected = (8 * g * g * xi / (gamma * (8 * g * g + gamma * gamma))) ** 2
         assert abs(amps[2]) ** 2 == pytest.approx(expected, rel=1e-12)
 
 
 def test_matched_coeffs_independent_of_intermediate_decay():
-    # matching makes every coefficient a function of g_b alone (up to the
-    # rounding of sqrt(g Gamma / 2) recombined as 2 g1 g2 / Gamma)
-    for variant in ("r2", "nr"):
-        reference = cascaded_chain_coeffs(chain_params(variant, 3, 0.02,
-                                                       Gamma=0.1))
-        for Gamma in (0.5, 1.0, 10.0):
-            other = cascaded_chain_coeffs(chain_params(variant, 3, 0.02,
-                                                       Gamma=Gamma))
-            assert np.allclose(other.forward, reference.forward, rtol=1e-12)
-            assert np.allclose(other.backward, reference.backward, rtol=1e-12)
-            assert np.allclose(other.effective_decay,
-                               reference.effective_decay, rtol=1e-12)
+    # matching makes every link coefficient, and so every steady
+    # amplitude, a function of g_b alone (up to the rounding of
+    # sqrt(g Gamma / 2) recombined as 2 g1 g2 / Gamma)
+    for family in ("cascaded", "parallel"):
+        for variant in ("r2", "nr"):
+            def amps(Gamma):
+                return effective_steady_amplitudes(TopologyParams(
+                    family, variant, 3, 0.02, 0.1, 0.1, Gamma, 1.0))
+
+            reference = amps(0.1)
+            for Gamma in (0.5, 1.0, 10.0):
+                assert np.allclose(amps(Gamma), reference, rtol=1e-12, atol=0.0)
 
 
 def test_effective_route_full_api():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from qbnet import (TopologyParams, UnstableSystemError,
-                   drive_relocation_energies, isolation, phase_landscape,
-                   steady_energy, triangle_network, validate, window_check)
+                   drive_relocation_energies, isolation, nonreciprocity,
+                   phase_landscape, steady_energy, triangle_network, validate,
+                   window_check)
 
 
 class TestIsolation:
@@ -115,6 +116,15 @@ class TestPhaseLandscape:
             phase_landscape(params, grid_points=11)
         with pytest.raises(ValueError):
             phase_landscape(params.with_variant("nr"))
+
+    def test_grid_size_limit(self, monkeypatch):
+        # 41^2 = 1,681 points against a limit lowered to 1,000; the real
+        # limit refuses n = 4 at 41 points, which would need gigabytes
+        monkeypatch.setattr(nonreciprocity, "MAX_LANDSCAPE_POINTS", 1000)
+        params = TopologyParams("cascaded", "custom", 2, 0.01, 0.1, 0.1, 0.1,
+                                1.0, thetas=(0.0, 0.0))
+        with pytest.raises(ValueError, match="landscape limit"):
+            phase_landscape(params, grid_points=41)
 
     def test_energy_monotone_in_forward_transmission(self):
         # single-link chain: steady battery energy sorts exactly like the

@@ -186,6 +186,32 @@ def test_rate_scaling_law(s):
         assert p2 == pytest.approx(s * p1, rel=1e-11), p
 
 
+def battery_energies(p):
+    """Every battery's steady energy by the dense and the closed route."""
+    return ([steady_energy(p, f"b_{k}") for k in range(1, p.n + 1)],
+            [effective_steady_energy(p, k) for k in range(1, p.n + 1)])
+
+
+def test_drive_scaling_law():
+    # E is quadratic in the drive, and doubling is exact in binary, so
+    # both routes give exactly four times the energy
+    for p in scaling_networks():
+        doubled = dataclasses.replace(p, xi=2.0 * p.xi)
+        for route, (base, scaled) in enumerate(
+                zip(battery_energies(p), battery_energies(doubled))):
+            assert scaled == [4.0 * e for e in base], (route, p)
+
+
+@pytest.mark.parametrize("theta, variant", [(-math.pi / 2, "nr"), (0.0, "r2")],
+                         ids=["nr", "r2"])
+def test_custom_phases_reproduce_variant(theta, variant):
+    # nr and r2 are custom triangles with every phase at -pi/2 and 0
+    for p in scaling_networks():
+        builtin = p.with_variant(variant)
+        custom = dataclasses.replace(p, variant="custom", thetas=(theta,) * p.n)
+        assert battery_energies(custom) == battery_energies(builtin), p
+
+
 class TestParityOfMaxima:
     # confirmed by a dense scan of the numeric solver before freezing:
     # odd chains have an interior optimum in g_b, even chains saturate
