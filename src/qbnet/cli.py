@@ -20,7 +20,7 @@ import numpy as np
 from .config import (FORMATS, load_json, network_from_dict, parse_run_config,
                      topology_from_dict, topology_to_dict)
 from .errors import (ConfigError, NoSteadyStateError, QbnetError,
-                     ScanEdgeError, UnstableSystemError, ValidationError)
+                     ScanEdgeError, UnstableSystemError)
 from .export import (SweepTable, table_to_csv_text, table_to_json_text,
                      write_table)
 from .figures import FIGURE_IDS, run_figure
@@ -141,15 +141,18 @@ def _emit(table: SweepTable, args) -> None:
         sys.stdout.write(table_to_csv_text(table, deterministic=True))
 
 
-def _time_grid(args) -> np.ndarray:
+def _time_grid(args, positive: bool = False) -> np.ndarray:
+    """The ``--t-*`` grid; a log grid, or one that must be ``positive``,
+    starts at ``t_max / points`` unless ``--t-min`` is above zero."""
     if args.t_max <= 0:
         raise ConfigError(f"--t-max must be > 0, got {args.t_max}")
     if args.points < 2:
         raise ConfigError(f"--points must be >= 2, got {args.points}")
-    if args.log_times:
-        t_min = args.t_min if args.t_min > 0 else args.t_max / args.points
-        return np.geomspace(t_min, args.t_max, args.points)
-    return np.linspace(args.t_min, args.t_max, args.points)
+    t_min = args.t_min
+    if t_min <= 0 and (positive or args.log_times):
+        t_min = args.t_max / args.points
+    spacing = np.geomspace if args.log_times else np.linspace
+    return spacing(t_min, args.t_max, args.points)
 
 
 # --- subcommand handlers ---------------------------------------------------
@@ -193,9 +196,7 @@ def _cmd_evolve(args) -> int:
 
 def _cmd_power(args) -> int:
     params = _topology_from_args(args)
-    if args.t_min <= 0:
-        args.t_min = args.t_max / args.points
-    times = _time_grid(args)
+    times = _time_grid(args, positive=True)
     target = args.target or f"b_{params.n}"
     curve = power_curve(params, target, times)
     t_star, p_max = max_power(params, target)
@@ -301,25 +302,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", help="mode id (default: terminal battery)")
     p.set_defaults(handler=_cmd_steady)
 
-    p = sub.add_parser("evolve", help="stored energy vs time from vacuum")
-    _add_topology_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--target")
-    p.add_argument("--t-max", type=float, default=2000.0)
-    p.add_argument("--t-min", type=float, default=0.0)
-    p.add_argument("--points", type=int, default=2001)
-    p.add_argument("--log-times", action="store_true")
-    p.set_defaults(handler=_cmd_evolve)
-
-    p = sub.add_parser("power", help="charging power curve and its maximum")
-    _add_topology_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--target")
-    p.add_argument("--t-max", type=float, default=2000.0)
-    p.add_argument("--t-min", type=float, default=0.0)
-    p.add_argument("--points", type=int, default=1001)
-    p.add_argument("--log-times", action="store_true")
-    p.set_defaults(handler=_cmd_power)
+    for name, text, handler, points in (
+            ("evolve", "stored energy vs time from vacuum", _cmd_evolve, 2001),
+            ("power", "charging power curve and its maximum", _cmd_power, 1001)):
+        p = sub.add_parser(name, help=text)
+        _add_topology_flags(p)
+        _add_common_flags(p)
+        p.add_argument("--target")
+        p.add_argument("--t-max", type=float, default=2000.0)
+        p.add_argument("--t-min", type=float, default=0.0)
+        p.add_argument("--points", type=int, default=points)
+        p.add_argument("--log-times", action="store_true")
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("gains", help="r1/r2/nr energies and gain ratios")
     _add_topology_flags(p)
@@ -360,19 +354,11 @@ def cli_main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.handler(args)
-    except (ConfigError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (NoSteadyStateError, UnstableSystemError, ScanEdgeError) as exc:
+    except (NoSteadyStateError, UnstableSystemError, ScanEdgeError,
+            np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except np.linalg.LinAlgError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except QbnetError as exc:
+    except (QbnetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -337,13 +337,14 @@ def steady_state(sys: LinearSystem) -> SteadyState:
 
 
 def is_stable(sys: LinearSystem):
-    """Return ``(hurwitz, spectral_abscissa)`` for the dynamics matrix.
+    """Return ``(decaying, spectral_abscissa)`` for the dynamics matrix.
 
-    This is the dense reference (all eigenvalues, O(n^3), once per
-    system); ``steady_state`` consults ``LinearSystem.certificate``
-    first and falls back to it.
+    ``decaying`` is the decay rule of ``steady_state``: an abscissa at
+    most ``STABILITY_FLOOR``.  This is the dense reference (all
+    eigenvalues, O(n^3), once per system); ``steady_state`` consults
+    ``LinearSystem.certificate`` first and falls back to it.
     """
-    return sys.abscissa < 0.0, sys.abscissa
+    return sys.abscissa <= STABILITY_FLOOR, sys.abscissa
 
 
 def _check_times(times: np.ndarray):
@@ -358,12 +359,12 @@ def _check_times(times: np.ndarray):
 
 
 def _runs(times: np.ndarray):
-    """Split a grid into runs of equal steps: ``(start, stop, step)``.
+    """Split a grid into runs of equal steps: ``(start, stop)``.
 
     Point ``i`` of a run ``[start, stop)`` is reached from the point
     before the run (the origin for ``start = 0``) by ``i - start + 1``
-    steps; every such position lies within ``STEP_RTOL`` relative of
-    the requested grid time.
+    steps of ``times[start] - times[start - 1]``; every such position
+    lies within ``STEP_RTOL`` relative of the requested grid time.
     """
     steps = times.copy()
     steps[1:] -= times[:-1]
@@ -377,15 +378,15 @@ def _runs(times: np.ndarray):
             off = np.flatnonzero(np.abs(reached - times[start:stop])
                                  > tol[start:stop])
             end = start + max(int(off[0]), 1) if off.size else stop
-            yield start, end, steps[start]
+            yield start, end
             start = end
         if start < stop:
-            yield start, stop, steps[start]
+            yield start, stop
 
 
 def _step(e_h: np.ndarray, x: np.ndarray, rows: np.ndarray) -> None:
-    """Fill ``rows[..., m, :] = E_h^(m+1) x``, for one ``E_h`` or a
-    stack of them (``x`` and ``rows`` then carry the same leading axis).
+    """Fill ``rows[..., m, :] = E_h^(m+1) x`` for a stack of ``E_h``
+    (``x`` and ``rows`` carry the same leading axis).
 
     The first ``STEP_BLOCK`` rows are single steps; every later block
     is the block before it times ``E_h^STEP_BLOCK``, one matrix product
@@ -403,35 +404,48 @@ def _step(e_h: np.ndarray, x: np.ndarray, rows: np.ndarray) -> None:
                 rows[..., m - block:m, :] @ jump)[..., :count - m, :]
 
 
-def _propagate_expm(matrix: np.ndarray, x0: np.ndarray, times) -> np.ndarray:
-    """Exact propagation ``x(t) = e^{K t} x0`` for the square ``K = matrix``.
+def _propagate_expm(matrices: np.ndarray, x0: np.ndarray, times: np.ndarray,
+                    runs, rows=slice(None)) -> np.ndarray:
+    """``x(t) = e^{K t} x0`` of each slice of a stack, the one place qbnet
+    exponentiates: (P, n, n) ``matrices``, (P, n) ``x0`` and (P, T)
+    ``times`` give the entries ``rows`` of x as (P, T, len(rows)).
 
-    ``x`` is stepped, ``x <- E_h x`` with ``E_h = expm(K h)``, along
-    each run of equal steps ``h``: a uniform grid costs one ``expm``
-    however long it is.  A point whose step differs from both
-    neighbours' (every point of a log grid) is ``expm(K t) x0`` straight
-    from ``t = 0``; such points are exponentiated together, one stacked
-    ``expm`` call per ``_EXPM_STACK_ENTRIES`` matrix entries.  For
-    ``K = M``, ``M + M^dagger`` is negative semidefinite, so ``E_h`` is
-    a 2-norm contraction and stepping does not amplify rounding.
-    scipy's expm is a scaling-and-squaring Pade method with controlled
-    backward error; no diagonalisability of K is assumed.
+    ``runs`` are the ``(start, stop)`` runs of equal steps that every
+    slice's grid shares (``_runs``).  Along a longer run x is stepped,
+    ``x <- expm(K h) x``, ``h`` being the run's first time minus the one
+    before it (the origin for ``start = 0``): one ``expm`` per run.  A
+    one-point run at ``t != 0`` (every point of a log grid) is
+    ``expm(K t) x0``; such points of all slices are exponentiated
+    together, one ``expm`` call per ``_EXPM_STACK_ENTRIES`` entries.
+    For ``K = M``, ``M + M^dagger`` is negative semidefinite, so a step
+    is a 2-norm contraction and does not amplify rounding; scipy's expm
+    (scaling and squaring, Pade) assumes no diagonalisability of K.
     """
-    out = np.empty((times.size, x0.size), dtype=complex)
-    runs = list(_runs(times))
-    alone = np.array([start for start, stop, _ in runs
-                      if stop - start == 1 and times[start] != 0.0], dtype=np.intp)
-    chunk = max(1, _EXPM_STACK_ENTRIES // matrix.size)
-    for at in range(0, alone.size, chunk):
-        points = alone[at:at + chunk]
-        out[points] = expm(matrix * times[points, None, None]) @ x0
+    points, n = x0.shape
+    out = np.empty(times.shape + x0[0, rows].shape, dtype=complex)
+    alone = [start for start, stop in runs
+             if stop - start == 1 and times[:, start].any()]
+    chunk = max(1, _EXPM_STACK_ENTRIES // matrices.size)
+    states = {}
+    for at in range(0, len(alone), chunk):
+        picked = alone[at:at + chunk]
+        exps = expm((matrices[:, None] * times[:, picked, None, None])
+                    .reshape(-1, n, n)).reshape(points, len(picked), n, n)
+        x = (exps @ x0[:, None, :, None])[..., 0]
+        out[:, picked] = x[..., rows]
+        states.update(zip(picked, x.swapaxes(0, 1)))
     x = x0
-    for start, stop, step in runs:
+    for start, stop in runs:
         if stop - start > 1:
-            _step(expm(matrix * step), x, out[start:stop])
-        elif times[start] == 0.0:
-            out[start] = x0
-        x = out[stop - 1]
+            step = times[:, start] - (times[:, start - 1] if start else 0.0)
+            full = np.empty((points, stop - start, n), dtype=complex)
+            _step(expm(matrices * step[:, None, None]), x, full)
+            out[:, start:stop] = full[..., rows]
+            x = full[:, -1]
+        elif start in states:
+            x = states[start]
+        else:
+            out[:, start] = x0[:, rows]
     return out
 
 
@@ -456,6 +470,7 @@ def evolve(sys: LinearSystem, initial, times) -> Trajectory:
     if not np.all(np.isfinite(initial.view(float))):
         raise ValueError("initial amplitudes must be finite")
 
+    runs = list(_runs(times))
     try:
         alpha_ss = steady_state(sys).amplitudes
     except (UnstableSystemError, NoSteadyStateError):
@@ -463,9 +478,11 @@ def evolve(sys: LinearSystem, initial, times) -> Trajectory:
         augmented = np.zeros((n + 1, n + 1), dtype=complex)
         augmented[:n, :n] = sys.matrix
         augmented[:n, n] = sys.drive
-        amps = _propagate_expm(augmented, np.append(initial, 1.0), times)
-        return Trajectory(times, amps[:, :n], dict(sys.index), "augmented")
-    amps = _propagate_expm(sys.matrix, initial - alpha_ss, times)
+        amps = _propagate_expm(augmented[None], np.append(initial, 1.0)[None],
+                               times[None], runs, slice(n))[0]
+        return Trajectory(times, amps, dict(sys.index), "augmented")
+    amps = _propagate_expm(sys.matrix[None], (initial - alpha_ss)[None],
+                           times[None], runs)[0]
     amps += alpha_ss
     if times[0] == 0.0:
         amps[0] = initial

@@ -17,8 +17,8 @@ from .closed_forms import g_opt_odd, logfit_ratio
 from .export import SweepTable, write_table
 from .network import TopologyParams
 from .nonreciprocity import phase_landscape
-from .observables import (GAIN_VARIANTS, _gain_points, _gains_row, _value,
-                          energy_curve, power_curve)
+from .observables import (GAIN_VARIANTS, _gain_points, _gains_row, _ratios,
+                          _value, energy_curve, power_curve)
 
 #: fig2/fig3 regime
 GAMMA_WEAK = 0.1
@@ -35,6 +35,11 @@ POWER_SWEEP = np.geomspace(0.001, 0.1, 21)
 DYNAMICS_TIMES = np.linspace(0.0, 2000.0, 2001)
 #: time grid of the power-curve panels
 POWER_TIMES = np.geomspace(1.0, 2e5, 1001)
+#: ``_curve_panel`` arguments after the family: fig3d, then fig4a/fig4b
+_DYNAMICS_CURVE = (GAMMA_WEAK / 100, GAMMA_WEAK, GAMMA_WEAK, DYNAMICS_TIMES,
+                   "linear 2001 points on [0, 2000]", False)
+_POWER_CURVE = (GAMMA_POWER / 10, GAMMA_POWER, GAMMA_INTERMEDIATE_POWER,
+                POWER_TIMES, "log 1001 points on [1, 2e5]", True)
 LANDSCAPE_POINTS = 41
 
 
@@ -75,7 +80,7 @@ def _steady_panel(name, family, n, columns, part):
     base = _params(family, "nr", n, GAMMA_WEAK, GAMMA_WEAK, GAMMA_WEAK)
     g_b = ENERGY_SWEEP * GAMMA_WEAK
     solved = _gain_points(base, g_b=g_b)
-    rows = [[x] + _gains_row(base, None, lambda v, i=i: solved[v][i])[part]
+    rows = [[x] + _gains_row(base, None, lambda v, i=i: solved[v][i], [])[part]
             for i, x in enumerate(ENERGY_SWEEP)]
     md = _base_metadata(family, n, GAMMA_WEAK, GAMMA_WEAK,
                         {"sweep": "gb_over_gamma linear 301 points on [0.001, 0.3]",
@@ -102,37 +107,20 @@ def _fig2f():
     return SweepTable("fig2f", ("N", "gb_opt", "ratio_Emax"), rows, md)
 
 
-def _fig3d():
-    rows_by_variant = {}
-    for variant in ("nr", "r1", "r2"):
-        params = _params("parallel", variant, 4, GAMMA_WEAK / 100, GAMMA_WEAK,
-                         GAMMA_WEAK)
-        curve = energy_curve(params, target="b_4", times=DYNAMICS_TIMES)
-        rows_by_variant[variant] = curve.energy
-    rows = [[t, rows_by_variant["nr"][i], rows_by_variant["r1"][i],
-             rows_by_variant["r2"][i]] for i, t in enumerate(DYNAMICS_TIMES)]
-    md = _base_metadata("parallel", 4, GAMMA_WEAK, GAMMA_WEAK,
-                        {"g_b": repr(GAMMA_WEAK / 100), "target": "b_4",
-                         "times": "linear 2001 points on [0, 2000]",
+def _curve_panel(name, family, g_b, gamma, Gamma, times, times_label, power):
+    """E(t) of ``b_4``, or P(t) when ``power``, from vacuum, one column
+    per gain variant of the n = 4 ``family`` network."""
+    curves = []
+    for variant in GAIN_VARIANTS:
+        params = _params(family, variant, 4, g_b, gamma, Gamma)
+        curves.append(power_curve(params, "b_4", times).power if power
+                      else energy_curve(params, "b_4", times).energy)
+    md = _base_metadata(family, 4, gamma, Gamma,
+                        {"g_b": repr(g_b), "target": "b_4", "times": times_label,
                          "initial": "vacuum"})
-    return SweepTable("fig3d", ("t", "E_nr", "E_r1", "E_r2"), rows, md)
-
-
-def _power_curve_panel(name, family):
-    g_b = GAMMA_POWER / 10
-    curves = {}
-    for variant in ("nr", "r1", "r2"):
-        params = _params(family, variant, 4, g_b, GAMMA_POWER,
-                         GAMMA_INTERMEDIATE_POWER)
-        curves[variant] = power_curve(params, target="b_4",
-                                      times=POWER_TIMES).power
-    rows = [[t, curves["nr"][i], curves["r1"][i], curves["r2"][i]]
-            for i, t in enumerate(POWER_TIMES)]
-    md = _base_metadata(family, 4, GAMMA_POWER, GAMMA_INTERMEDIATE_POWER,
-                        {"g_b": repr(g_b), "target": "b_4",
-                         "times": "log 1001 points on [1, 2e5]",
-                         "initial": "vacuum"})
-    return SweepTable(name, ("t", "P_nr", "P_r1", "P_r2"), rows, md)
+    columns = tuple(f"{'P' if power else 'E'}_{v}" for v in GAIN_VARIANTS)
+    return SweepTable(name, ("t",) + columns,
+                      [[t, *values] for t, *values in zip(times, *curves)], md)
 
 
 def _eta_panel(name, family):
@@ -141,8 +129,9 @@ def _eta_panel(name, family):
     solved = _gain_points(base, ("b_4",), g_b=POWER_SWEEP * GAMMA_POWER)
     rows = []
     for i, x in enumerate(POWER_SWEEP):
-        p_max = {v: _value(solved[v][i][1][0])[1] for v in GAIN_VARIANTS}
-        rows.append([x, p_max["nr"] / p_max["r1"], p_max["nr"] / p_max["r2"]])
+        p_max = {v: (_value(solved[v][i][1][0])[1],) for v in GAIN_VARIANTS}
+        (eta1,), (eta2,) = _ratios(p_max, "eta", ("b_4",), [])
+        rows.append([x, eta1, eta2])
     md = _base_metadata(family, 4, GAMMA_POWER, GAMMA_INTERMEDIATE_POWER,
                         {"sweep": "gb_over_gamma log 21 points on [0.001, 0.1]",
                          "target": "b_4"})
@@ -159,9 +148,9 @@ _BUILDERS = {
     "fig3a": lambda: _landscape_panel("fig3a", "parallel"),
     "fig3b": lambda: _energy_panel("fig3b", "parallel", 2),
     "fig3c": lambda: _gain_panel("fig3c", "parallel", 2),
-    "fig3d": _fig3d,
-    "fig4a": lambda: _power_curve_panel("fig4a", "cascaded"),
-    "fig4b": lambda: _power_curve_panel("fig4b", "parallel"),
+    "fig3d": lambda: _curve_panel("fig3d", "parallel", *_DYNAMICS_CURVE),
+    "fig4a": lambda: _curve_panel("fig4a", "cascaded", *_POWER_CURVE),
+    "fig4b": lambda: _curve_panel("fig4b", "parallel", *_POWER_CURVE),
     "fig4c": lambda: _eta_panel("fig4c", "cascaded"),
     "fig4d": lambda: _eta_panel("fig4d", "parallel"),
 }

@@ -15,10 +15,9 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
-from .dynamics import (LinearSystem, _row, _step, assemble_points, evolve,
-                       steady_states, vacuum)
+from .dynamics import (LinearSystem, _propagate_expm, _row, assemble_points,
+                       evolve, steady_states, vacuum)
 from .errors import ScanEdgeError
 from .network import TopologyParams
 
@@ -201,30 +200,10 @@ def _octave_grid(t_lo: np.ndarray, span: float) -> np.ndarray:
     return grid
 
 
-def _scan(matrices, offsets, alpha_rows, rows, grid) -> np.ndarray:
-    """``P(t)`` of every target of every slice on its octave grid, as
-    (P, targets, T): the offsets ``alpha0 - alpha_ss`` are stepped one
-    octave at a time, one batched ``expm`` per octave, and only the
-    target rows of each octave are kept."""
-    steps = POWER_STEPS_PER_OCTAVE
-    power = np.empty(alpha_rows.shape + grid.shape[-1:])
-    x = (expm(matrices * grid[:, :1, None]) @ offsets[..., None])[..., 0]
-    power[..., 0] = np.abs(x[:, rows] + alpha_rows) ** 2 / grid[:, :1]
-    octave = np.empty((len(matrices), steps, offsets.shape[-1]), dtype=complex)
-    for start in range(1, grid.shape[-1], steps):
-        step = grid[:, start] - grid[:, start - 1]
-        _step(expm(matrices * step[:, None, None]), x, octave)
-        times = grid[:, None, start:start + steps]
-        power[..., start:start + steps] = np.abs(
-            octave[:, :, rows].swapaxes(1, 2) + alpha_rows[..., None]) ** 2 / times
-        x = octave[:, -1].copy()
-    return power
-
-
 def _newton(matrices, offsets, alpha, rows, t, lo, hi) -> tuple:
     """``(t, P(t))`` per pair at the root of ``dP/dt = N(t) / t^2`` in
     ``[lo, hi]``, starting from ``t``; all pairs in lockstep, one
-    batched ``expm`` per step.
+    stacked ``_propagate_expm`` per step.
 
     ``N(t) = 2t Re(conj(a) a') - |a|^2`` of the target amplitude ``a``,
     with ``a' = (M x)_row``, ``a'' = (M a')_row`` and
@@ -242,7 +221,8 @@ def _newton(matrices, offsets, alpha, rows, t, lo, hi) -> tuple:
     active = np.arange(t.size)
     for _ in range(_NEWTON_STEPS):
         m, at = matrices[active], t[active]
-        x = expm(m * at[:, None, None]) @ offsets[active, :, None]
+        x = _propagate_expm(m, offsets[active], at[:, None],
+                            [(0, 1)]).swapaxes(1, 2)
         slope = m @ x
         curve = m @ slope
         pick = (np.arange(active.size), rows[active], 0)
@@ -272,8 +252,10 @@ def _peak_powers(matrices, alpha_ss, abscissas, rows) -> list:
     """Per slice of a stack of decaying networks, from vacuum, the
     ``(t_star, p_max)`` of each target row, or its ``ScanEdgeError``.
 
-    The octave scan (``_scan``) reaches ``t_hi = 50 / |abscissa|`` of
-    each slice; the peak of each (slice, target) pair is refined by
+    The scan propagates the offsets ``alpha0 - alpha_ss`` over each
+    slice's octave grid to ``t_hi = 50 / |abscissa|``, one stacked
+    ``expm`` for the first point and one per octave, keeping only the
+    target rows; the peak of each (slice, target) pair is refined by
     ``_newton`` between the scan argmax's grid neighbours, and the
     better of the refined point and the scan point is kept.
     """
@@ -281,19 +263,23 @@ def _peak_powers(matrices, alpha_ss, abscissas, rows) -> list:
     grid = _octave_grid(t_hi / POWER_SCAN_SPAN, POWER_SCAN_SPAN)
     offsets = -alpha_ss
     alpha_rows = alpha_ss[:, rows]
-    power = _scan(matrices, offsets, alpha_rows, rows, grid)
+    octaves = range(1, grid.shape[1], POWER_STEPS_PER_OCTAVE)
+    x = _propagate_expm(matrices, offsets, grid, [(0, 1)] + [
+        (start, start + POWER_STEPS_PER_OCTAVE) for start in octaves], rows)
+    x += alpha_rows[:, None]
+    power = np.abs(x) ** 2 / grid[..., None]
     peaks = [[None] * len(rows) for _ in range(len(matrices))]
     pairs = []
-    for s, k in np.ndindex(power.shape[:2]):
+    for s, k in np.ndindex(len(matrices), len(rows)):
         try:
-            pairs.append((s, k, _scan_argmax(grid[s], power[s, k])))
+            pairs.append((s, k, _scan_argmax(grid[s], power[s, :, k])))
         except ScanEdgeError as exc:
             peaks[s][k] = exc
     if pairs:
         s, k, i = np.array(pairs).T
         t, p = _newton(matrices[s], offsets[s], alpha_rows[s, k], rows[k],
                        grid[s, i], grid[s, i - 1], grid[s, i + 1])
-        scan_t, scan_p = grid[s, i], power[s, k, i]
+        scan_t, scan_p = grid[s, i], power[s, i, k]
         keep = scan_p > p
         t, p = np.where(keep, scan_t, t), np.where(keep, scan_p, p)
         for s_, k_, t_, p_ in zip(s.tolist(), k.tolist(), t.tolist(), p.tolist()):
@@ -349,15 +335,16 @@ def _ratios(values: dict, name: str, targets, flags: list) -> tuple:
                  for k, v in ((1, "r1"), (2, "r2")))
 
 
-def _gains_row(params: TopologyParams, target, point) -> list:
+def _gains_row(params: TopologyParams, target, point, flags: list) -> list:
     """``[E_nr, E_r1, E_r2, G1, G2]`` at ``target`` (a report target,
     else the last one) off ``point(variant)``, the solved point of each
-    gain variant; the first refused variant raises."""
+    gain variant; the first refused variant raises.  An undefined gain
+    is NaN, its name appended to ``flags``."""
     targets = _report_targets(params)
     target = target if target in targets else targets[-1]
     energies = {v: (_energy(point(v), target),) for v in GAIN_VARIANTS}
     return [*(e for e, in energies.values()),
-            *(g for g, in _ratios(energies, "G", (target,), []))]
+            *(g for g, in _ratios(energies, "G", (target,), flags))]
 
 
 def gain_report(params_base: TopologyParams, include_power: bool = False) -> GainReport:

@@ -7,8 +7,9 @@ and the ``nr`` energy of ``gains`` read the same solve; ``max_power``
 scans and refines the whole grid as one batch, again unless ``n`` is
 swept, and its solve of the topology's own variant is the one the
 steady columns read.  Points that fail numerically (singular or
-unstable systems, a maximum outside the scanned range) are recorded in
-the table's error list and skipped; the surviving rows keep grid order.
+unstable systems, a maximum outside the scanned range, a gain ratio
+whose denominator vanished) are recorded in the table's error list and
+skipped; the surviving rows keep grid order.
 """
 
 from __future__ import annotations
@@ -68,14 +69,16 @@ def _batches(points: list, solve) -> list:
 
 
 #: observable name -> (table columns, row values at ``(params, target,
-#: point, peaks)``: ``point(variant)`` the solved point of a variant,
-#: ``peaks()`` the point's ``_power_points`` peaks at the target)
+#: point, peaks, flags)``: ``point(variant)`` the solved point of a
+#: variant, ``peaks()`` the point's ``_power_points`` peaks at the
+#: target, ``flags`` the list that names each undefined ratio)
 _OBSERVABLES = {
-    "steady_energy": (("steady_energy",), lambda params, target, point, _: [
+    "steady_energy": (("steady_energy",), lambda params, target, point, *_: [
         _energy(point(params.variant), target or f"b_{params.n}")]),
     "gains": (("E_nr", "E_r1", "E_r2", "G1", "G2"),
-              lambda params, target, point, _: _gains_row(params, target, point)),
-    "max_power": (("t_star", "p_max"), lambda params, target, point, peaks:
+              lambda params, target, point, _, flags: _gains_row(
+                  params, target, point, flags)),
+    "max_power": (("t_star", "p_max"), lambda params, target, point, peaks, _:
                   list(_value(peaks()[0]))),
 }
 
@@ -103,16 +106,20 @@ def run_sweep(cfg: RunConfig) -> SweepTable:
 
     rows, errors = [], []
     for index, (value, params) in enumerate(zip(values, points)):
-        row = [value]
+        row, flags = [value], []
         try:
             for _, row_values in chosen:
                 row.extend(row_values(params, cfg.target,
                                       lambda v: solved(v)[index],
-                                      lambda: peaks()[index][1]))
+                                      lambda: peaks()[index][1], flags))
         except (NoSteadyStateError, UnstableSystemError, ScanEdgeError) as exc:
             errors.append((index, value, str(exc)))
         else:
-            rows.append(row)
+            if flags:
+                errors.append((index, value,
+                               "undefined ratio: " + "; ".join(flags)))
+            else:
+                rows.append(row)
     metadata = {"config": json.dumps(run_config_to_dict(cfg), sort_keys=True)}
     columns = (label,) + tuple(col for cols, _ in chosen for col in cols)
     return SweepTable(f"sweep_{label}", columns, rows, metadata, errors)

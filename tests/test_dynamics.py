@@ -108,6 +108,18 @@ class TestIsStable:
         assert not stable
         assert abscissa == pytest.approx(0.0, abs=1e-15)
 
+    def test_decay_rule_of_the_gate(self):
+        # abscissa -5e-16 lies above STABILITY_FLOOR: both refuse it
+        sys = assemble(single_mode(gamma=1e-15))
+        assert is_stable(sys) == (False, -5e-16)
+        with pytest.raises(UnstableSystemError):
+            steady_state(sys)
+
+    def test_decay_rule_accepts_below_floor(self):
+        sys = assemble(single_mode(gamma=1e-13))
+        assert is_stable(sys) == (True, -5e-14)
+        assert steady_state(sys).amplitudes[0] == pytest.approx(-2e13j)
+
     @pytest.mark.parametrize("family", ["cascaded", "parallel"])
     @pytest.mark.parametrize("variant", ["r1", "r2", "nr"])
     def test_paper_topologies_hurwitz(self, family, variant):

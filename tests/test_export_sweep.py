@@ -115,6 +115,14 @@ class TestRunSweep:
         # weak-coupling gain ordering survives the sweep machinery
         assert table.rows[0][4] > table.rows[2][4]
 
+    def test_undefined_gain_goes_to_sidecar(self):
+        # at xi = 0 every energy vanishes and both gains are undefined
+        doc = config_doc(observables=["gains"])
+        doc["sweep"] = {"variable": "xi", "values": [0.0, 1.0]}
+        table = run_sweep(parse_run_config(doc))
+        assert [row[0] for row in table.rows] == [1.0]
+        assert table.errors == [(0, 0.0, "undefined ratio: G1[b_2]; G2[b_2]")]
+
     def test_theta_sweep(self):
         doc = config_doc()
         doc["topology"]["variant"] = "custom"

@@ -7,19 +7,23 @@ same maximum; where P(t) oscillates and both scans may settle on
 different near-equal peaks, only local optimality is asserted.
 """
 
+import ast
 import functools
 import json
+import pathlib
 import sys
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import qbnet
 from qbnet import (DriveSpec, ModeSpec, NetworkSpec, ScanEdgeError,
                    TopologyParams, assemble, build_network, energy_curve,
                    evolve, figure_table, is_stable, max_power,
                    parse_run_config, run_sweep, steady_state, vacuum)
 from qbnet.cli import EXIT_NUMERIC, cli_main
+from qbnet.dynamics import _propagate_expm, _runs, assemble_points
 from qbnet.figures import GAMMA_INTERMEDIATE_POWER, GAMMA_POWER, POWER_SWEEP
 
 from oracles import scan_refine_max
@@ -28,6 +32,10 @@ VARIANTS = ("nr", "r1", "r2")
 #: the repro of a maximum below the scanned range: P(t) peaks near
 #: t ~ 1/g_b = 0.01, the scan starts at 50 / |abscissa| / 1e6 ~ 0.1
 EDGE_CASE = TopologyParams("parallel", "nr", 2, 100.0, 0.001, 0.001, 1.0, 1.0)
+#: uniform runs of different steps, joined and offset from zero
+UNEVEN_TIMES = np.concatenate([np.linspace(0.5, 10.0, 20),
+                               np.linspace(10.5, 100.0, 180)[1:],
+                               [137.0], np.linspace(140.0, 400.0, 53)])
 
 
 def oracle_max_power(params, target, rel_tol=1e-8):
@@ -198,13 +206,10 @@ class TestSteppedOrbit:
         assert np.array_equal(got, want)
 
     def test_uneven_runs(self):
-        # uniform runs of different steps, joined and offset from zero
         params = TopologyParams("cascaded", "r2", 2, 0.02, 0.1, 0.1, 0.3, 1.0)
         sys_ = assemble(build_network(params))
         alpha_ss = steady_state(sys_).amplitudes
-        times = np.concatenate([np.linspace(0.5, 10.0, 20),
-                                np.linspace(10.5, 100.0, 180)[1:],
-                                [137.0], np.linspace(140.0, 400.0, 53)])
+        times = UNEVEN_TIMES
         got = evolve(sys_, vacuum(sys_), times).amplitudes
         want = np.array([alpha_ss - expm(sys_.matrix * t) @ alpha_ss
                          for t in times])
@@ -225,6 +230,45 @@ class TestSteppedOrbit:
         want[0] = 0.0
         err = np.linalg.norm(got - want, axis=1).max()
         assert err <= 1e-12 * np.linalg.norm(alpha_ss)
+
+
+class TestStackedPropagator:
+    # each slice's grid is the shared grid times a power of two, so the
+    # slices share one run structure exactly
+    GRIDS = {"log": np.geomspace(1.0, 1e3, 50),
+             "from_zero": np.linspace(0.0, 200.0, 101),
+             "uneven": UNEVEN_TIMES}
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_slices_are_single_calls(self, grid):
+        params = TopologyParams("cascaded", "nr", 3, 0.02, 0.1, 0.1, 0.3, 1.0)
+        matrices, _, _ = assemble_points(params, g_b=[0.02, 0.05, 0.003],
+                                         Gamma=[0.3, 1.0, 0.1])
+        rng = np.random.default_rng(3)
+        x0 = rng.normal(size=matrices.shape[:2] + (2,)) @ [1.0, 1j]
+        times = self.GRIDS[grid] * np.array([[1.0], [0.5], [4.0]])
+        runs = list(_runs(times[0]))
+        assert all(list(_runs(t)) == runs for t in times[1:])
+        stacked = _propagate_expm(matrices, x0, times, runs)
+        for s in range(3):
+            single = _propagate_expm(matrices[s:s + 1], x0[s:s + 1],
+                                     times[s:s + 1], runs)
+            assert np.array_equal(stacked[s], single[0])
+        rows = np.array([4, 0])
+        assert np.array_equal(_propagate_expm(matrices, x0, times, runs, rows),
+                              stacked[..., rows])
+
+
+def test_only_dynamics_binds_expm():
+    # the propagator is the one place a dynamics matrix is exponentiated
+    def binds(node):
+        return ((isinstance(node, ast.alias) and node.name == "expm")
+                or (isinstance(node, ast.Attribute) and node.attr == "expm"))
+
+    package = pathlib.Path(qbnet.__file__).parent
+    binders = sorted(path.name for path in package.glob("*.py")
+                     if any(map(binds, ast.walk(ast.parse(path.read_text())))))
+    assert binders == ["dynamics.py"]
 
 
 class TestExpmCount:
