@@ -33,11 +33,20 @@ built-in topology once from ``build_network``'s output, so
 ``assemble_points`` fills P points without a spec, by ``assemble``'s
 entry formula.
 
-``evolve`` is exact on every network: a decaying one is stepped around
-its steady state, ``alpha(t) = alpha_ss + e^{M t} (alpha0 - alpha_ss)``;
-one that ``steady_state`` refuses (marginal or singular M) is stepped
-as ``[alpha; 1]`` under the augmented matrix ``[[M, d], [0, 0]]``, whose
-exponential carries the drive integral (Van Loan, IEEE TAC 23(3), 1978).
+``evolve`` is exact on every network.  Each point is read off
+``[alpha0; 1]`` under the augmented matrix ``[[M, d], [0, 0]]``, whose
+exponential carries the drive integral (Van Loan, IEEE TAC 23(3), 1978),
+so a small early amplitude never cancels against ``alpha_ss``.  Runs of
+equal steps on a decaying network are the exception: they are stepped
+around the steady state, ``alpha_ss + e^{M h} (alpha - alpha_ss)``, a
+contraction.  The isolated points of a decaying network (every point of
+a log grid) are grouped into decade windows ``[t0, 10 t0]``.  A window
+with enough of them is one contour sum: the Bromwich integral of the
+resolvent on a hyperbola (Talbot 1979; Weideman & Trefethen 2007), 97
+batched solves shared by every point of the window.  ``evolve`` serves a
+window by the contour only when one ``eig`` of M, with a Bauer-Fike
+margin, proves every eigenvalue left of it; otherwise, and for a
+network ``steady_state`` refuses, each point is one ``expm``.
 """
 
 from __future__ import annotations
@@ -66,11 +75,45 @@ STEP_RTOL = 1e-12
 #: equal steps are applied this many points at a time, by ``E_h^B``
 STEP_BLOCK = 16
 
-#: isolated grid points are exponentiated in stacks of at most this
-#: many matrix entries (4 MiB of complex128)
+#: isolated grid points are exponentiated, and contour resolvents
+#: solved, in stacks of at most this many matrix entries (4 MiB of
+#: complex128)
 _EXPM_STACK_ENTRIES = 2 ** 18
 
 _EPS = float(np.finfo(float).eps)
+
+# The Bromwich contour of a decade window [t0, 10 t0] is the hyperbola
+# z(u) = mu (1 + sin(i u - alpha)), mu = 3 / t0, alpha = 0.8, sampled by
+# the trapezoidal rule at u_k = k h, |k| <= 48, h = 3.2 / 48: 97 nodes
+# (Weideman & Trefethen, Math. Comp. 76, 2007).  These values are
+# measured, not W&T's closed-form optimum, which was not re-derived here.
+# They balance the terms of W&T's error analysis, which at these values
+# read: the truncated tail exp(mu t0 (1 - sin(alpha) cosh(N h))) =
+# exp(-23.4) at t0; rounding grown by max |e^{z t}| = exp(mu 10 t0
+# (1 - sin alpha)) = exp(8.5) at 10 t0; and a pole at the edge of the
+# guard strip (below), exp(-2 pi 0.35 / h) = 5e-15.  Against 40-digit
+# mpmath, E(t) on 16 rows of each fig4a/fig4b curve (the rows next to
+# every window end included) is within 8e-13 relative; mu = 4 / t0
+# reaches 4e-12 there, mu = 2.5 / t0 1e-10 (the tail).
+_CONTOUR_N = 48
+_CONTOUR_ALPHA = 0.8
+_CONTOUR_H = 3.2 / _CONTOUR_N
+_CONTOUR_MU = 3.0
+#: a window spans [t0, _CONTOUR_SPAN t0]
+_CONTOUR_SPAN = 10.0
+#: eigenvalues must lie left of the hyperbola at angle alpha + this: the
+#: strip |Im u| < 0.35 of the trapezoidal rule holds no pole
+_CONTOUR_GUARD = 0.35
+#: break-even, measured on the 10 x 10 augmented fig4 matrices: one
+#: window's contour sum (97 resolvents) takes 182 us, as long as 12
+#: single-point expm calls (180 us; 8 take 131 us, 16 take 246 us), so
+#: a window with fewer points uses expm
+_CONTOUR_MIN_POINTS = 12
+
+_U = _CONTOUR_H * np.arange(-_CONTOUR_N, _CONTOUR_N + 1)
+#: nodes z_k and weights h z'(u_k) / (2 pi i) at t0 = 1 (they scale as 1/t0)
+_CONTOUR_Z = _CONTOUR_MU * (1.0 + np.sin(1j * _U - _CONTOUR_ALPHA))
+_CONTOUR_W = (_CONTOUR_H * _CONTOUR_MU / (2.0 * np.pi)) * np.cos(1j * _U - _CONTOUR_ALPHA)
 
 
 @dataclass(frozen=True)
@@ -179,8 +222,11 @@ class SteadyState:
 class Trajectory:
     """Amplitudes of every mode on a strictly increasing time grid.
 
-    ``method`` names the propagator that ran: "expm" around the steady
-    state, or "augmented" for a network without one.
+    ``method`` names the propagators that ran.  For a decaying network it
+    is "contour" when contour sums served every point away from t = 0,
+    "expm" when none did (every point an ``expm`` or an equal step), and
+    "contour+expm" for a mix; "augmented" is a network without a steady
+    state, propagated by ``expm`` alone.
     """
 
     times: np.ndarray
@@ -404,8 +450,85 @@ def _step(e_h: np.ndarray, x: np.ndarray, rows: np.ndarray) -> None:
                 rows[..., m - block:m, :] @ jump)[..., :count - m, :]
 
 
+def _left_of_contour(eigenvalues: np.ndarray, margin: float, mu: float) -> bool:
+    """Whether every disc of radius ``margin`` about ``eigenvalues`` lies
+    left of the hyperbola ``z(u) = mu (1 + sin(i u - a))``,
+    ``a = _CONTOUR_ALPHA + _CONTOUR_GUARD``: the region
+    ``x <= f(y) = mu (1 - sin(a) sqrt(1 + (y / (mu cos a))^2))`` is convex
+    and f falls with |y|, so the disc's corner ``(x + r, |y| + r)`` of its
+    bounding square decides."""
+    a = _CONTOUR_ALPHA + _CONTOUR_GUARD
+    y = (np.abs(eigenvalues.imag) + margin) / (mu * np.cos(a))
+    edge = mu * (1.0 - np.sin(a) * np.sqrt(1.0 + y * y))
+    return bool(np.all(eigenvalues.real + margin < edge))
+
+
+def _contour_windows(matrix: np.ndarray, times: np.ndarray, runs) -> list:
+    """The decade windows of ``times`` that the contour sum serves for
+    the augmented matrix of ``matrix``: lists of one-point-run indices
+    at ``t != 0``, each within ``[t0, _CONTOUR_SPAN t0]`` of its first
+    point ``t0``, holding at least ``_CONTOUR_MIN_POINTS`` points, and
+    proved to keep the spectrum left of the contour.
+
+    The proof is one ``eig`` of M.  The computed pairs are exact for
+    ``M + E`` with ``||E|| <= (n + 2) eps ||M||_F``, so by Bauer-Fike
+    every eigenvalue of M lies within ``cond(V) (n + 2) eps ||M||_F`` of
+    a computed one (infinite for a singular V: no window is proved).
+    The augmented matrix adds the eigenvalue 0, exactly, which lies left
+    of every contour since its vertex ``mu (1 - sin a)`` is positive.
+    """
+    alone = [start for start, stop in runs if stop - start == 1 and times[start]]
+    windows = []
+    while alone:
+        count = int(np.searchsorted(times[alone], _CONTOUR_SPAN * times[alone[0]],
+                                    side="right"))
+        windows.append(alone[:count])
+        alone = alone[count:]
+    windows = [w for w in windows if len(w) >= _CONTOUR_MIN_POINTS]
+    if not windows:
+        return []
+    eigenvalues, vectors = np.linalg.eig(matrix)
+    margin = (np.linalg.cond(vectors) * (matrix.shape[0] + 2) * _EPS
+              * np.linalg.norm(matrix))
+    spectrum = np.append(eigenvalues, 0.0)
+    return [w for w in windows
+            if _left_of_contour(spectrum, margin, _CONTOUR_MU / times[w[0]])]
+
+
+def _contour_sum(matrices, x0, times) -> np.ndarray:
+    """``x(t) = sum_k w_k e^{z_k t} (z_k I - K)^{-1} x0`` of each slice at
+    (P, T) ``times`` of one window, the nodes scaled to its first time:
+    (P, T, n).  The resolvents are solved in stacks of at most
+    ``_EXPM_STACK_ENTRIES`` entries, the exponential weights formed in
+    blocks of at most as many."""
+    points, n = x0.shape
+    scale = 1.0 / times[:, :1]
+    z = _CONTOUR_Z * scale
+    nodes = z.shape[1]
+    slices = np.repeat(np.arange(points), nodes)
+    resolvents = np.empty((points * nodes, n), dtype=complex)
+    chunk = max(1, _EXPM_STACK_ENTRIES // (n * n))
+    for at in range(0, points * nodes, chunk):
+        picked = slices[at:at + chunk]
+        shifted = -matrices[picked]
+        shifted.reshape(len(picked), n * n)[:, ::n + 1] += z.reshape(-1)[at:at + chunk, None]
+        resolvents[at:at + chunk] = np.linalg.solve(shifted, x0[picked][..., None])[..., 0]
+    resolvents = resolvents.reshape(points, nodes, n)
+    # z_{-k} and w_{-k} are the conjugates of z_k and w_k, so the
+    # weights of the nodes k < 0 are those of k > 0 conjugated
+    weights = (_CONTOUR_W[_CONTOUR_N:] * scale)[:, None, :]
+    z = z[:, None, _CONTOUR_N:]
+    out = np.empty(times.shape + (n,), dtype=complex)
+    block = max(1, _EXPM_STACK_ENTRIES // nodes)
+    for at in range(0, times.shape[1], block):
+        span = slice(at, at + block)
+        half = weights * np.exp(times[:, span, None] * z)
+        out[:, span] = np.concatenate((half[..., :0:-1].conj(), half), axis=-1) @ resolvents
+    return out
+
+
 def _propagate_expm(matrices: np.ndarray, x0: np.ndarray, times: np.ndarray,
-                    runs, rows=slice(None)) -> np.ndarray:
+                    runs, rows=slice(None), windows=(), steady=None) -> np.ndarray:
     """``x(t) = e^{K t} x0`` of each slice of a stack, the one place qbnet
     exponentiates: (P, n, n) ``matrices``, (P, n) ``x0`` and (P, T)
     ``times`` give the entries ``rows`` of x as (P, T, len(rows)).
@@ -415,52 +538,95 @@ def _propagate_expm(matrices: np.ndarray, x0: np.ndarray, times: np.ndarray,
     ``x <- expm(K h) x``, ``h`` being the run's first time minus the one
     before it (the origin for ``start = 0``): one ``expm`` per run.  A
     one-point run at ``t != 0`` (every point of a log grid) is
-    ``expm(K t) x0``; such points of all slices are exponentiated
-    together, one ``expm`` call per ``_EXPM_STACK_ENTRIES`` entries.
-    For ``K = M``, ``M + M^dagger`` is negative semidefinite, so a step
-    is a 2-norm contraction and does not amplify rounding; scipy's expm
+    ``e^{K t} x0``: the points of each of ``windows`` (lists of such
+    runs' starts, see ``_contour_windows``) by one contour sum
+    (``_contour_sum``), the rest of all slices exponentiated together,
+    one ``expm`` call per ``_EXPM_STACK_ENTRIES`` entries.  Scipy's expm
     (scaling and squaring, Pade) assumes no diagonalisability of K.
+
+    ``steady``, (P, n - 1), is given when each K is the augmented matrix
+    ``[[M, d], [0, 0]]`` of a decaying network and x0 is ``[alpha0; 1]``:
+    it holds the steady states ``alpha_ss``.  The one-point runs then
+    read alpha straight off ``e^{K t} x0``, while the runs step the
+    offset ``alpha - alpha_ss`` under M alone: ``M + M^dagger`` is
+    negative semidefinite, so a step is a 2-norm contraction and does
+    not amplify rounding.
     """
     points, n = x0.shape
     out = np.empty(times.shape + x0[0, rows].shape, dtype=complex)
-    alone = [start for start, stop in runs
-             if stop - start == 1 and times[:, start].any()]
+    served = {i for window in windows for i in window}
+    alone = [start for start, stop in runs if stop - start == 1 and start not in served]
+    away = times[:, alone].any(axis=0).tolist()
+    out[:, [i for i, a in zip(alone, away) if not a]] = x0[:, None, rows]
+    alone = [i for i, a in zip(alone, away) if a]
+    # the states a longer run starts from
+    needed = {start - 1 for start, stop in runs if stop - start > 1}
     chunk = max(1, _EXPM_STACK_ENTRIES // matrices.size)
     states = {}
+
+    def keep(picked, x):
+        out[:, picked] = x[..., rows]
+        states.update((i, x[:, j]) for j, i in enumerate(picked) if i in needed)
+
+    for window in windows:
+        keep(window, _contour_sum(matrices, x0, times[:, window]))
     for at in range(0, len(alone), chunk):
         picked = alone[at:at + chunk]
         exps = expm((matrices[:, None] * times[:, picked, None, None])
                     .reshape(-1, n, n)).reshape(points, len(picked), n, n)
-        x = (exps @ x0[:, None, :, None])[..., 0]
-        out[:, picked] = x[..., rows]
-        states.update(zip(picked, x.swapaxes(0, 1)))
+        keep(picked, (exps @ x0[:, None, :, None])[..., 0])
     x = x0
+    if steady is not None:  # runs step the offset under M alone
+        n -= 1
+        matrices = matrices[:, :n, :n]
+        states = {i: state[:, :n] - steady for i, state in states.items()}
+        x = x0[:, :n] - steady
     for start, stop in runs:
         if stop - start > 1:
             step = times[:, start] - (times[:, start - 1] if start else 0.0)
             full = np.empty((points, stop - start, n), dtype=complex)
             _step(expm(matrices * step[:, None, None]), x, full)
-            out[:, start:stop] = full[..., rows]
+            out[:, start:stop] = (full if steady is None
+                                  else full + steady[:, None])[..., rows]
             x = full[:, -1]
         elif start in states:
             x = states[start]
-        else:
-            out[:, start] = x0[:, rows]
     return out
+
+
+def _augmented(sys: LinearSystem) -> np.ndarray:
+    """``[[M, d], [0, 0]]``, whose exponential carries the drive integral."""
+    n = sys.n
+    augmented = np.zeros((n + 1, n + 1), dtype=complex)
+    augmented[:n, :n] = sys.matrix
+    augmented[:n, n] = sys.drive
+    return augmented
 
 
 def evolve(sys: LinearSystem, initial, times) -> Trajectory:
     """Propagate amplitudes from ``initial`` (the state at t = 0) over
     the given time grid.
 
-    A network that ``steady_state`` admits is stepped around its steady
-    state, ``alpha_ss + e^{M t} (alpha0 - alpha_ss)`` ("expm").  One it
-    refuses, marginal or singular, is stepped as ``[alpha0; 1]`` under
-    ``[[M, d], [0, 0]]`` ("augmented"), exact without any inverse of M.
-    The trajectory records which ran.  Decaying networks keep the first
-    form: its step is a contraction and the augmented one is not (on
-    cascaded nr, n = 4, in the fig4 regime, 2,001 augmented steps to
-    t = 2e5 drift by 5e-12 |alpha_ss|, the first form by 3e-14).
+    Every point is read off ``[alpha0; 1]`` under the augmented matrix
+    ``[[M, d], [0, 0]]``, exact without any inverse of M and with no
+    cancellation against ``alpha_ss``, except along runs of equal steps
+    on a network that ``steady_state`` admits: those are stepped around
+    its steady state, ``alpha_ss + e^{M h} (alpha - alpha_ss)``, a
+    contraction (on cascaded nr, n = 4, in the fig4 regime, 2,001
+    augmented steps to t = 2e5 drift by 5e-12 |alpha_ss|, this form by
+    3e-14).  On a decaying network the isolated points (every point of a
+    log grid) of each decade window ``[t0, 10 t0]`` holding at least
+    ``_CONTOUR_MIN_POINTS`` of them are one contour sum of 97 resolvents
+    (Talbot, IMA J. Appl. Math. 23, 1979; Weideman & Trefethen, Math.
+    Comp. 76, 2007), served only when one ``eig`` of M proves every
+    eigenvalue, with its Bauer-Fike margin, left of the contour
+    (``_contour_windows``); other isolated points are one ``expm`` each.
+    A network ``steady_state`` refuses (marginal or singular) is
+    propagated by ``expm`` alone.
+
+    ``Trajectory.method`` records which ran: "augmented" for a refused
+    network; else "contour" when contour sums served every point away
+    from t = 0, "expm" when none did, "contour+expm" for a mix.
     """
     times = np.asarray(times, dtype=float)
     _check_times(times)
@@ -471,22 +637,21 @@ def evolve(sys: LinearSystem, initial, times) -> Trajectory:
         raise ValueError("initial amplitudes must be finite")
 
     runs = list(_runs(times))
+    augmented, x0 = _augmented(sys)[None], np.append(initial, 1.0)[None]
+    rows = slice(sys.n)
     try:
         alpha_ss = steady_state(sys).amplitudes
     except (UnstableSystemError, NoSteadyStateError):
-        n = sys.n
-        augmented = np.zeros((n + 1, n + 1), dtype=complex)
-        augmented[:n, :n] = sys.matrix
-        augmented[:n, n] = sys.drive
-        amps = _propagate_expm(augmented[None], np.append(initial, 1.0)[None],
-                               times[None], runs, slice(n))[0]
+        amps = _propagate_expm(augmented, x0, times[None], runs, rows)[0]
         return Trajectory(times, amps, dict(sys.index), "augmented")
-    amps = _propagate_expm(sys.matrix[None], (initial - alpha_ss)[None],
-                           times[None], runs)[0]
-    amps += alpha_ss
-    if times[0] == 0.0:
-        amps[0] = initial
-    return Trajectory(times, amps, dict(sys.index), "expm")
+    windows = _contour_windows(sys.matrix, times, runs)
+    amps = _propagate_expm(augmented, x0, times[None], runs, rows, windows,
+                           alpha_ss[None])[0]
+    served = sum(map(len, windows))
+    rest = np.count_nonzero(times) - served
+    method = ("contour+expm" if served and rest else
+              "contour" if served else "expm")
+    return Trajectory(times, amps, dict(sys.index), method)
 
 
 def vacuum(sys: LinearSystem) -> np.ndarray:

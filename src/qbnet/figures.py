@@ -109,15 +109,21 @@ def _fig2f():
 
 def _curve_panel(name, family, g_b, gamma, Gamma, times, times_label, power):
     """E(t) of ``b_4``, or P(t) when ``power``, from vacuum, one column
-    per gain variant of the n = 4 ``family`` network."""
-    curves = []
+    per gain variant of the n = 4 ``family`` network; ``method`` is the
+    propagator of every curve, or ``variant=method`` per curve where
+    they differ."""
+    curves, methods = [], {}
     for variant in GAIN_VARIANTS:
         params = _params(family, variant, 4, g_b, gamma, Gamma)
-        curves.append(power_curve(params, "b_4", times).power if power
-                      else energy_curve(params, "b_4", times).energy)
+        curve = (power_curve if power else energy_curve)(params, "b_4", times)
+        curves.append(curve.power if power else curve.energy)
+        methods[variant] = curve.method
+    distinct = set(methods.values())
+    method = (distinct.pop() if len(distinct) == 1
+              else "; ".join(f"{v}={m}" for v, m in methods.items()))
     md = _base_metadata(family, 4, gamma, Gamma,
                         {"g_b": repr(g_b), "target": "b_4", "times": times_label,
-                         "initial": "vacuum"})
+                         "initial": "vacuum", "method": method})
     columns = tuple(f"{'P' if power else 'E'}_{v}" for v in GAIN_VARIANTS)
     return SweepTable(name, ("t",) + columns,
                       [[t, *values] for t, *values in zip(times, *curves)], md)

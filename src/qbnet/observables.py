@@ -45,7 +45,7 @@ POWER_STEPS_PER_OCTAVE = 145
 class EnergyCurve:
     """Stored energy of one mode over a time grid.
 
-    ``method`` is the propagator that ran ("expm" or "augmented").
+    ``method`` is ``Trajectory.method`` of the propagation.
     """
 
     times: np.ndarray
@@ -248,9 +248,11 @@ def _newton(matrices, offsets, alpha, rows, t, lo, hi) -> tuple:
     return found_t, found_p
 
 
-def _peak_powers(matrices, alpha_ss, abscissas, rows) -> list:
+def _peak_powers(matrices, alpha_ss, abscissas, rows, scale) -> list:
     """Per slice of a stack of decaying networks, from vacuum, the
-    ``(t_star, p_max)`` of each target row, or its ``ScanEdgeError``.
+    ``(t_star, p_max)`` of each target row, or its ``ScanEdgeError``;
+    ``alpha_ss`` are the steady states at unit drive, and each slice's
+    ``p_max`` is multiplied by its ``scale``, ``|xi|^2``.
 
     The scan propagates the offsets ``alpha0 - alpha_ss`` over each
     slice's octave grid to ``t_hi = 50 / |abscissa|``, one stacked
@@ -282,6 +284,7 @@ def _peak_powers(matrices, alpha_ss, abscissas, rows) -> list:
         scan_t, scan_p = grid[s, i], power[s, i, k]
         keep = scan_p > p
         t, p = np.where(keep, scan_t, t), np.where(keep, scan_p, p)
+        p = p * scale[s]
         for s_, k_, t_, p_ in zip(s.tolist(), k.tolist(), t.tolist(), p.tolist()):
             peaks[s_][k_] = (t_, p_)
     return peaks
@@ -292,15 +295,24 @@ def _power_points(params: TopologyParams, targets, **columns) -> list:
     ``_steady_points`` entry and, per target, its ``(t_star, p_max)``
     from vacuum or its ``ScanEdgeError``; a refused point has its error
     in both places.  One batched ``eigvals`` gives every horizon and
-    stands in for the gate's dense abscissa."""
+    stands in for the gate's dense abscissa.
+
+    Every amplitude is linear in the drive ``xi``, so the peaks are
+    searched at unit drive: ``t_star`` does not depend on ``xi`` and
+    ``p_max`` scales with ``|xi|^2`` (0 for an undriven network)."""
     matrices, drives, index = assemble_points(params, **columns)
     rows = np.array([_row(index, t) for t in targets], dtype=np.intp)
     abscissas = np.linalg.eigvals(matrices).real.max(axis=-1)
     states = steady_states(matrices, drives, abscissas)
     keep = [i for i, s in enumerate(states) if not isinstance(s, Exception)]
+    xi = np.array(columns.get("xi", [params.xi] * len(states)), dtype=complex)[keep]
+    unit = states
+    if np.any(xi != 1.0):
+        unit_drives = assemble_points(params, **{**columns, "xi": [1.0] * len(states)})[1]
+        unit = steady_states(matrices, unit_drives, abscissas)
     peaks = iter(_peak_powers(
-        matrices[keep], np.array([states[i].amplitudes for i in keep]),
-        abscissas[keep], rows) if keep else ())
+        matrices[keep], np.array([unit[i].amplitudes for i in keep]),
+        abscissas[keep], rows, np.abs(xi) ** 2) if keep else ())
     return [(s, [s] * len(targets)) if isinstance(s, Exception)
             else ((s.amplitudes, index), next(peaks)) for s in states]
 
@@ -314,7 +326,10 @@ def max_power(params: TopologyParams, target: str | None = None):
     search for the root of dP/dt between the argmax's grid neighbours
     then polishes t until its step is below 1e-8 relative, one
     ``expm`` per step.  A scan peaking on an end of its grid raises
-    ``ScanEdgeError``.  This is ``_power_points`` on a batch of one.
+    ``ScanEdgeError``.  The search runs at unit drive and ``p_max`` is
+    scaled by ``|xi|^2``, so an undriven network gives ``p_max = 0`` at
+    the driven one's ``t_star``.  This is ``_power_points`` on a batch
+    of one.
     """
     (_, (peak,)), = _power_points(params, (target or _default_target(params),))
     return _value(peak)

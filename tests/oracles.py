@@ -1,11 +1,13 @@
-"""Reference maximiser for the tests: a dense scan plus golden-section
-refinement.
+"""Reference maximiser and propagator for the tests.
 
-It shares no code with qbnet's own optima (closed-form stationary points
-for the chain energies, a Newton root of dP/dt for the charging power),
-so tests compare those against it.  A scan whose largest value sits on
-an end of its grid has not located the maximum, and is refused
-(``_scan_argmax``).
+The maximiser is a dense scan plus golden-section refinement.  It shares
+no code with qbnet's own optima (closed-form stationary points for the
+chain energies, a Newton root of dP/dt for the charging power), so tests
+compare those against it.  A scan whose largest value sits on an end of
+its grid has not located the maximum, and is refused (``_scan_argmax``).
+
+``mp_vacuum_amplitudes`` is the high-precision propagator: mpmath's
+``expm`` of the augmented matrix at 40 digits.
 """
 
 import math
@@ -84,3 +86,23 @@ def scan_refine_max(f, grid, rel_tol: float = 1e-10):
         raise ValueError("grid must be 1-d with at least 3 points")
     values = np.array([f(x) for x in grid], dtype=float)
     return refine_argmax(f, grid, values, rel_tol)
+
+
+def mp_vacuum_amplitudes(sys_, times, dps: int = 40) -> np.ndarray:
+    """Amplitudes of every mode from vacuum at each of ``times``: the
+    last column of ``expm([[M, d], [0, 0]] t)`` in ``dps``-digit mpmath
+    arithmetic, rounded to complex128, as a (T, n) array."""
+    import mpmath as mp
+
+    n = sys_.n
+    with mp.workdps(dps):
+        augmented = mp.zeros(n + 1, n + 1)
+        for i in range(n):
+            for j in range(n):
+                augmented[i, j] = mp.mpc(complex(sys_.matrix[i, j]))
+            augmented[i, n] = mp.mpc(complex(sys_.drive[i]))
+        rows = []
+        for t in times:
+            column = mp.expm(augmented * mp.mpf(float(t)))
+            rows.append([complex(column[i, n]) for i in range(n)])
+    return np.array(rows, dtype=complex)

@@ -8,6 +8,7 @@ different near-equal peaks, only local optimality is asserted.
 """
 
 import ast
+import dataclasses
 import functools
 import json
 import pathlib
@@ -26,7 +27,7 @@ from qbnet.cli import EXIT_NUMERIC, cli_main
 from qbnet.dynamics import _propagate_expm, _runs, assemble_points
 from qbnet.figures import GAMMA_INTERMEDIATE_POWER, GAMMA_POWER, POWER_SWEEP
 
-from oracles import scan_refine_max
+from oracles import mp_vacuum_amplitudes, scan_refine_max
 
 VARIANTS = ("nr", "r1", "r2")
 #: the repro of a maximum below the scanned range: P(t) peaks near
@@ -178,6 +179,16 @@ class TestMetamorphic:
         assert p2 == pytest.approx(abs(xi) ** 2 * p1, rel=1e-10)
         assert t2 == pytest.approx(t1, rel=1e-6)
 
+    def test_zero_drive_has_zero_power(self, capsys):
+        # the peak is searched at unit drive: t_star is the driven one's
+        base = TopologyParams("cascaded", "nr", 2, 0.01, 0.1, 0.1, 0.1, 1.0)
+        t1, _ = max_power(base, "b_2")
+        assert max_power(dataclasses.replace(base, xi=0.0), "b_2") == (t1, 0.0)
+        code = cli_main(["gains", "--family", "cascaded", "--n", "2", "--gb",
+                         "0.01", "--gamma", "0.1", "--xi", "0", "--power"])
+        assert code == 0
+        assert "eta1[b_2]; eta2[b_2]" in capsys.readouterr().out
+
 
 class TestSteppedOrbit:
     @pytest.mark.parametrize("t_end", [2000.0, 2e5])
@@ -195,15 +206,15 @@ class TestSteppedOrbit:
         err = np.linalg.norm(stepped - per_point, axis=1).max()
         assert err <= 1e-12 * np.linalg.norm(alpha_ss)
 
-    def test_log_grid_is_per_point_expm(self):
+    def test_log_grid_matches_mpmath(self):
+        # every mode's E on every point of a log grid, 1e-11 relative to a
+        # 40-digit propagator (the grid is served by contour sums)
         params = TopologyParams("parallel", "r1", 3, 0.01, 0.1, 0.1, 0.1, 1.0)
         sys_ = assemble(build_network(params))
-        alpha_ss = steady_state(sys_).amplitudes
         times = np.geomspace(1.0, 1e3, 50)
-        got = evolve(sys_, vacuum(sys_), times).amplitudes
-        want = np.array([alpha_ss + expm(sys_.matrix * t) @ -alpha_ss
-                         for t in times])
-        assert np.array_equal(got, want)
+        got = np.abs(evolve(sys_, vacuum(sys_), times).amplitudes) ** 2
+        want = np.abs(mp_vacuum_amplitudes(sys_, times)) ** 2
+        assert np.abs(got / want - 1.0).max() <= 1e-11
 
     def test_uneven_runs(self):
         params = TopologyParams("cascaded", "r2", 2, 0.02, 0.1, 0.1, 0.3, 1.0)
@@ -302,6 +313,21 @@ class TestExpmCount:
         figure_table("fig4c")
         assert 0 < len(expm_calls) <= 60
         assert expm_calls[0] == (42, 9, 9)
+
+    @pytest.mark.parametrize("panel, calls", [("fig4a", 0), ("fig4b", 0),
+                                              ("fig4c", 50), ("fig4d", 50)])
+    def test_panel_counts(self, expm_calls, panel, calls):
+        # the log-grid curves are contour sums; an eta panel is two stacked
+        # scans (21 calls each) and their Newton steps
+        figure_table(panel)
+        assert len(expm_calls) == calls
+
+    def test_max_power_count(self, expm_calls):
+        # 21 for the scan, 4 Newton steps
+        max_power(TopologyParams("cascaded", "nr", 4, 0.01 * GAMMA_POWER,
+                                 GAMMA_POWER, GAMMA_POWER,
+                                 GAMMA_INTERMEDIATE_POWER, 1.0), "b_4")
+        assert len(expm_calls) == 25
 
     def test_uniform_energy_curve(self, expm_calls):
         params = TopologyParams("parallel", "nr", 4, 0.001, 0.1, 0.1, 0.1, 1.0)
