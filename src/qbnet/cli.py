@@ -12,6 +12,7 @@ to standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -25,8 +26,9 @@ from .export import (SweepTable, table_to_csv_text, table_to_json_text,
                      write_table)
 from .figures import FIGURE_IDS, run_figure
 from .network import FAMILIES, VARIANTS, TopologyParams, build_network, validate
-from .observables import (_energy, _report_targets, _steady_points, energy_curve,
-                          gain_report, max_power, power_curve)
+from .observables import (_energies, _picked, _raise_first, _report_targets,
+                          _steady_points, energy_curve, gain_report, max_power,
+                          power_curve)
 from .nonreciprocity import phase_landscape
 from .sweep import run_sweep
 
@@ -166,9 +168,10 @@ def _battery_number(target: str) -> float:
 
 def _cmd_steady(args) -> int:
     params = _topology_from_args(args)
-    point = _steady_points(params)[0]
-    rows = [(t, _energy(point, t))
-            for t in ([args.target] if args.target else _report_targets(params))]
+    targets = [args.target] if args.target else _report_targets(params)
+    batch = _steady_points(params)
+    _raise_first(batch[1])
+    rows = list(zip(targets, _energies(_picked(batch, *targets))[0].tolist()))
     if args.out or args.format == "json":
         table = SweepTable("steady", ("battery", "E_over_omega"),
                            [[_battery_number(t), e] for t, e in rows],
@@ -237,10 +240,8 @@ def _cmd_landscape(args) -> int:
     params = _topology_from_args(args)
     target = args.target or f"b_{params.n}"
     scape = phase_landscape(params, target, grid_points=args.points)
-    rows = []
-    for combo in np.ndindex(scape.energy.shape):
-        point = [scape.theta_grids[axis][i] for axis, i in enumerate(combo)]
-        rows.append(point + [scape.energy[combo]])
+    axes = np.meshgrid(*scape.theta_grids, indexing="ij")
+    rows = np.column_stack([*(a.ravel() for a in axes), scape.energy.ravel()]).tolist()
     argmax = "; ".join(
         "(" + ", ".join(f"{t:.10g}" for t in peak) + ")"
         for peak in scape.argmax)
@@ -289,6 +290,7 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process; each call parses into a new namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qbnet",
@@ -347,9 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cli_main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:

@@ -26,9 +26,10 @@ marginal decay, a bound near ``CONDITION_LIMIT``).  ``is_stable`` stays
 the dense reference; its abscissa is computed once per system.
 
 The gate is written once, over a (P, n, n) stack (``steady_states``):
-dense checks only on slices the certificate cannot prove, one batched
-solve, refinement per slice, a refused slice reported rather than
-raised; ``steady_state`` is its P = 1 case.  ``layout`` compiles each
+stacked dense checks only on slices the certificate cannot prove, one
+batched solve, and arrays back (amplitudes, residuals, conditions) with
+a map from each refused slice to its error; ``steady_state`` is its
+P = 1 case, a ``SteadyState`` or the error raised.  ``layout`` compiles each
 built-in topology once from ``build_network``'s output, so
 ``assemble_points`` fills P points without a spec, by ``assemble``'s
 entry formula.
@@ -163,8 +164,8 @@ def _norms(vectors: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("pi,pi->p", flat, flat))
 
 
-def _abscissa(matrix: np.ndarray) -> float:
-    return float(np.linalg.eigvals(matrix).real.max())
+def _abscissas(matrices: np.ndarray) -> np.ndarray:
+    return np.linalg.eigvals(matrices).real.max(axis=-1)
 
 
 def _row(index, mode_id: str) -> int:
@@ -198,7 +199,7 @@ class LinearSystem:
     @cached_property
     def abscissa(self) -> float:
         """The dense spectral abscissa (``eigvals``), computed once."""
-        return _abscissa(self.matrix)
+        return float(_abscissas(self.matrix))
 
     def row(self, mode_id: str) -> int:
         return _row(self.index, mode_id)
@@ -238,18 +239,19 @@ class Trajectory:
         return self.amplitudes[:, self.index[mode_id]]
 
 
-def _fill(detuning, decay, forward, backward, strength, phase) -> np.ndarray:
-    """The (P, n, n) matrices for per-point ``decay`` (P, n) and coupling
-    ``strength`` and ``phase`` (P, couplings), coupling ``k`` entering at
-    flat positions ``forward[k]`` (``M[t, s]``) and ``backward[k]``
-    (``M[s, t]``): the one place the entry formula above is written."""
+def _fill(rotation, decay, forward, backward, strength, phase) -> np.ndarray:
+    """The (P, n, n) matrices for ``rotation = -i detuning`` and per-point
+    ``decay`` (P, n), coupling ``strength`` and ``phase`` (P, couplings),
+    coupling ``k`` entering at the distinct flat positions ``forward[k]``
+    (``M[t, s]``) and ``backward[k]`` (``M[s, t]``), as if added to zero
+    (``+ 0.0``): the one place the entry formula above is written."""
     points, n = decay.shape
     matrices = np.zeros((points, n, n), dtype=complex)
     flat = matrices.reshape(points, n * n)
-    flat[:, ::n + 1] = -1j * detuning - decay / 2.0
+    flat[:, ::n + 1] = rotation - decay / 2.0
     coupling = -1j * strength
-    np.add.at(flat, (slice(None), forward), coupling * np.exp(1j * phase))
-    np.add.at(flat, (slice(None), backward), coupling * np.exp(-1j * phase))
+    flat[:, forward] = coupling * np.exp(1j * phase) + 0.0
+    flat[:, backward] = coupling * np.exp(-1j * phase) + 0.0
     return matrices
 
 
@@ -261,7 +263,7 @@ def _spec_arrays(spec: NetworkSpec) -> tuple:
         [(index[c.source], index[c.target], c.strength, c.phase)
          for c in spec.couplings], dtype=float).reshape(-1, 4).T
     s, t = s.astype(np.intp), t.astype(np.intp)
-    return index, (np.array([m.detuning for m in spec.modes], dtype=float),
+    return index, (-1j * np.array([m.detuning for m in spec.modes], dtype=float),
                    np.array([[m.decay_rate for m in spec.modes]], dtype=float),
                    t * n + s, s * n + t, strength[None], phase[None])
 
@@ -280,7 +282,7 @@ def assemble(spec: NetworkSpec) -> LinearSystem:
 
 @lru_cache(maxsize=256)
 def layout(family: str, intermediates: bool, n: int) -> tuple:
-    """``(index, drive row, detuning, decay, forward, backward, strength,
+    """``(index, drive row, rotation, decay, forward, backward, strength,
     phase)`` of a built-in topology: the ``_fill`` arguments of its spec,
     with each per-point value replaced by its column in the matching
     ``network.parameter_tables`` table.  Found by building the topology
@@ -290,13 +292,13 @@ def layout(family: str, intermediates: bool, n: int) -> tuple:
                            1.0, tuple(range(3, n + 3)), 2.0, 1.0,
                            tuple(k / (n + 1) for k in range(1, n + 1)))
     spec = build_network(probe)
-    index, (detuning, decay, forward, backward, strength, phase) = _spec_arrays(spec)
+    index, (rotation, decay, forward, backward, strength, phase) = _spec_arrays(spec)
 
     def columns(table, values):
         return np.array([table[0].tolist().index(v) for v in values[0].tolist()])
 
     rates, strengths, phases, _ = parameter_tables(probe)
-    arrays = (detuning, columns(rates, decay), forward, backward,
+    arrays = (rotation, columns(rates, decay), forward, backward,
               columns(strengths, strength), columns(phases, phase))
     for array in arrays:  # shared by every caller
         array.setflags(write=False)
@@ -307,59 +309,73 @@ def assemble_points(params: TopologyParams, **columns) -> tuple:
     """``(matrices, drives, index)`` of P points of a built-in topology,
     ``columns`` as in ``network.parameter_tables``; no spec is built."""
     variant = columns["variant"][0] if "variant" in columns else params.variant
-    index, drive, detuning, decay, forward, backward, strength, phase = layout(
+    index, drive, rotation, decay, forward, backward, strength, phase = layout(
         params.family, variant in WITH_INTERMEDIATES, params.n)
     rates, strengths, phases, xi = parameter_tables(params, **columns)
-    matrices = _fill(detuning, rates[:, decay], forward, backward,
+    matrices = _fill(rotation, rates[:, decay], forward, backward,
                      strengths[:, strength], phases[:, phase])
     drives = np.zeros(matrices.shape[:2], dtype=complex)
     drives[:, drive] += -1j * xi
     return matrices, drives, index
 
 
-def _gate(matrices, drives, abscissa_bound, condition_bound, abscissa) -> list:
-    """The decay rule, the condition rule and the solve over a stack;
-    ``abscissa(i)`` is the dense abscissa of slice ``i``."""
-    states = {}
-    condition = np.array(condition_bound, dtype=float)
-    bounds = zip(abscissa_bound.tolist(), condition.tolist())
-    for i, (abscissa_i, condition_i) in enumerate(bounds):
-        if (not abscissa_i <= STABILITY_FLOOR
-                and not (abscissa_i := abscissa(i)) <= STABILITY_FLOOR):
-            states[i] = UnstableSystemError(
-                f"network is not strictly decaying (spectral abscissa "
-                f"{abscissa_i:.3e})", spectral_abscissa=abscissa_i)
-        elif not condition_i <= CONDITION_LIMIT:
-            condition[i] = cond = np.linalg.cond(matrices[i])
+def _solve(matrices, drives) -> tuple:
+    """``(alpha, residual norm)`` of ``M alpha = -d`` per slice, refined
+    once where the residual is above rounding level."""
+    alpha = np.linalg.solve(matrices, -drives[..., None])
+    resid = (matrices @ alpha)[..., 0] + drives
+    norm = _norms(resid)
+    if norm.max() > 1e-12:  # else below every slice's threshold
+        redo = np.flatnonzero(norm > 1e-12 * np.maximum(1.0, _norms(drives)))
+        alpha[redo] -= np.linalg.solve(matrices[redo], resid[redo][..., None])
+        norm[redo] = _norms((matrices[redo] @ alpha[redo])[..., 0] + drives[redo])
+    return alpha[..., 0], norm
+
+
+def _gate(matrices, drives, abscissa_bound, condition_bound, abscissas) -> tuple:
+    """The decay rule, the condition rule and the solve over a stack, as
+    ``steady_states`` returns them; dense checks run, stacked, on the slices
+    the certificate cannot prove, ``abscissas(slices)`` giving eigvals'."""
+    errors, conditions = {}, condition_bound
+    if not abscissa_bound.max() <= STABILITY_FLOOR:
+        slices = (~(abscissa_bound <= STABILITY_FLOOR)).nonzero()[0]
+        for i, abscissa in zip(slices.tolist(), abscissas(slices).tolist()):
+            if not abscissa <= STABILITY_FLOOR:
+                errors[i] = UnstableSystemError(
+                    f"network is not strictly decaying (spectral abscissa "
+                    f"{abscissa:.3e})", spectral_abscissa=abscissa)
+    slices = [] if condition_bound.max() <= CONDITION_LIMIT else [
+        i for i in (~(condition_bound <= CONDITION_LIMIT)).nonzero()[0].tolist()
+        if i not in errors]
+    if slices:
+        conditions = condition_bound.copy()
+        conditions[slices] = np.linalg.cond(matrices[slices])
+        for i, cond in zip(slices, conditions[slices]):
             if not cond <= CONDITION_LIMIT:
-                states[i] = NoSteadyStateError(
+                errors[i] = NoSteadyStateError(
                     f"no unique steady state: condition estimate {cond:.3e} "
                     f"exceeds {CONDITION_LIMIT:.0e}", condition=cond)
-    keep = [i for i in range(len(matrices)) if i not in states]
-    if keep:
-        m, d = (matrices, drives) if not states else (matrices[keep], drives[keep])
-        alpha = np.linalg.solve(m, -d[..., None])
-        resid = (m @ alpha)[..., 0] + d
-        norm = _norms(resid)
-        if norm.max() > 1e-12:  # else below every slice's threshold
-            redo = np.flatnonzero(norm > 1e-12 * np.maximum(1.0, _norms(d)))
-            alpha[redo] -= np.linalg.solve(m[redo], resid[redo][..., None])
-            norm[redo] = _norms((m[redo] @ alpha[redo])[..., 0] + d[redo])
-        states.update((i, SteadyState(a, r, float(condition[i])))
-                      for i, a, r in zip(keep, alpha[..., 0], norm.tolist()))
-    return [states[i] for i in range(len(matrices))]
+    if not errors:
+        return (*_solve(matrices, drives), conditions, errors)
+    keep = np.ones(len(matrices), dtype=bool)
+    keep[list(errors)] = False
+    amplitudes, residuals = np.full(drives.shape, np.nan, complex), np.full(len(drives), np.nan)
+    if keep.any():
+        amplitudes[keep], residuals[keep] = _solve(matrices[keep], drives[keep])
+    return amplitudes, residuals, conditions, errors
 
 
 def steady_states(matrices: np.ndarray, drives: np.ndarray,
-                  abscissas: np.ndarray | None = None) -> list:
-    """``steady_state`` of each slice of a (P, n, n) stack with its
-    (P, n) drives, in one batched solve: per slice its ``SteadyState``
-    or, for a refused slice, the error ``steady_state`` raises.
-    ``abscissas``, the dense abscissa of every slice when the caller has
-    computed them, stand in for the gate's own ``eigvals``."""
+                  abscissas: np.ndarray | None = None) -> tuple:
+    """``steady_state`` of each slice of a (P, n, n) stack with its (P, n)
+    drives, in one batched solve: ``(amplitudes, residuals, conditions,
+    errors)``, ``errors`` mapping a refused slice (amplitudes NaN) to the
+    error ``steady_state`` raises.  ``abscissas``, the dense abscissa of
+    every slice when the caller has computed them, stand in for the
+    gate's own ``eigvals``."""
     _, abscissa_bound, condition_bound = _certify(matrices)
-    dense = ((lambda i: _abscissa(matrices[i])) if abscissas is None
-             else (lambda i: float(abscissas[i])))
+    dense = ((lambda slices: _abscissas(matrices[slices])) if abscissas is None
+             else abscissas.__getitem__)
     return _gate(matrices, drives, abscissa_bound, condition_bound, dense)
 
 
@@ -374,12 +390,12 @@ def steady_state(sys: LinearSystem) -> SteadyState:
     stack of one.
     """
     cert = sys.certificate
-    (state,) = _gate(sys.matrix[None], sys.drive[None],
-                     np.array([cert.abscissa_bound]),
-                     np.array([cert.condition_bound]), lambda _: sys.abscissa)
-    if isinstance(state, Exception):
-        raise state
-    return state
+    amplitudes, residuals, conditions, errors = _gate(
+        sys.matrix[None], sys.drive[None], np.array([cert.abscissa_bound]),
+        np.array([cert.condition_bound]), lambda _: np.array([sys.abscissa]))
+    if errors:
+        raise errors[0]
+    return SteadyState(amplitudes[0], float(residuals[0]), float(conditions[0]))
 
 
 def is_stable(sys: LinearSystem):

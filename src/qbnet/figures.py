@@ -17,8 +17,9 @@ from .closed_forms import g_opt_odd, logfit_ratio
 from .export import SweepTable, write_table
 from .network import TopologyParams
 from .nonreciprocity import phase_landscape
-from .observables import (GAIN_VARIANTS, _gain_points, _gains_row, _ratios,
-                          _value, energy_curve, power_curve)
+from .observables import (GAIN_VARIANTS, _gain_columns, _gain_points,
+                          _raise_first, _ratios, _value, energy_curve,
+                          power_curve)
 
 #: fig2/fig3 regime
 GAMMA_WEAK = 0.1
@@ -63,9 +64,8 @@ def _landscape_panel(name, family):
     params = _params(family, "custom", 2, g_b, GAMMA_WEAK, GAMMA_WEAK,
                      thetas=(0.0, 0.0))
     scape = phase_landscape(params, target="b_2", grid_points=LANDSCAPE_POINTS)
-    g1, g2 = scape.theta_grids
-    rows = [[t1, t2, scape.energy[i, j]]
-            for i, t1 in enumerate(g1) for j, t2 in enumerate(g2)]
+    axes = np.meshgrid(*scape.theta_grids, indexing="ij")
+    rows = np.column_stack([*(a.ravel() for a in axes), scape.energy.ravel()]).tolist()
     argmax = "; ".join(f"({a:.10g}, {b:.10g})" for a, b in scape.argmax)
     md = _base_metadata(family, 2, GAMMA_WEAK, GAMMA_WEAK,
                         {"g_b": repr(g_b), "target": "b_2",
@@ -79,9 +79,9 @@ def _steady_panel(name, family, n, columns, part):
     ``[E_nr, E_r1, E_r2, G1, G2]`` at ``b_n``, from ``_gain_points``."""
     base = _params(family, "nr", n, GAMMA_WEAK, GAMMA_WEAK, GAMMA_WEAK)
     g_b = ENERGY_SWEEP * GAMMA_WEAK
-    solved = _gain_points(base, g_b=g_b)
-    rows = [[x] + _gains_row(base, None, lambda v, i=i: solved[v][i], [])[part]
-            for i, x in enumerate(ENERGY_SWEEP)]
+    values, errors, _ = _gain_columns(base, None, _gain_points(base, g_b=g_b).get)
+    _raise_first(errors)
+    rows = np.column_stack((ENERGY_SWEEP, values[:, part])).tolist()
     md = _base_metadata(family, n, GAMMA_WEAK, GAMMA_WEAK,
                         {"sweep": "gb_over_gamma linear 301 points on [0.001, 0.3]",
                          "target": f"b_{n}"})
@@ -133,11 +133,10 @@ def _eta_panel(name, family):
     base = _params(family, "nr", 4, GAMMA_POWER, GAMMA_POWER,
                    GAMMA_INTERMEDIATE_POWER)
     solved = _gain_points(base, ("b_4",), g_b=POWER_SWEEP * GAMMA_POWER)
-    rows = []
-    for i, x in enumerate(POWER_SWEEP):
-        p_max = {v: (_value(solved[v][i][1][0])[1],) for v in GAIN_VARIANTS}
-        (eta1,), (eta2,) = _ratios(p_max, "eta", ("b_4",), [])
-        rows.append([x, eta1, eta2])
+    p_max = np.array([[_value(solved[v][3][i][0])[1] for v in GAIN_VARIANTS]
+                      for i in range(POWER_SWEEP.size)])
+    etas, _ = _ratios(p_max.T[..., None], "eta", ("b_4",))
+    rows = np.column_stack((POWER_SWEEP, *etas)).tolist()
     md = _base_metadata(family, 4, GAMMA_POWER, GAMMA_INTERMEDIATE_POWER,
                         {"sweep": "gb_over_gamma log 21 points on [0.001, 0.1]",
                          "target": "b_4"})

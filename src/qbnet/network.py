@@ -232,22 +232,43 @@ def parameter_tables(params: TopologyParams, **columns) -> tuple:
     """Rates ``[gamma_c, Gamma, *gamma_b]``, strengths ``[g_b, g_i]``,
     phases ``[0, *direct_phases]`` and drives ``xi`` of P points, one row
     each, computed as ``build_network`` does.  ``columns`` maps a field
-    of ``params`` to one (trusted, already valid) value per point; a
-    ``variant`` column may mix variants that share one layout."""
+    of ``params`` to one (trusted, already valid) value per point, other
+    fields are broadcast; a ``variant`` column may mix variants that share
+    one layout.  Each distinct variant and theta is resolved once."""
     points = len(next(iter(columns.values()))) if columns else 1
-
-    def column(name):
-        return columns[name] if name in columns else [getattr(params, name)] * points
-
-    rates, strengths, phases = [], [], []
-    for g_b, gamma_c, gamma_b, Gamma, thetas, variant in zip(
-            column("g_b"), column("gamma_c"), column("gamma_b"),
-            column("Gamma"), column("thetas"), column("variant")):
-        rates.append((gamma_c, Gamma, *gamma_b))
-        strengths.append((g_b, _intermediate_coupling(variant, g_b, Gamma)))
-        phases.append((0.0, *_direct_phases(variant, params.n, thetas)))
-    return (np.array(rates, dtype=float), np.array(strengths, dtype=float),
-            np.array(phases, dtype=float), np.array(column("xi"), dtype=complex))
+    variants = columns.get("variant", [params.variant] * points)
+    derived = "g_b" not in columns and "Gamma" not in columns
+    rates = np.empty((points, params.n + 2))
+    strengths = np.empty((points, 2))
+    phases = np.zeros((points, params.n + 1))
+    rates[:] = (params.gamma_c, params.Gamma, *params.gamma_b)
+    # a batch shares one layout, so every variant has intermediates or none
+    strengths[:] = (params.g_b, _intermediate_coupling(variants[0], params.g_b,
+                                                       params.Gamma) if derived else 0.0)
+    for table, at, field in ((rates, 0, "gamma_c"), (rates, 1, "Gamma"),
+                             (rates, slice(2, None), "gamma_b"), (strengths, 0, "g_b")):
+        if field in columns:
+            table[:, at] = columns[field]
+    if not derived and variants[0] in WITH_INTERMEDIATES:
+        refused = (rates[:, 1] <= 0).nonzero()[0]
+        if refused.size:  # the builder's own check and message
+            _intermediate_coupling(variants[refused[0]], 0.0, float(rates[refused[0], 1]))
+        np.sqrt(strengths[:, 0] * rates[:, 1] / 2.0, out=strengths[:, 1])
+    distinct = dict.fromkeys(variants)
+    kinds = np.asarray(variants) if len(distinct) > 1 else None
+    for k, variant in enumerate(distinct):  # the first may fill every row
+        rows = slice(None) if kinds is None else kinds == variant
+        if "thetas" in columns and variant in ("r1", "custom"):
+            thetas = np.asarray(columns["thetas"], dtype=float)[rows]
+            bits, inverse = np.unique(thetas.view(np.int64), return_inverse=True)
+            wrapped = np.array([wrap_phase(t) for t in bits.view(float).tolist()])
+            phases[rows, 1:] = wrapped[inverse].reshape(thetas.shape)
+        else:
+            phases[rows if k else slice(None), 1:] = _direct_phases(variant, params.n,
+                                                                    params.thetas)
+    xi = np.empty(points, dtype=complex)
+    xi[:] = columns.get("xi", params.xi)
+    return rates, strengths, phases, xi
 
 
 def validate(spec: NetworkSpec) -> list:

@@ -8,7 +8,6 @@ battery instead of the charger and compare the transmitted energies).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,7 +16,7 @@ import numpy as np
 from .dynamics import assemble, steady_state
 from .network import (CouplingSpec, DriveSpec, ModeSpec, NetworkSpec,
                       TopologyParams, matched_coupling)
-from .observables import _energy, _steady_points
+from .observables import _energies, _picked, _raise_first, _steady_points
 
 #: landscape grid values within this relative slack of the maximum tie
 ARGMAX_TIE_REL = 1e-9
@@ -135,14 +134,11 @@ def phase_landscape(params: TopologyParams, target: str | None = None,
     target = target or f"b_{params.n}"
     grid = np.linspace(-math.pi, math.pi, grid_points + 1)[1:]
     grids = (grid,) * params.n
-    combos = list(itertools.product(range(grid_points), repeat=params.n))
-
-    points = _steady_points(params, thetas=grid[np.array(combos)])
-    energy = np.reshape([_energy(point, target) for point in points],
-                        (grid_points,) * params.n)
+    shape = (grid_points,) * params.n
+    batch = _steady_points(params, thetas=grid[np.indices(shape).reshape(params.n, -1).T])
+    _raise_first(batch[1])
+    energy = _energies(_picked(batch, target)).reshape(shape)
     peak = float(energy.max())
     tie = peak - abs(peak) * ARGMAX_TIE_REL
-    argmax = tuple(
-        tuple(float(grid[i]) for i in combo)
-        for combo in combos if energy[combo] >= tie)
+    argmax = tuple(tuple(grid[combo].tolist()) for combo in np.argwhere(energy >= tie))
     return PhaseLandscape(grids, energy, argmax, target)

@@ -3,8 +3,10 @@
 Everything here runs on the full network (intermediates included): the
 topology parameters are filled into the dynamics matrix and solved or
 propagated from vacuum; many points of one topology are solved as one
-batch (``_steady_points``), and their charging-power peaks found as one
-(``_power_points``).  Stored energy is ``|amplitude|^2`` of the
+batch (``_steady_points``: amplitudes as a (P, n) array and the refused
+points' errors), and their charging-power peaks found as one
+(``_power_points``).  Energies and gains are read off a batch as
+vectors.  Stored energy is ``|amplitude|^2`` of the
 target mode in units of the mode frequency, and charging power is
 ``P(t) = E(t) / t``.
 """
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (LinearSystem, _propagate_expm, _row, assemble_points,
-                       evolve, steady_states, vacuum)
+from .dynamics import (LinearSystem, _abscissas, _propagate_expm, _row,
+                       assemble_points, evolve, steady_states, vacuum)
 from .errors import ScanEdgeError
 from .network import TopologyParams
 
@@ -104,27 +106,32 @@ def _system(params: TopologyParams) -> LinearSystem:
     return LinearSystem(matrices[0], drives[0], dict(index))
 
 
-def _steady_points(params: TopologyParams, **columns) -> list:
-    """Per point of a batch (``columns`` as in ``assemble_points``), its
-    ``(steady amplitudes, index)`` or the error refusing it."""
+def _steady_points(params: TopologyParams, **columns) -> tuple:
+    """A solved batch (``columns`` as in ``assemble_points``): ``(amplitudes
+    (P, n), errors, index)``, ``errors`` as in ``steady_states``."""
     matrices, drives, index = assemble_points(params, **columns)
-    return [state if isinstance(state, Exception) else (state.amplitudes, index)
-            for state in steady_states(matrices, drives)]
+    amplitudes, _, _, errors = steady_states(matrices, drives)
+    return amplitudes, errors, index
+
+
+def _part(batch: tuple, start: int, stop: int) -> tuple:
+    """Points ``[start, stop)`` of a solved batch, renumbered from 0."""
+    errors = {i - start: e for i, e in batch[1].items() if start <= i < stop}
+    return (batch[0][start:stop], errors, batch[2], *[p[start:stop] for p in batch[3:]])
 
 
 def _gain_points(params: TopologyParams, targets=None, **columns) -> dict:
-    """``_steady_points`` of each gain variant, or ``_power_points`` at
-    ``targets`` when given: ``nr`` and ``r2`` share a layout, so they are
-    one batch of twice the points."""
+    """The solved batch of each gain variant, by ``_steady_points``, or
+    by ``_power_points`` at ``targets`` when given: ``nr`` and ``r2``
+    share a layout, so they are one batch of twice the points."""
     solve = (_steady_points if targets is None
              else functools.partial(_power_points, targets=targets))
     points = len(next(iter(columns.values()))) if columns else 1
-    both = {f: list(v) * 2 for f, v in columns.items()}
-    both["variant"] = ["nr"] * points + ["r2"] * points
-    links = solve(params, **both)
-    return {"nr": links[:points],
-            "r1": solve(params.with_variant("r1"), **columns),
-            "r2": links[points:]}
+    both = {f: np.concatenate((v, v)) for f, v in columns.items()}
+    links = solve(params, **both, variant=["nr"] * points + ["r2"] * points)
+    return {"nr": _part(links, 0, points),
+            "r1": solve(params, **columns, variant=["r1"] * points),
+            "r2": _part(links, points, 2 * points)}
 
 
 def _value(found):
@@ -134,16 +141,28 @@ def _value(found):
     return found
 
 
-def _energy(point, target: str) -> float:
-    """``|alpha_ss(target)|^2`` of one solved point; a refused point
-    raises its error."""
-    amplitudes, index = _value(point)
-    return float(abs(amplitudes[_row(index, target)]) ** 2)
+def _raise_first(errors: dict) -> None:
+    """Raise the error of the first refused point, if any."""
+    if errors:
+        raise errors[min(errors)]
+
+
+def _picked(batch: tuple, *targets) -> np.ndarray:
+    """The (P, len(targets)) amplitudes of ``targets`` in a solved batch."""
+    return batch[0].take([_row(batch[2], t) for t in targets], axis=1)
+
+
+def _energies(amplitudes: np.ndarray) -> np.ndarray:
+    """``|a|^2`` rounded as the scalar ``abs(a) ** 2``, by ``hypot`` and libm
+    ``pow`` (array ``np.abs`` and ``** 2`` differ in the last bit)."""
+    return np.float_power(np.hypot(amplitudes.real, amplitudes.imag), 2.0)
 
 
 def steady_energy(params: TopologyParams, target: str | None = None) -> float:
     """Steady stored energy ``|alpha_ss(target)|^2`` of the full network."""
-    return _energy(_steady_points(params)[0], target or _default_target(params))
+    batch = _steady_points(params)
+    _raise_first(batch[1])
+    return float(_energies(_picked(batch, target or _default_target(params)))[0, 0])
 
 
 def energy_curve(params: TopologyParams, target: str | None = None,
@@ -290,31 +309,31 @@ def _peak_powers(matrices, alpha_ss, abscissas, rows, scale) -> list:
     return peaks
 
 
-def _power_points(params: TopologyParams, targets, **columns) -> list:
-    """Per point of a batch (``columns`` as in ``assemble_points``), its
-    ``_steady_points`` entry and, per target, its ``(t_star, p_max)``
-    from vacuum or its ``ScanEdgeError``; a refused point has its error
-    in both places.  One batched ``eigvals`` gives every horizon and
-    stands in for the gate's dense abscissa.
+def _power_points(params: TopologyParams, targets, **columns) -> tuple:
+    """``_steady_points`` plus ``peaks``: ``peaks[i]`` holds, per target,
+    point ``i``'s ``(t_star, p_max)`` from vacuum, its ``ScanEdgeError``
+    or the error refusing the point.  One batched ``eigvals`` gives every
+    horizon and stands in for the gate's dense abscissa.
 
     Every amplitude is linear in the drive ``xi``, so the peaks are
     searched at unit drive: ``t_star`` does not depend on ``xi`` and
     ``p_max`` scales with ``|xi|^2`` (0 for an undriven network)."""
     matrices, drives, index = assemble_points(params, **columns)
     rows = np.array([_row(index, t) for t in targets], dtype=np.intp)
-    abscissas = np.linalg.eigvals(matrices).real.max(axis=-1)
-    states = steady_states(matrices, drives, abscissas)
-    keep = [i for i, s in enumerate(states) if not isinstance(s, Exception)]
-    xi = np.array(columns.get("xi", [params.xi] * len(states)), dtype=complex)[keep]
-    unit = states
+    abscissas = _abscissas(matrices)
+    amplitudes, _, _, errors = steady_states(matrices, drives, abscissas)
+    keep = np.ones(len(matrices), dtype=bool)
+    keep[list(errors)] = False
+    xi = np.asarray(columns.get("xi", [params.xi] * len(keep)), dtype=complex)[keep]
+    unit = amplitudes
     if np.any(xi != 1.0):
-        unit_drives = assemble_points(params, **{**columns, "xi": [1.0] * len(states)})[1]
-        unit = steady_states(matrices, unit_drives, abscissas)
-    peaks = iter(_peak_powers(
-        matrices[keep], np.array([unit[i].amplitudes for i in keep]),
-        abscissas[keep], rows, np.abs(xi) ** 2) if keep else ())
-    return [(s, [s] * len(targets)) if isinstance(s, Exception)
-            else ((s.amplitudes, index), next(peaks)) for s in states]
+        unit_drives = assemble_points(params, **{**columns, "xi": np.ones(len(keep))})[1]
+        unit = steady_states(matrices, unit_drives, abscissas)[0]
+    peaks = iter(_peak_powers(matrices[keep], unit[keep], abscissas[keep], rows,
+                              np.abs(xi) ** 2) if keep.any() else ())
+    return amplitudes, errors, index, [
+        [errors[i]] * len(targets) if i in errors else next(peaks)
+        for i in range(len(keep))]
 
 
 def max_power(params: TopologyParams, target: str | None = None):
@@ -331,35 +350,42 @@ def max_power(params: TopologyParams, target: str | None = None):
     the driven one's ``t_star``.  This is ``_power_points`` on a batch
     of one.
     """
-    (_, (peak,)), = _power_points(params, (target or _default_target(params),))
+    (peak,), = _power_points(params, (target or _default_target(params),))[3]
     return _value(peak)
 
 
-def _ratio(numer: float, denom: float, name: str, flags: list) -> float:
-    if denom < RATIO_FLOOR:
-        flags.append(name)
-        return float("nan")
-    return numer / denom
+def _ratios(values: np.ndarray, name: str, targets) -> tuple:
+    """``nr / r1`` and ``nr / r2`` of ``values`` (3, P, T) over ``GAIN_VARIANTS``
+    and ``targets``; one whose denominator is below ``RATIO_FLOOR`` is NaN
+    and named ``{name}1[target]`` or ``{name}2[target]`` in ``flags[p]``."""
+    undefined = values[1:] < RATIO_FLOOR
+    gains = values[0] / np.maximum(values[1:], RATIO_FLOOR)
+    flags: dict = {}
+    if np.count_nonzero(undefined):
+        gains[undefined] = np.nan
+        for k, p, t in zip(*undefined.nonzero()):
+            flags.setdefault(int(p), []).append(f"{name}{k + 1}[{targets[t]}]")
+    return gains, flags
 
 
-def _ratios(values: dict, name: str, targets, flags: list) -> tuple:
-    """``nr / r1`` and ``nr / r2`` per target, flagged ``{name}1[target]``
-    and ``{name}2[target]`` where undefined."""
-    return tuple(tuple(_ratio(values["nr"][i], values[v][i], f"{name}{k}[{t}]", flags)
-                       for i, t in enumerate(targets))
-                 for k, v in ((1, "r1"), (2, "r2")))
+def _gains(solved, targets) -> tuple:
+    """Energies (3, P, T) at ``targets`` of ``solved(v)``, v in
+    ``GAIN_VARIANTS``, their ``_ratios``, and each refused point's error."""
+    energies = _energies(np.array([_picked(solved(v), *targets) for v in GAIN_VARIANTS]))
+    errors: dict = {}
+    for v in GAIN_VARIANTS:
+        for i, error in solved(v)[1].items():
+            errors.setdefault(i, error)
+    return (energies, *_ratios(energies, "G", targets), errors)
 
 
-def _gains_row(params: TopologyParams, target, point, flags: list) -> list:
-    """``[E_nr, E_r1, E_r2, G1, G2]`` at ``target`` (a report target,
-    else the last one) off ``point(variant)``, the solved point of each
-    gain variant; the first refused variant raises.  An undefined gain
-    is NaN, its name appended to ``flags``."""
+def _gain_columns(params: TopologyParams, target, solved) -> tuple:
+    """``([E_nr, E_r1, E_r2, G1, G2] (P, 5), errors, flags)`` at ``target``,
+    a report target, else the last one."""
     targets = _report_targets(params)
-    target = target if target in targets else targets[-1]
-    energies = {v: (_energy(point(v), target),) for v in GAIN_VARIANTS}
-    return [*(e for e, in energies.values()),
-            *(g for g, in _ratios(energies, "G", (target,), flags))]
+    energies, gains, flags, errors = _gains(
+        solved, (target if target in targets else targets[-1],))
+    return np.hstack([*energies, *gains]), errors, flags
 
 
 def gain_report(params_base: TopologyParams, include_power: bool = False) -> GainReport:
@@ -375,17 +401,15 @@ def gain_report(params_base: TopologyParams, include_power: bool = False) -> Gai
     """
     targets = _report_targets(params_base)
     solved = _gain_points(params_base, targets if include_power else None)
-    points = {v: solved[v][0][0] if include_power else solved[v][0]
-              for v in GAIN_VARIANTS}
-    energies = {v: tuple(_energy(points[v], t) for t in targets)
-                for v in GAIN_VARIANTS}
-    flags: list = []
-    gains = _ratios(energies, "G", targets, flags)
-    if not include_power:
-        return GainReport(params_base, targets, *energies.values(), *gains,
-                          flags=tuple(flags))
-    power = {v: tuple(_value(peak)[1] for peak in solved[v][0][1])
-             for v in GAIN_VARIANTS}
-    return GainReport(params_base, targets, *energies.values(), *gains,
-                      *power.values(), *_ratios(power, "eta", targets, flags),
-                      tuple(flags))
+    energies, gains, flags, errors = _gains(solved.get, targets)
+    _raise_first(errors)
+    columns = [energies, gains]
+    if include_power:
+        power = np.array([[[_value(peak)[1] for peak in solved[v][3][0]]]
+                          for v in GAIN_VARIANTS])
+        etas, eta_flags = _ratios(power, "eta", targets)
+        columns += [power, etas]
+        flags.setdefault(0, []).extend(eta_flags.get(0, ()))
+    return GainReport(params_base, targets,
+                      *(tuple(row) for c in columns for row in c[:, 0].tolist()),
+                      flags=tuple(flags.get(0, ())))

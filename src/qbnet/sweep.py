@@ -18,12 +18,13 @@ import dataclasses
 import functools
 import json
 
+import numpy as np
+
 from .config import RunConfig, run_config_to_dict
-from .errors import NoSteadyStateError, ScanEdgeError, UnstableSystemError
 from .export import SweepTable
 from .network import TopologyParams
-from .observables import (_energy, _gains_row, _power_points, _steady_points,
-                          _value)
+from .observables import (_energies, _gain_columns, _picked, _power_points,
+                          _steady_points)
 
 
 def apply_sweep_value(params: TopologyParams, variable: str, value,
@@ -57,34 +58,39 @@ def apply_sweep_value(params: TopologyParams, variable: str, value,
     raise ValueError(f"unknown sweep variable {variable!r}")
 
 
-def _batches(points: list, solve) -> list:
-    """Per point, its entry of ``solve(params, **columns)``: one batch,
+def _batches(points: list) -> list:
+    """``(start, first point, columns)`` per batch of the sweep: one batch,
     or one per point when the battery count varies."""
-    if len({p.n for p in points}) > 1:
-        return [solve(p)[0] for p in points]
+    if len({p.n for p in points}) != 1:  # none, or one batch per point
+        return [(i, p, {}) for i, p in enumerate(points)]
     columns = {f: [getattr(p, f) for p in points]
                for f in ("g_b", "gamma_c", "gamma_b", "Gamma", "xi", "thetas")
                if getattr(points[0], f) is not None}
-    return solve(points[0], **columns)
+    return [(0, points[0], columns)]
 
 
-#: observable name -> (table columns, row values at ``(params, target,
-#: point, peaks, flags)``: ``point(variant)`` the solved point of a
-#: variant, ``peaks()`` the point's ``_power_points`` peaks at the
-#: target, ``flags`` the list that names each undefined ratio)
+def _peak_columns(batch: tuple) -> tuple:
+    """``[t_star, p_max]`` of a ``_power_points`` batch at its one target."""
+    errors = {i: p for i, (p,) in enumerate(batch[3]) if isinstance(p, Exception)}
+    return np.array([(np.nan,) * 2 if i in errors else p
+                     for i, (p,) in enumerate(batch[3])]), errors, {}
+
+
+#: observable name -> (table columns, ``(values (P, k), errors, flags)``
+#: of a batch at ``(params, target, solved(variant), peaks())``)
 _OBSERVABLES = {
-    "steady_energy": (("steady_energy",), lambda params, target, point, *_: [
-        _energy(point(params.variant), target or f"b_{params.n}")]),
+    "steady_energy": (("steady_energy",), lambda params, target, solved, _: (
+        _energies(_picked(solved(params.variant), target)), solved(params.variant)[1], {})),
     "gains": (("E_nr", "E_r1", "E_r2", "G1", "G2"),
-              lambda params, target, point, _, flags: _gains_row(
-                  params, target, point, flags)),
-    "max_power": (("t_star", "p_max"), lambda params, target, point, peaks, _:
-                  list(_value(peaks()[0]))),
+              lambda params, target, solved, _: _gain_columns(params, target, solved)),
+    "max_power": (("t_star", "p_max"),
+                  lambda params, target, solved, peaks: _peak_columns(peaks())),
 }
 
 
 def run_sweep(cfg: RunConfig) -> SweepTable:
-    """Evaluate the configured sweep; failed points go to the sidecar."""
+    """Evaluate the configured sweep; failed points go to the sidecar,
+    each with the error of the first observable that fails there."""
     if cfg.sweep is None:
         raise ValueError("config has no sweep section")
     try:
@@ -96,30 +102,28 @@ def run_sweep(cfg: RunConfig) -> SweepTable:
     values = cfg.sweep.grid.values
     points = [apply_sweep_value(cfg.topology, variable, value, cfg.sweep.index)
               for value in values]
-    peaks = functools.cache(lambda: _batches(
-        points, lambda p, **c: _power_points(p, (cfg.target or f"b_{p.n}",), **c)))
-    solved = functools.cache(lambda variant: (
-        [point for point, _ in peaks()]
-        if variant == cfg.topology.variant and "max_power" in cfg.observables
-        else _batches(points, lambda p, **c: _steady_points(
-            p.with_variant(variant), **c))))
-
-    rows, errors = [], []
-    for index, (value, params) in enumerate(zip(values, points)):
-        row, flags = [value], []
-        try:
-            for _, row_values in chosen:
-                row.extend(row_values(params, cfg.target,
-                                      lambda v: solved(v)[index],
-                                      lambda: peaks()[index][1], flags))
-        except (NoSteadyStateError, UnstableSystemError, ScanEdgeError) as exc:
-            errors.append((index, value, str(exc)))
-        else:
-            if flags:
-                errors.append((index, value,
-                               "undefined ratio: " + "; ".join(flags)))
-            else:
-                rows.append(row)
-    metadata = {"config": json.dumps(run_config_to_dict(cfg), sort_keys=True)}
     columns = (label,) + tuple(col for cols, _ in chosen for col in cols)
+    table = np.empty((len(points), len(columns) - 1))
+    failures, flags = {}, {}
+    for start, params, batch in _batches(points):
+        # each variant solved once; max_power's solve is the steady one
+        target, at = cfg.target or f"b_{params.n}", 0
+        peaks = functools.cache(lambda: _power_points(params, (target,), **batch))
+        solved = functools.cache(lambda variant: (
+            peaks()[:3] if variant == params.variant and "max_power" in cfg.observables
+            else _steady_points(params.with_variant(variant), **batch)))
+        for _, observe in chosen:
+            found, errors, named = observe(params, target, solved, peaks)
+            table[start:start + len(found), at:at + found.shape[1]] = found
+            at += found.shape[1]
+            for i, error in errors.items():
+                failures.setdefault(start + i, str(error))
+            for i, names in named.items():
+                flags.setdefault(start + i, []).extend(names)
+    for i, names in flags.items():
+        failures.setdefault(i, "undefined ratio: " + "; ".join(names))
+    rows = [[value, *row] for i, (value, row) in enumerate(zip(values, table.tolist()))
+            if i not in failures]
+    errors = [(i, values[i], failures[i]) for i in sorted(failures)]
+    metadata = {"config": json.dumps(run_config_to_dict(cfg), sort_keys=True)}
     return SweepTable(f"sweep_{label}", columns, rows, metadata, errors)

@@ -8,6 +8,9 @@ its grid has not located the maximum, and is refused (``_scan_argmax``).
 
 ``mp_vacuum_amplitudes`` is the high-precision propagator: mpmath's
 ``expm`` of the augmented matrix at 40 digits.
+
+``loop_parameter_tables`` is the per-point form of
+``network.parameter_tables``, which builds its tables column by column.
 """
 
 import math
@@ -106,3 +109,25 @@ def mp_vacuum_amplitudes(sys_, times, dps: int = 40) -> np.ndarray:
             column = mp.expm(augmented * mp.mpf(float(t)))
             rows.append([complex(column[i, n]) for i in range(n)])
     return np.array(rows, dtype=complex)
+
+
+def loop_parameter_tables(params, **columns) -> tuple:
+    """``network.parameter_tables`` point by point: each point's rows
+    built in turn by the builder's own helpers, every field read per
+    point and every theta wrapped where it is used."""
+    from qbnet.network import _direct_phases, _intermediate_coupling
+
+    points = len(next(iter(columns.values()))) if columns else 1
+
+    def column(name):
+        return columns[name] if name in columns else [getattr(params, name)] * points
+
+    rates, strengths, phases = [], [], []
+    for g_b, gamma_c, gamma_b, Gamma, thetas, variant in zip(
+            column("g_b"), column("gamma_c"), column("gamma_b"),
+            column("Gamma"), column("thetas"), column("variant")):
+        rates.append((gamma_c, Gamma, *gamma_b))
+        strengths.append((g_b, _intermediate_coupling(variant, g_b, Gamma)))
+        phases.append((0.0, *_direct_phases(variant, params.n, thetas)))
+    return (np.array(rates, dtype=float), np.array(strengths, dtype=float),
+            np.array(phases, dtype=float), np.array(column("xi"), dtype=complex))

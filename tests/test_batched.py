@@ -8,9 +8,12 @@ shared solves actually happen.
 """
 
 import math
+import types
 
 import numpy as np
 import pytest
+
+import qbnet
 
 from qbnet import (NoSteadyStateError, ScanEdgeError, TopologyParams,
                    UnstableSystemError, ValidationError, assemble,
@@ -18,12 +21,15 @@ from qbnet import (NoSteadyStateError, ScanEdgeError, TopologyParams,
                    max_power, parse_run_config, run_sweep, steady_energy,
                    steady_state)
 from qbnet.dynamics import assemble_points, layout, steady_states
-from qbnet.network import FAMILIES, VARIANTS, WITH_INTERMEDIATES
-from qbnet.observables import (GAIN_VARIANTS, _energy, _power_points,
-                               _steady_points)
+from qbnet.network import (FAMILIES, VARIANTS, WITH_INTERMEDIATES,
+                           parameter_tables)
+from qbnet.observables import (GAIN_VARIANTS, _energies, _picked,
+                               _power_points, _steady_points)
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, strategies as st  # noqa: E402
+
+from oracles import loop_parameter_tables  # noqa: E402
 
 #: the fields a batch varies per point
 FIELDS = ("g_b", "gamma_c", "gamma_b", "Gamma", "xi", "thetas")
@@ -65,6 +71,14 @@ def as_batch(points):
     return first, columns
 
 
+def point_energy(batch, i, target):
+    """``|alpha_ss(target)|^2`` of point ``i`` of a solved batch; a
+    refused point raises its error."""
+    if i in batch[1]:
+        raise batch[1][i]
+    return float(_energies(_picked(batch, target))[i, 0])
+
+
 def loop_assemble(spec):
     """The entry formula one coupling at a time, as a scalar loop."""
     index = {m.id: i for i, m in enumerate(spec.modes)}
@@ -98,13 +112,14 @@ def test_batch_equals_per_point(points):
                 expected = steady_energy(params, target)
             except (NoSteadyStateError, UnstableSystemError) as exc:
                 with pytest.raises(type(exc)) as err:
-                    _energy(batch[i], target)
+                    point_energy(batch, i, target)
                 assert str(err.value) == str(exc)
+                assert np.isnan(batch[0][i]).all()
                 with pytest.raises(type(exc)) as err:
                     steady_state(sys)
                 assert str(err.value) == str(exc)
                 continue
-            assert _energy(batch[i], target) == expected
+            assert point_energy(batch, i, target) == expected
             spec_path = steady_state(sys).amplitudes[sys.row(target)]
             assert float(abs(spec_path) ** 2) == expected
 
@@ -156,7 +171,7 @@ def test_power_batch_equals_max_power(points):
     first, columns = as_batch(points)
     targets = [f"b_{k}" for k in range(1, first.n + 1)]
     batch = _power_points(first, targets, **columns)
-    for (steady, peaks), params in zip(batch, points):
+    for i, (peaks, params) in enumerate(zip(batch[3], points)):
         for target, peak in zip(targets, peaks):
             try:
                 expected = max_power(params, target)
@@ -165,16 +180,16 @@ def test_power_batch_equals_max_power(points):
                 assert type(peak) is type(exc)
                 assert str(peak) == str(exc)
                 if not isinstance(exc, ScanEdgeError):
-                    assert steady is peak
+                    assert batch[1][i] is peak
                 continue
             assert peak == expected
-            assert _energy(steady, target) == steady_energy(params, target)
+            assert point_energy(batch, i, target) == steady_energy(params, target)
 
 
 def test_edge_batch_has_an_edge():
     # the explicit example above exercises the edge path
-    peaks = [p for _, ps in _power_points(EDGE_BATCH[0], ["b_2"], g_b=[
-        p.g_b for p in EDGE_BATCH]) for p in ps]
+    peaks = [p for ps in _power_points(EDGE_BATCH[0], ["b_2"], g_b=[
+        p.g_b for p in EDGE_BATCH])[3] for p in ps]
     assert [type(p) for p in peaks] == [tuple, ScanEdgeError, tuple]
 
 
@@ -221,21 +236,22 @@ def test_refused_slice_does_not_abort_the_batch():
     gammas = [0.1, 0.0, 0.2, 0.0]
     matrices, drives, _ = assemble_points(
         params, gamma_c=gammas, gamma_b=[(g,) * 3 for g in gammas])
-    states = steady_states(matrices, drives)
-    for g, state in zip(gammas, states):
+    amplitudes, residuals, conditions, errors = steady_states(matrices, drives)
+    assert sorted(errors) == [1, 3]
+    for i, g in enumerate(gammas):
         sys = assemble(build_network(TopologyParams(
             "cascaded", "r1", 3, 0.01, g, g, 0.1, 1.0)))
         if g == 0.0:
             with pytest.raises(UnstableSystemError) as err:
                 steady_state(sys)
-            assert type(state) is UnstableSystemError
-            assert str(state) == str(err.value)
-            assert state.spectral_abscissa == err.value.spectral_abscissa
+            assert type(errors[i]) is UnstableSystemError
+            assert str(errors[i]) == str(err.value)
+            assert errors[i].spectral_abscissa == err.value.spectral_abscissa
+            assert np.isnan(amplitudes[i]).all() and np.isnan(residuals[i])
         else:
             ss = steady_state(sys)
-            assert state.amplitudes.tobytes() == ss.amplitudes.tobytes()
-            assert (state.residual, state.condition) == (ss.residual,
-                                                         ss.condition)
+            assert amplitudes[i].tobytes() == ss.amplitudes.tobytes()
+            assert (residuals[i], conditions[i]) == (ss.residual, ss.condition)
 
 
 @pytest.fixture
@@ -254,7 +270,72 @@ def linalg_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def numpy_calls(monkeypatch):
+    """The name of every call that ``qbnet.network``, ``qbnet.dynamics``
+    and ``qbnet.observables`` make through their ``np`` module: numpy
+    functions, ufuncs and their methods, and ``np.linalg``."""
+    calls = []
+
+    class Counted:
+        def __init__(self, target, name):
+            self._target, self._name = target, name
+
+        def __call__(self, *args, **kwargs):
+            calls.append(self._name)
+            return self._target(*args, **kwargs)
+
+        def __getattr__(self, attr):
+            value = getattr(self._target, attr)
+            return Counted(value, f"{self._name}.{attr}") if callable(value) else value
+
+    def proxy(module, name):
+        counted = types.ModuleType(name)
+        for attr in dir(module):
+            value = getattr(module, attr)
+            if callable(value) and not isinstance(value, type):
+                value = Counted(value, f"{name}.{attr}")
+            setattr(counted, attr, value)
+        return counted
+
+    counted = proxy(np, "np")
+    counted.linalg = proxy(np.linalg, "np.linalg")
+    for module in (qbnet.network, qbnet.dynamics, qbnet.observables):
+        monkeypatch.setattr(module, "np", counted)
+    return calls
+
+
 class TestCounters:
+    def test_landscape_wraps_each_theta_once(self, monkeypatch):
+        # 41 distinct thetas on a 41 x 41 grid of two links
+        figure_table("fig2a")  # compiles the layout
+        calls = []
+        wrap = qbnet.network.wrap_phase
+        monkeypatch.setattr(qbnet.network, "wrap_phase",
+                            lambda phi: calls.append(phi) or wrap(phi))
+        figure_table("fig2a")
+        assert 0 < len(calls) <= 41
+
+    def test_energy_panel_builds_no_steady_state(self, monkeypatch):
+        # a batch is read as arrays, not one SteadyState per point
+        built = []
+        state = qbnet.dynamics.SteadyState
+        monkeypatch.setattr(qbnet.dynamics, "SteadyState",
+                            lambda *a, **k: built.append(a) or state(*a, **k))
+        figure_table("fig2b")
+        assert built == []
+
+    @pytest.mark.parametrize("call, before", [(steady_energy, 24),
+                                              (gain_report, 48)])
+    def test_single_call_numpy_budget(self, call, before, numpy_calls):
+        # the fixed cost of one small call: no more numpy calls than the
+        # per-point tables made (``before``, counted the same way)
+        params = TopologyParams("cascaded", "nr", 1, 0.01, 0.1, 0.1, 0.1, 1.0)
+        call(params)  # compiles the layout
+        numpy_calls.clear()
+        call(params)
+        assert 0 < len(numpy_calls) <= before
+
     def test_fig2c_solves_in_batches(self, linalg_calls):
         # nr and r2 share a layout: one batch of 602, one of 301 for r1,
         # and at most one refinement batch each
@@ -316,3 +397,81 @@ class TestCounters:
                              for t in report.targets)
             assert getattr(report, f"p_max_{v}") == expected
         assert all(math.isfinite(e) for e in report.eta1 + report.eta2)
+
+
+THETA = st.one_of(
+    st.sampled_from([math.pi, -math.pi, 0.0, -0.0, 2 * math.pi, -3 * math.pi,
+                     math.pi / 2, -math.pi / 2, 7.0, -100.0]),
+    st.floats(-20.0, 20.0))
+
+
+@st.composite
+def table_batches(draw):
+    """``(params, columns)`` of one layout: ``r1`` points, or points
+    mixing ``nr``, ``r2`` and ``custom``; any of the fields as columns
+    (lists, or arrays), thetas at and beyond the ends of (-pi, pi], and a
+    zero ``Gamma`` in a fifth of the batches."""
+    family = draw(st.sampled_from(FAMILIES))
+    n = draw(st.integers(1, 5))
+    points = draw(st.integers(1, 6))
+    pool = draw(st.sampled_from([("r1",), ("nr", "r2", "custom"), ("nr", "r2")]))
+    variants = draw(st.lists(st.sampled_from(pool), min_size=points,
+                             max_size=points))
+    varied = set(draw(st.sets(st.sampled_from(FIELDS))))
+    if len(set(variants)) > 1 or draw(st.booleans()):
+        varied.add("variant")
+    else:
+        variants = [variants[0]] * points
+    rate = st.one_of(st.just(0.0), st.floats(1e-6, 10.0))
+    thetas = st.lists(THETA, min_size=n, max_size=n).map(tuple)
+    values = {
+        "g_b": [draw(st.floats(0.0, 10.0)) for _ in range(points)],
+        "gamma_c": [draw(rate) for _ in range(points)],
+        "gamma_b": [tuple(draw(st.lists(rate, min_size=n, max_size=n)))
+                    for _ in range(points)],
+        "Gamma": [draw(st.floats(1e-6, 10.0)) for _ in range(points)],
+        "xi": [complex(draw(st.floats(-2, 2)), draw(st.floats(-2, 2)))
+               for _ in range(points)],
+        "thetas": [draw(thetas) for _ in range(points)],
+        "variant": variants}
+    if draw(st.integers(0, 4)) == 0:
+        values["Gamma"][draw(st.integers(0, points - 1))] = 0.0
+    base = {f: v[0] for f, v in values.items()}
+    if "variant" in varied:
+        base["variant"] = draw(st.sampled_from(VARIANTS))
+    needs_thetas = base["variant"] == "custom" or (
+        "custom" in variants and "thetas" not in varied)
+    if not needs_thetas and draw(st.booleans()):
+        base["thetas"] = None
+    columns = {f: (np.array(values[f]) if f in ("g_b", "thetas")
+                   and draw(st.booleans()) else values[f]) for f in sorted(varied)}
+    return TopologyParams(family=family, n=n, **base), columns
+
+
+@given(table_batches())
+@example((TopologyParams("parallel", "custom", 2, 0.01, 0.1, 0.1, 0.1, 1.0,
+                         (-math.pi, -0.0)),
+          {"thetas": [(math.pi, -0.0), (-math.pi, 0.0), (9.0, -7.5)],
+           "variant": ["custom", "nr", "custom"], "Gamma": [0.1, 0.2, 0.3]}))
+@example((TopologyParams("cascaded", "r1", 2, 0.01, 0.1, 0.1, 0.1, 1.0),
+          {"thetas": [(0.0, -0.0), (-0.0, -math.pi), (math.pi, 0.0)]}))
+@example((TopologyParams("cascaded", "nr", 3, 0.01, 0.1, 0.1, 0.1, 1.0),
+          {"Gamma": [0.1, 0.0, 0.2], "variant": ["nr", "r2", "r2"]}))
+@example((TopologyParams("cascaded", "r2", 2, 0.01, 0.1, 0.1, 0.0, 1.0),
+          {"g_b": [0.1, 0.2]}))
+def test_tables_equal_the_loop(batch):
+    # column-wise tables are the per-point loop's, bit for bit, and a
+    # point the builder refuses raises the builder's message
+    params, columns = batch
+    try:
+        expected = loop_parameter_tables(params, **columns)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as err:
+            parameter_tables(params, **columns)
+        assert str(err.value) == str(exc)
+        return
+    tables = parameter_tables(params, **columns)
+    for got, want in zip(tables, expected):
+        assert got.shape == want.shape
+        assert (np.ascontiguousarray(got).view(np.int64).tobytes()
+                == np.ascontiguousarray(want).view(np.int64).tobytes())

@@ -233,3 +233,32 @@ def test_console_entry_point():
         capture_output=True, text=True, cwd=src)
     assert result.returncode == 0
     assert float(result.stdout.split("=")[1]) == pytest.approx(100.0, rel=1e-9)
+
+
+def test_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
+    # the parser is built once per process; no parsed state may carry
+    # from one call into the next (the sweep takes its format from the
+    # config, the figure after it must still write CSV)
+    src = pathlib.Path(qbnet.__file__).resolve().parents[1]
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({
+        "topology": {"family": "cascaded", "variant": "nr", "n": 2, "g_b": 0.01,
+                     "gamma_c": 0.1, "gamma_b": 0.1, "Gamma": 0.1, "xi": 1.0},
+        "sweep": {"variable": "gamma", "values": [0.1, 0.0, 0.2]},
+        "observables": ["steady_energy", "gains"], "format": "json"}))
+    calls = [["figure", "fig2f", "--out", str(tmp_path / "figs"), "--deterministic"],
+             ["steady", "--family", "parallel", "--variant", "nr", "--n", "2",
+              "--gb", "0.01", "--gamma", "0.1"],
+             ["sweep", "--config", str(config)],
+             ["figure", "fig2f", "--out", str(tmp_path / "figs"), "--deterministic"]]
+    outputs = []
+    for argv in calls:
+        code = cli_main(argv)
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "qbnet", *argv],
+                               capture_output=True, text=True, cwd=src)
+        assert (code, captured.out, captured.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), argv
+        outputs.append(captured.out)
+    assert json.loads(outputs[2])["errors"]  # the undamped point is refused
+    assert outputs[3].strip().endswith("fig2f.csv")

@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -104,3 +105,14 @@ class TestRunFigure:
         run_figure("fig2f", str(tmp_path), fmt="json", deterministic=True)
         doc = json.loads((tmp_path / "fig2f.json").read_text())
         assert doc["columns"] == list(FIGURE_COLUMNS["fig2f"])
+
+
+#: the committed reference datasets, one CSV per panel
+FIGURE_DATA = pathlib.Path(__file__).resolve().parents[1] / "figure_data"
+
+
+@pytest.mark.parametrize("fig_id", FIGURE_IDS)
+def test_committed_data_is_current(fig_id, tmp_path):
+    # every committed panel is what the code writes now, byte for byte
+    (path,) = run_figure(fig_id, str(tmp_path), deterministic=True)
+    assert pathlib.Path(path).read_bytes() == (FIGURE_DATA / f"{fig_id}.csv").read_bytes()
