@@ -4,10 +4,10 @@ The mode amplitudes obey ``d(alpha)/dt = M alpha + d`` with
 
 * ``M[m, m] = -i * detuning_m - decay_rate_m / 2``,
 * coupling ``(s -> t, g, theta)``: ``M[t, s] += -i g e^{+i theta}``
-  and ``M[s, t] += -i g e^{-i theta}``,
+  and ``M[s, t] += -i g e^{-i theta}``, written as ``-conj(M[t, s])``,
 * drive ``xi`` on mode ``m``: ``d[m] = -i xi``.
 
-By construction ``M + M^dagger = -diag(decay rates)``, so any network
+So ``M + M^dagger = -diag(decay rates)`` exactly, and any network
 with all-positive decay is Hurwitz and has a unique steady state
 ``alpha_ss = -M^{-1} d``.
 
@@ -16,7 +16,8 @@ the network must decay (spectral abscissa at most ``STABILITY_FLOOR``)
 and M must be well conditioned (``cond_2(M)`` at most
 ``CONDITION_LIMIT``).  Both read the dissipation structure off the
 assembled matrix first: the certificate bounds the Hermitian part
-``H = (M + M^dagger)/2`` by Gershgorin discs in O(n^2), giving ``mu``
+``H = (M + M^dagger)/2`` by Gershgorin discs over the couplings alone
+(their ``Pattern``), in O(nnz), giving ``mu``
 with ``Re<x, M x> <= -mu |x|^2`` for every x.  When ``mu > 0`` the
 numerical range proves ``spectral abscissa <= -mu``,
 ``sigma_min(M) >= mu`` and ``cond_2(M) <= ||M||_F / mu``.  A rule runs
@@ -32,7 +33,9 @@ a map from each refused slice to its error; ``steady_state`` is its
 P = 1 case, a ``SteadyState`` or the error raised.  ``layout`` compiles each
 built-in topology once from ``build_network``'s output, so
 ``assemble_points`` fills P points without a spec, by ``assemble``'s
-entry formula.
+entry formula.  Without mode 0, the charger, both families are banded
+(``M[1:, 1:]`` of bandwidth 2 at most): a stack of at least ``_BAND_MIN_MODES``
+modes solves its certified slices by a bordered band LU, the rest by dense LU.
 
 ``evolve`` is exact on every network.  Each point is read off
 ``[alpha0; 1]`` under the augmented matrix ``[[M, d], [0, 0]]``, whose
@@ -52,12 +55,14 @@ network ``steady_state`` refuses, each point is one ``expm``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .errors import NoSteadyStateError, UnstableSystemError, ValidationError
 from .network import (WITH_INTERMEDIATES, NetworkSpec, TopologyParams,
@@ -82,6 +87,10 @@ STEP_BLOCK = 16
 _EXPM_STACK_ENTRIES = 2 ** 18
 
 _EPS = float(np.finfo(float).eps)
+
+#: band-route break-even (``_solve``, one network per family and variant):
+#: a tie at 41 modes, the band wins all four at 49; also 8 per unit of width
+_BAND_MIN_MODES = 48
 
 # The Bromwich contour of a decade window [t0, 10 t0] is the hyperbola
 # z(u) = mu (1 + sin(i u - alpha)), mu = 3 / t0, alpha = 0.8, sampled by
@@ -117,6 +126,21 @@ _CONTOUR_Z = _CONTOUR_MU * (1.0 + np.sin(1j * _U - _CONTOUR_ALPHA))
 _CONTOUR_W = (_CONTOUR_H * _CONTOUR_MU / (2.0 * np.pi)) * np.cos(1j * _U - _CONTOUR_ALPHA)
 
 
+class Pattern(NamedTuple):
+    """Coupling k joins rows ``ends[2k] = t``, ``ends[2k + 1] = s`` at flat positions
+    ``forward[k]`` (``M[t, s]``), ``backward[k]`` (``M[s, t]``); ``width``: ``M[1:, 1:]``'s."""
+
+    forward: np.ndarray
+    backward: np.ndarray
+    ends: np.ndarray
+    width: int
+
+
+def _pattern(t: np.ndarray, s: np.ndarray, n: int) -> Pattern:
+    return Pattern(t * n + s, s * n + t, np.stack((t, s), axis=1).ravel(),
+                   int(np.max(np.abs(t - s)[(t > 0) & (s > 0)], initial=0)))
+
+
 @dataclass(frozen=True)
 class Certificate:
     """What the dissipation structure of M proves (see the module doc).
@@ -135,10 +159,10 @@ class Certificate:
     condition_bound: float
 
 
-def _certify(matrices: np.ndarray) -> tuple:
+def _certify(matrices: np.ndarray, pattern: Pattern) -> tuple:
     """``(mu, abscissa_bound, condition_bound)`` of each slice of a
-    (P, n, n) stack, by the Gershgorin discs of ``H``: centre
-    ``Re M[i, i]``, radius ``sum_{j != i} |M[i, j] + conj(M[j, i])| / 2``.
+    (P, n, n) stack, by the Gershgorin discs of ``H``: centre ``Re M[i, i]``,
+    radius ``|M[t, s] + conj(M[s, t])| / 2`` summed over ``pattern`` at i.
 
     Computed moduli and row sums are within ``(n + 2) eps`` relative,
     the squared Frobenius sum within ``n^2 eps``; both are charged
@@ -146,14 +170,15 @@ def _certify(matrices: np.ndarray) -> tuple:
     """
     points, n = matrices.shape[:2]
     slack = (n + 2) * _EPS
-    off = np.conjugate(matrices.swapaxes(1, 2), order="C")
-    off += matrices
-    diagonal = off.reshape(points, n * n)[:, ::n + 1]
-    centre = diagonal.real * (0.5 * (1.0 - slack))
-    diagonal[...] = 0.0
-    radius = np.add.reduce(np.abs(off), axis=2) * (0.5 * (1.0 + slack))
-    mu = -np.maximum.reduce(centre + radius, axis=1)
-    norm = _norms(matrices.reshape(points, n * n)) * (1.0 + n * slack)
+    flat = matrices.reshape(points, n * n)
+    off = np.abs(flat[:, pattern.forward] + flat[:, pattern.backward].conj())
+    radius = 0.0  # what every assembled network gives: M + M^dagger is diagonal
+    if off.any():
+        radius = np.bincount((pattern.ends + n * np.arange(points)[:, None]).ravel(),
+                             off.repeat(2, axis=1).ravel(), points * n).reshape(points, n)
+    mu = -np.maximum.reduce(flat[:, ::n + 1].real * (1.0 - slack)
+                            + radius * (0.5 * (1.0 + slack)), axis=1)
+    norm = _norms(flat) * (1.0 + n * slack)
     bound = np.divide(norm, mu, out=np.full(points, np.inf), where=mu > 0.0)
     return mu, slack * norm - mu, bound
 
@@ -192,9 +217,14 @@ class LinearSystem:
         return self.matrix.shape[0]
 
     @cached_property
+    def pattern(self) -> Pattern:
+        """The coupling positions, found once from the nonzero entries of M."""
+        return _pattern(*np.tril(abs(self.matrix) + abs(self.matrix.T), -1).nonzero(), self.n)
+
+    @cached_property
     def certificate(self) -> Certificate:
         """The certificate of M, computed once per system."""
-        return Certificate(*(float(v[0]) for v in _certify(self.matrix[None])))
+        return Certificate(*(float(v[0]) for v in _certify(self.matrix[None], self.pattern)))
 
     @cached_property
     def abscissa(self) -> float:
@@ -239,33 +269,31 @@ class Trajectory:
         return self.amplitudes[:, self.index[mode_id]]
 
 
-def _fill(rotation, decay, forward, backward, strength, phase) -> np.ndarray:
+def _fill(rotation, decay, pattern, strength, phase) -> np.ndarray:
     """The (P, n, n) matrices for ``rotation = -i detuning`` and per-point
     ``decay`` (P, n), coupling ``strength`` and ``phase`` (P, couplings),
-    coupling ``k`` entering at the distinct flat positions ``forward[k]``
-    (``M[t, s]``) and ``backward[k]`` (``M[s, t]``), as if added to zero
+    at the distinct positions of ``pattern``, as if added to zero
     (``+ 0.0``): the one place the entry formula above is written."""
     points, n = decay.shape
     matrices = np.zeros((points, n, n), dtype=complex)
     flat = matrices.reshape(points, n * n)
     flat[:, ::n + 1] = rotation - decay / 2.0
-    coupling = -1j * strength
-    flat[:, forward] = coupling * np.exp(1j * phase) + 0.0
-    flat[:, backward] = coupling * np.exp(-1j * phase) + 0.0
+    coupling = -1j * strength * np.exp(1j * phase) + 0.0
+    flat[:, pattern.forward] = coupling
+    flat[:, pattern.backward] = -coupling.conj() + 0.0
     return matrices
 
 
 def _spec_arrays(spec: NetworkSpec) -> tuple:
     """``index`` and the ``_fill`` arguments of one spec."""
     index = {m.id: i for i, m in enumerate(spec.modes)}
-    n = len(index)
     s, t, strength, phase = np.array(
         [(index[c.source], index[c.target], c.strength, c.phase)
          for c in spec.couplings], dtype=float).reshape(-1, 4).T
-    s, t = s.astype(np.intp), t.astype(np.intp)
     return index, (-1j * np.array([m.detuning for m in spec.modes], dtype=float),
                    np.array([[m.decay_rate for m in spec.modes]], dtype=float),
-                   t * n + s, s * n + t, strength[None], phase[None])
+                   _pattern(t.astype(np.intp), s.astype(np.intp), len(index)),
+                   strength[None], phase[None])
 
 
 def assemble(spec: NetworkSpec) -> LinearSystem:
@@ -282,9 +310,9 @@ def assemble(spec: NetworkSpec) -> LinearSystem:
 
 @lru_cache(maxsize=256)
 def layout(family: str, intermediates: bool, n: int) -> tuple:
-    """``(index, drive row, rotation, decay, forward, backward, strength,
-    phase)`` of a built-in topology: the ``_fill`` arguments of its spec,
-    with each per-point value replaced by its column in the matching
+    """``(index, drive row, rotation, decay, strength, phase, pattern)`` of
+    a built-in topology: the ``_fill`` arguments of its spec, with each
+    per-point value replaced by its column in the matching
     ``network.parameter_tables`` table.  Found by building the topology
     once with a distinct value in every column and reading where each
     value landed; the variants with intermediates share one layout."""
@@ -292,50 +320,77 @@ def layout(family: str, intermediates: bool, n: int) -> tuple:
                            1.0, tuple(range(3, n + 3)), 2.0, 1.0,
                            tuple(k / (n + 1) for k in range(1, n + 1)))
     spec = build_network(probe)
-    index, (rotation, decay, forward, backward, strength, phase) = _spec_arrays(spec)
+    index, (rotation, decay, pattern, strength, phase) = _spec_arrays(spec)
 
     def columns(table, values):
         return np.array([table[0].tolist().index(v) for v in values[0].tolist()])
 
     rates, strengths, phases, _ = parameter_tables(probe)
-    arrays = (rotation, columns(rates, decay), forward, backward,
-              columns(strengths, strength), columns(phases, phase))
-    for array in arrays:  # shared by every caller
-        array.setflags(write=False)
-    return (MappingProxyType(index), index[spec.drives[0].mode]) + arrays
+    arrays = (rotation, columns(rates, decay), columns(strengths, strength),
+              columns(phases, phase))
+    for array in arrays + pattern[:3]:
+        array.setflags(write=False)  # shared by every caller
+    return (MappingProxyType(index), index[spec.drives[0].mode]) + arrays + (pattern,)
+
+
+def _points_layout(params: TopologyParams, columns: dict) -> tuple:
+    variant = columns["variant"][0] if "variant" in columns else params.variant
+    return layout(params.family, variant in WITH_INTERMEDIATES, params.n)
 
 
 def assemble_points(params: TopologyParams, **columns) -> tuple:
     """``(matrices, drives, index)`` of P points of a built-in topology,
     ``columns`` as in ``network.parameter_tables``; no spec is built."""
-    variant = columns["variant"][0] if "variant" in columns else params.variant
-    index, drive, rotation, decay, forward, backward, strength, phase = layout(
-        params.family, variant in WITH_INTERMEDIATES, params.n)
+    index, drive, rotation, decay, strength, phase, pattern = _points_layout(params, columns)
     rates, strengths, phases, xi = parameter_tables(params, **columns)
-    matrices = _fill(rotation, rates[:, decay], forward, backward,
-                     strengths[:, strength], phases[:, phase])
+    matrices = _fill(rotation, rates[:, decay], pattern, strengths[:, strength],
+                     phases[:, phase])
     drives = np.zeros(matrices.shape[:2], dtype=complex)
     drives[:, drive] += -1j * xi
     return matrices, drives, index
 
 
-def _solve(matrices, drives) -> tuple:
-    """``(alpha, residual norm)`` of ``M alpha = -d`` per slice, refined
-    once where the residual is above rounding level."""
-    alpha = np.linalg.solve(matrices, -drives[..., None])
-    resid = (matrices @ alpha)[..., 0] + drives
+def _band_solver(matrices, width):
+    """``solve(rhs, at)``, x of ``M x = rhs`` for the slices ``at``: one LAPACK
+    ``zgbtrf`` of the stacked block diagonal of the ``M[1:, 1:]`` (bandwidth ``width``),
+    then the scalar Schur complement S of mode 0.  With ``mu > 0`` every principal
+    block is dissipative: ``|S| >= mu``, and no pivot need cross the border."""
+    points, m, w = len(matrices), matrices.shape[1] - 1, width
+    band = np.zeros((points, m, 3 * w + 1), dtype=complex)  # LAPACK band storage, transposed
+    for d in range(-w, w + 1):
+        band[:, max(d, 0):m + min(d, 0), 2 * w - d] = np.diagonal(matrices[:, 1:, 1:], d, 1, 2)
+    lu, pivots, _ = zgbtrf(band.reshape(points * m, -1).T, w, w, overwrite_ab=True)
+
+    def solve(rhs, at=slice(None)):
+        pair = np.stack((matrices[:, 1:, 0], rhs[:, 1:])).reshape(2, -1).T
+        border, rest = zgbtrs(lu, w, w, pair, pivots)[0].T.reshape(2, points, m)
+        via_border, via_rest = np.einsum("pi,kpi->kp", matrices[:, 0, 1:], (border, rest))
+        head = (rhs[:, 0] - via_rest) / (matrices[:, 0, 0] - via_border)
+        return np.concatenate((head[:, None], rest - border * head[:, None]), axis=1)[at]
+    return solve
+
+
+def _solve(matrices, drives, width=None) -> tuple:
+    """``(alpha, residual norm)`` of ``M alpha = -d`` per slice, by dense LU or,
+    given the bandwidth of the ``M[1:, 1:]``, by ``_band_solver``; refined once, on
+    the same factors, where the residual is above rounding level."""
+    solve = _band_solver(matrices, width) if width is not None else (
+        lambda rhs, at=slice(None): np.linalg.solve(matrices[at], rhs[at, :, None])[..., 0])
+    alpha = solve(-drives)
+    resid = (matrices @ alpha[..., None])[..., 0] + drives
     norm = _norms(resid)
     if norm.max() > 1e-12:  # else below every slice's threshold
         redo = np.flatnonzero(norm > 1e-12 * np.maximum(1.0, _norms(drives)))
-        alpha[redo] -= np.linalg.solve(matrices[redo], resid[redo][..., None])
-        norm[redo] = _norms((matrices[redo] @ alpha[redo])[..., 0] + drives[redo])
-    return alpha[..., 0], norm
+        alpha[redo] -= solve(resid, redo)
+        norm[redo] = _norms((matrices[redo] @ alpha[redo, :, None])[..., 0] + drives[redo])
+    return alpha, norm
 
 
-def _gate(matrices, drives, abscissa_bound, condition_bound, abscissas) -> tuple:
+def _gate(matrices, drives, certified, abscissas, width) -> tuple:
     """The decay rule, the condition rule and the solve over a stack, as
     ``steady_states`` returns them; dense checks run, stacked, on the slices
     the certificate cannot prove, ``abscissas(slices)`` giving eigvals'."""
+    mu, abscissa_bound, condition_bound = certified
     errors, conditions = {}, condition_bound
     if not abscissa_bound.max() <= STABILITY_FLOOR:
         slices = (~(abscissa_bound <= STABILITY_FLOOR)).nonzero()[0]
@@ -355,28 +410,31 @@ def _gate(matrices, drives, abscissa_bound, condition_bound, abscissas) -> tuple
                 errors[i] = NoSteadyStateError(
                     f"no unique steady state: condition estimate {cond:.3e} "
                     f"exceeds {CONDITION_LIMIT:.0e}", condition=cond)
-    if not errors:
-        return (*_solve(matrices, drives), conditions, errors)
+    banded = mu > 0.0 if matrices.shape[1] >= max(_BAND_MIN_MODES, 8 * width) else None
+    if not errors and (banded is None or banded.all()):
+        route = None if banded is None else width
+        return (*_solve(matrices, drives, route), conditions, errors)
     keep = np.ones(len(matrices), dtype=bool)
     keep[list(errors)] = False
+    banded = keep & (False if banded is None else banded)
     amplitudes, residuals = np.full(drives.shape, np.nan, complex), np.full(len(drives), np.nan)
-    if keep.any():
-        amplitudes[keep], residuals[keep] = _solve(matrices[keep], drives[keep])
+    for rows, route in ((keep & ~banded, None), (banded, width)):
+        if rows.any():
+            amplitudes[rows], residuals[rows] = _solve(matrices[rows], drives[rows], route)
     return amplitudes, residuals, conditions, errors
 
 
-def steady_states(matrices: np.ndarray, drives: np.ndarray,
+def steady_states(matrices: np.ndarray, drives: np.ndarray, pattern: Pattern,
                   abscissas: np.ndarray | None = None) -> tuple:
     """``steady_state`` of each slice of a (P, n, n) stack with its (P, n)
-    drives, in one batched solve: ``(amplitudes, residuals, conditions,
-    errors)``, ``errors`` mapping a refused slice (amplitudes NaN) to the
-    error ``steady_state`` raises.  ``abscissas``, the dense abscissa of
-    every slice when the caller has computed them, stand in for the
-    gate's own ``eigvals``."""
-    _, abscissa_bound, condition_bound = _certify(matrices)
+    drives and coupling ``pattern`` (a ``layout``'s), in one batched solve:
+    ``(amplitudes, residuals, conditions, errors)``, ``errors`` mapping a
+    refused slice (amplitudes NaN) to the error ``steady_state`` raises.
+    ``abscissas``, the dense abscissa of every slice when the caller has
+    computed them, stand in for the gate's own ``eigvals``."""
     dense = ((lambda slices: _abscissas(matrices[slices])) if abscissas is None
              else abscissas.__getitem__)
-    return _gate(matrices, drives, abscissa_bound, condition_bound, dense)
+    return _gate(matrices, drives, _certify(matrices, pattern), dense, pattern.width)
 
 
 def steady_state(sys: LinearSystem) -> SteadyState:
@@ -391,8 +449,8 @@ def steady_state(sys: LinearSystem) -> SteadyState:
     """
     cert = sys.certificate
     amplitudes, residuals, conditions, errors = _gate(
-        sys.matrix[None], sys.drive[None], np.array([cert.abscissa_bound]),
-        np.array([cert.condition_bound]), lambda _: np.array([sys.abscissa]))
+        sys.matrix[None], sys.drive[None], np.array(astuple(cert))[:, None],
+        lambda _: np.array([sys.abscissa]), sys.pattern.width)
     if errors:
         raise errors[0]
     return SteadyState(amplitudes[0], float(residuals[0]), float(conditions[0]))

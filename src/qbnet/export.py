@@ -62,8 +62,8 @@ def table_to_csv_text(table: SweepTable, deterministic: bool = True) -> str:
     """The CSV document: metadata lines, header row, data rows."""
     lines = _metadata_lines(table, deterministic)
     lines.append(",".join(table.columns))
-    for row in table.rows:
-        lines.append(",".join(format_number(v) for v in row))
+    row_format = ",".join(["%.17g"] * len(table.columns))  # format_number's form
+    lines.extend(row_format % tuple(map(float, row)) for row in table.rows)
     return "\n".join(lines) + "\n"
 
 

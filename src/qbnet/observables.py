@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (LinearSystem, _abscissas, _propagate_expm, _row,
-                       assemble_points, evolve, steady_states, vacuum)
+from .dynamics import (LinearSystem, _abscissas, _points_layout, _propagate_expm,
+                       _row, assemble_points, evolve, steady_states, vacuum)
 from .errors import ScanEdgeError
 from .network import TopologyParams
 
@@ -110,7 +110,8 @@ def _steady_points(params: TopologyParams, **columns) -> tuple:
     """A solved batch (``columns`` as in ``assemble_points``): ``(amplitudes
     (P, n), errors, index)``, ``errors`` as in ``steady_states``."""
     matrices, drives, index = assemble_points(params, **columns)
-    amplitudes, _, _, errors = steady_states(matrices, drives)
+    pattern = _points_layout(params, columns)[-1]
+    amplitudes, _, _, errors = steady_states(matrices, drives, pattern)
     return amplitudes, errors, index
 
 
@@ -321,14 +322,15 @@ def _power_points(params: TopologyParams, targets, **columns) -> tuple:
     matrices, drives, index = assemble_points(params, **columns)
     rows = np.array([_row(index, t) for t in targets], dtype=np.intp)
     abscissas = _abscissas(matrices)
-    amplitudes, _, _, errors = steady_states(matrices, drives, abscissas)
+    pattern = _points_layout(params, columns)[-1]
+    amplitudes, _, _, errors = steady_states(matrices, drives, pattern, abscissas)
     keep = np.ones(len(matrices), dtype=bool)
     keep[list(errors)] = False
     xi = np.asarray(columns.get("xi", [params.xi] * len(keep)), dtype=complex)[keep]
     unit = amplitudes
     if np.any(xi != 1.0):
         unit_drives = assemble_points(params, **{**columns, "xi": np.ones(len(keep))})[1]
-        unit = steady_states(matrices, unit_drives, abscissas)[0]
+        unit = steady_states(matrices, unit_drives, pattern, abscissas)[0]
     peaks = iter(_peak_powers(matrices[keep], unit[keep], abscissas[keep], rows,
                               np.abs(xi) ** 2) if keep.any() else ())
     return amplitudes, errors, index, [

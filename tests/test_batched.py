@@ -236,7 +236,8 @@ def test_refused_slice_does_not_abort_the_batch():
     gammas = [0.1, 0.0, 0.2, 0.0]
     matrices, drives, _ = assemble_points(
         params, gamma_c=gammas, gamma_b=[(g,) * 3 for g in gammas])
-    amplitudes, residuals, conditions, errors = steady_states(matrices, drives)
+    amplitudes, residuals, conditions, errors = steady_states(
+        matrices, drives, layout("cascaded", False, 3)[-1])
     assert sorted(errors) == [1, 3]
     for i, g in enumerate(gammas):
         sys = assemble(build_network(TopologyParams(
@@ -257,7 +258,8 @@ def test_refused_slice_does_not_abort_the_batch():
 @pytest.fixture
 def linalg_calls(monkeypatch):
     """Per numpy.linalg kernel, the leading stack size of every call
-    (1 for a single matrix)."""
+    (1 for a single matrix); per band factorisation (``zgbtrf``), the
+    order of the stacked block diagonal it factors."""
     calls = {"solve": [], "eigvals": [], "cond": []}
     for name, sizes in calls.items():
         original = getattr(np.linalg, name)
@@ -267,6 +269,11 @@ def linalg_calls(monkeypatch):
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    band = calls["zgbtrf"] = []
+    factor = qbnet.dynamics.zgbtrf
+    monkeypatch.setattr(qbnet.dynamics, "zgbtrf",
+                        lambda ab, *args, **kwargs: band.append(ab.shape[1])
+                        or factor(ab, *args, **kwargs))
     return calls
 
 
@@ -370,6 +377,30 @@ class TestCounters:
         # the steady column reads the max_power batch's own solve
         assert linalg_calls["solve"] == [3]
         assert len(table.rows) == 3
+
+    def test_long_networks_factor_one_band_per_batch(self, linalg_calls):
+        # 201 modes: one band factorisation, no dense solve; a gain report
+        # stacks nr and r2 into one block diagonal, r1 (101 modes) alone
+        params = TopologyParams("cascaded", "nr", 100, 0.01, 0.1, 0.1, 0.1, 1.0)
+        steady_energy(params)
+        assert linalg_calls["zgbtrf"] == [200] and linalg_calls["solve"] == []
+        gain_report(params)
+        assert linalg_calls["zgbtrf"] == [200, 400, 100]
+        assert linalg_calls["solve"] == []
+
+    def test_unproven_long_chain_takes_the_dense_route(self, linalg_calls):
+        # undamped batteries: M[1:, 1:] is singular (odd order, zero
+        # diagonal), yet the chain decays through the charger to a unique
+        # steady state, E(b_101) = |xi|^2 / g_b^2; the certificate cannot
+        # prove it, so the dense LU solves it
+        params = TopologyParams("cascaded", "r1", 101, 0.05, 0.1, 0.0, 0.1, 1.0)
+        energy = steady_energy(params)
+        assert linalg_calls["zgbtrf"] == [] and linalg_calls["solve"] == [1]
+        matrices, drives, index = assemble_points(params)
+        assert np.linalg.matrix_rank(matrices[0, 1:, 1:]) == 100
+        dense = np.linalg.solve(matrices[0], -drives[0])
+        assert energy == pytest.approx(abs(dense[index["b_101"]]) ** 2, rel=1e-12)
+        assert energy == pytest.approx(400.0, rel=1e-12)
 
     def test_max_power_runs_eigvals_once(self, linalg_calls):
         # charger and batteries undamped, decay only through the

@@ -18,11 +18,13 @@ from qbnet import (CouplingSpec, DriveSpec, LinearSystem, ModeSpec,
                    UnstableSystemError, assemble, build_network,
                    effective_steady_energy, gain_report, is_stable, max_power,
                    parse_run_config, run_sweep, steady_energy, steady_state)
-from qbnet.dynamics import CONDITION_LIMIT, STABILITY_FLOOR
+from qbnet.dynamics import (_BAND_MIN_MODES, CONDITION_LIMIT, STABILITY_FLOOR,
+                            _band_solver, _certify, _points_layout, _solve,
+                            assemble_points, steady_states)
 from qbnet.network import FAMILIES, VARIANTS
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 EPS = np.finfo(float).eps
 #: the dense oracle is backward stable: its eigenvalues and singular
@@ -80,6 +82,16 @@ def test_certificate_is_sound(params):
     assert_dense_oracle_agrees(system(params))
 
 
+@given(networks(near_floor=False))
+def test_hermitian_part_is_exactly_diagonal(params):
+    # M[s, t] is written as -conj(M[t, s]), so no coupling can leave a
+    # Gershgorin radius behind, on the spec path or the batch path
+    for matrix in (system(params).matrix, assemble_points(params)[0][0]):
+        off = matrix + matrix.conj().T
+        np.fill_diagonal(off, 0.0)
+        assert not off.any()
+
+
 @given(st.integers(1, 30), st.floats(-6.0, 1.0), st.integers(0, 2**32 - 1))
 def test_certificate_is_sound_on_general_matrices(n, log_scale, seed):
     # an assembled matrix has an exactly diagonal Hermitian part, so
@@ -123,6 +135,49 @@ def test_long_networks_dense_agrees_with_closed_route(family, variant, data):
     params = data.draw(networks((family,), (variant,), sizes,
                                 near_floor=False))
     assert_routes_agree(params, data.draw(st.integers(1, params.n)))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_500_batteries_agree_with_closed_route(family):
+    # 1,001 modes: the band route at the long-network size of the ROADMAP
+    assert_routes_agree(TopologyParams(family, "nr", 500, 0.1, 0.1, 0.1, 0.1, 1.0), 500)
+
+
+@given(networks(sizes=st.integers(1, 40), near_floor=False), st.floats(-1.0, 1.0))
+def test_band_route_agrees_with_dense_lu(params, spread):
+    # the bordered band LU against the dense LU it stands in for, on
+    # stacks of three points with 3 to 81 modes, both sides of
+    # _BAND_MIN_MODES; each route's error is about eps * cond * |alpha|
+    matrices, drives, _ = assemble_points(
+        params, g_b=[params.g_b * 10.0 ** (spread * k) for k in range(3)])
+    pattern = _points_layout(params, {})[-1]
+    mu, _, condition = _certify(matrices, pattern)
+    assume(matrices.shape[1] > 2 and (mu > 0.0).all())
+    band, _ = _solve(matrices, drives, pattern.width)
+    dense, _ = _solve(matrices, drives)
+    for b, d, cond in zip(band, dense, condition):
+        assert np.linalg.norm(b - d) <= EPS * cond * np.linalg.norm(d)
+    # a refinement solves some slices again on the same factors
+    rhs = np.roll(drives, 1, axis=1)
+    picked = _band_solver(matrices, pattern.width)(rhs, [2, 0])
+    for b, i in zip(picked, [2, 0]):
+        d = np.linalg.solve(matrices[i], rhs[i])
+        assert np.linalg.norm(b - d) <= EPS * condition[i] * np.linalg.norm(d)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_spec_path_takes_the_batch_route(family, variant):
+    # LinearSystem finds the layout's bandwidth from its matrix, so both
+    # paths of a long network take the band route, to the same bits
+    params = TopologyParams(family, variant, 60, 0.02, 0.1, 0.15, 0.3,
+                            1.0 - 0.5j, tuple(0.1 * k for k in range(60)))
+    matrices, drives, _ = assemble_points(params)
+    assert matrices.shape[1] >= _BAND_MIN_MODES
+    batch = steady_states(matrices, drives, _points_layout(params, {})[-1])
+    ss = steady_state(system(params))
+    assert batch[0][0].tobytes() == ss.amplitudes.tobytes()
+    assert (batch[1][0], batch[2][0]) == (ss.residual, ss.condition)
 
 
 #: positive-decay networks: the fig4 regime, heterogeneous decays with

@@ -69,6 +69,18 @@ class TestExport:
         assert text.startswith("# table = demo\n")
         assert "x,y\n" in text
 
+    def test_csv_values_are_format_number(self):
+        # rows are formatted a whole row at a time; every value must read
+        # as format_number writes it, the special values included
+        values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 7, 1e22,
+                  1.0 / 3.0]
+        table = SweepTable("edge", tuple(f"c{i}" for i in range(len(values))),
+                           [values, values[::-1]])
+        rows = table_to_csv_text(table).splitlines()[-2:]
+        assert [row.split(",") for row in rows] == [
+            [format_number(v) for v in values],
+            [format_number(v) for v in values[::-1]]]
+
 
 def config_doc(**over):
     doc = {
