@@ -26,10 +26,9 @@ from .export import (SweepTable, table_to_csv_text, table_to_json_text,
                      write_table)
 from .figures import FIGURE_IDS, run_figure
 from .network import FAMILIES, VARIANTS, TopologyParams, build_network, validate
-from .observables import (_energies, _picked, _raise_first, _report_targets,
-                          _steady_points, energy_curve, gain_report, max_power,
-                          power_curve)
-from .nonreciprocity import phase_landscape
+from .observables import (_raise_first, _report_targets, _steady_points,
+                          energy_curve, gain_report, max_power, power_curve)
+from .nonreciprocity import _landscape_table, phase_landscape
 from .sweep import run_sweep
 
 EXIT_OK = 0
@@ -170,8 +169,8 @@ def _cmd_steady(args) -> int:
     params = _topology_from_args(args)
     targets = [args.target] if args.target else _report_targets(params)
     batch = _steady_points(params)
-    _raise_first(batch[1])
-    rows = list(zip(targets, _energies(_picked(batch, *targets))[0].tolist()))
+    _raise_first(batch.errors)
+    rows = list(zip(targets, batch.energies(*targets)[0].tolist()))
     if args.out or args.format == "json":
         table = SweepTable("steady", ("battery", "E_over_omega"),
                            [[_battery_number(t), e] for t, e in rows],
@@ -187,25 +186,21 @@ def _cmd_steady(args) -> int:
 
 def _cmd_evolve(args) -> int:
     params = _topology_from_args(args)
-    times = _time_grid(args)
-    target = args.target or f"b_{params.n}"
-    curve = energy_curve(params, target, times)
+    curve = energy_curve(params, args.target, _time_grid(args))
     table = SweepTable("evolve", ("t", "E_over_omega"),
                        [[t, e] for t, e in zip(curve.times, curve.energy)],
-                       {"target": target, "method": curve.method})
+                       {"target": curve.mode, "method": curve.method})
     _emit(table, args)
     return EXIT_OK
 
 
 def _cmd_power(args) -> int:
     params = _topology_from_args(args)
-    times = _time_grid(args, positive=True)
-    target = args.target or f"b_{params.n}"
-    curve = power_curve(params, target, times)
-    t_star, p_max = max_power(params, target)
+    curve = power_curve(params, args.target, _time_grid(args, positive=True))
+    t_star, p_max = max_power(params, curve.mode)
     table = SweepTable("power", ("t", "P"),
                        [[t, p] for t, p in zip(curve.times, curve.power)],
-                       {"target": target, "method": curve.method,
+                       {"target": curve.mode, "method": curve.method,
                         "t_star": repr(t_star), "p_max": repr(p_max)})
     _emit(table, args)
     return EXIT_OK
@@ -238,16 +233,10 @@ def _cmd_gains(args) -> int:
 
 def _cmd_landscape(args) -> int:
     params = _topology_from_args(args)
-    target = args.target or f"b_{params.n}"
-    scape = phase_landscape(params, target, grid_points=args.points)
-    axes = np.meshgrid(*scape.theta_grids, indexing="ij")
-    rows = np.column_stack([*(a.ravel() for a in axes), scape.energy.ravel()]).tolist()
-    argmax = "; ".join(
-        "(" + ", ".join(f"{t:.10g}" for t in peak) + ")"
-        for peak in scape.argmax)
-    columns = tuple(f"theta_{k}" for k in range(1, params.n + 1)) + ("E_over_omega",)
+    scape = phase_landscape(params, args.target, grid_points=args.points)
+    columns, rows, argmax = _landscape_table(scape)
     table = SweepTable("landscape", columns, rows,
-                       {"target": target, "argmax": argmax})
+                       {"target": scape.target, "argmax": argmax})
     _emit(table, args)
     return EXIT_OK
 

@@ -350,40 +350,29 @@ def assemble_points(params: TopologyParams, **columns) -> tuple:
     return matrices, drives, index
 
 
-def _band_solver(matrices, width):
-    """``solve(rhs, at)``, x of ``M x = rhs`` for the slices ``at``: one LAPACK
-    ``zgbtrf`` of the stacked block diagonal of the ``M[1:, 1:]`` (bandwidth ``width``),
-    then the scalar Schur complement S of mode 0.  With ``mu > 0`` every principal
-    block is dissipative: ``|S| >= mu``, and no pivot need cross the border."""
+def _band_solve(matrices, rhs, width):
+    """x of ``M x = rhs`` per slice: one LAPACK ``zgbtrf``/``zgbtrs`` of the stacked
+    block diagonal of the ``M[1:, 1:]`` (bandwidth ``width``), then the scalar Schur
+    complement S of mode 0.  With ``mu > 0`` every principal block is dissipative:
+    ``|S| >= mu``, and no pivot need cross the border."""
     points, m, w = len(matrices), matrices.shape[1] - 1, width
     band = np.zeros((points, m, 3 * w + 1), dtype=complex)  # LAPACK band storage, transposed
     for d in range(-w, w + 1):
         band[:, max(d, 0):m + min(d, 0), 2 * w - d] = np.diagonal(matrices[:, 1:, 1:], d, 1, 2)
     lu, pivots, _ = zgbtrf(band.reshape(points * m, -1).T, w, w, overwrite_ab=True)
-
-    def solve(rhs, at=slice(None)):
-        pair = np.stack((matrices[:, 1:, 0], rhs[:, 1:])).reshape(2, -1).T
-        border, rest = zgbtrs(lu, w, w, pair, pivots)[0].T.reshape(2, points, m)
-        via_border, via_rest = np.einsum("pi,kpi->kp", matrices[:, 0, 1:], (border, rest))
-        head = (rhs[:, 0] - via_rest) / (matrices[:, 0, 0] - via_border)
-        return np.concatenate((head[:, None], rest - border * head[:, None]), axis=1)[at]
-    return solve
+    pair = np.stack((matrices[:, 1:, 0], rhs[:, 1:])).reshape(2, -1).T
+    border, rest = zgbtrs(lu, w, w, pair, pivots)[0].T.reshape(2, points, m)
+    via_border, via_rest = np.einsum("pi,kpi->kp", matrices[:, 0, 1:], (border, rest))
+    head = (rhs[:, 0] - via_rest) / (matrices[:, 0, 0] - via_border)
+    return np.concatenate((head[:, None], rest - border * head[:, None]), axis=1)
 
 
 def _solve(matrices, drives, width=None) -> tuple:
     """``(alpha, residual norm)`` of ``M alpha = -d`` per slice, by dense LU or,
-    given the bandwidth of the ``M[1:, 1:]``, by ``_band_solver``; refined once, on
-    the same factors, where the residual is above rounding level."""
-    solve = _band_solver(matrices, width) if width is not None else (
-        lambda rhs, at=slice(None): np.linalg.solve(matrices[at], rhs[at, :, None])[..., 0])
-    alpha = solve(-drives)
-    resid = (matrices @ alpha[..., None])[..., 0] + drives
-    norm = _norms(resid)
-    if norm.max() > 1e-12:  # else below every slice's threshold
-        redo = np.flatnonzero(norm > 1e-12 * np.maximum(1.0, _norms(drives)))
-        alpha[redo] -= solve(resid, redo)
-        norm[redo] = _norms((matrices[redo] @ alpha[redo, :, None])[..., 0] + drives[redo])
-    return alpha, norm
+    given the bandwidth of the ``M[1:, 1:]``, by ``_band_solve``."""
+    alpha = (_band_solve(matrices, -drives, width) if width is not None
+             else np.linalg.solve(matrices, -drives[..., None])[..., 0])
+    return alpha, _norms((matrices @ alpha[..., None])[..., 0] + drives)
 
 
 def _gate(matrices, drives, certified, abscissas, width) -> tuple:
@@ -442,10 +431,9 @@ def steady_state(sys: LinearSystem) -> SteadyState:
 
     The decay rule comes first (``UnstableSystemError``), then the
     condition rule (``NoSteadyStateError``), each proven by the
-    certificate or decided by its dense check (see the module doc).  One
-    step of iterative refinement keeps the residual at rounding level
-    even for poorly scaled networks.  This is ``steady_states`` on a
-    stack of one.
+    certificate or decided by its dense check (see the module doc).
+    ``SteadyState.residual`` is the norm of ``M alpha + d``.  This is
+    ``steady_states`` on a stack of one.
     """
     cert = sys.certificate
     amplitudes, residuals, conditions, errors = _gate(

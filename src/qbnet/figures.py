@@ -16,9 +16,9 @@ import numpy as np
 from .closed_forms import g_opt_odd, logfit_ratio
 from .export import SweepTable, write_table
 from .network import TopologyParams
-from .nonreciprocity import phase_landscape
-from .observables import (GAIN_VARIANTS, _gain_columns, _gain_points,
-                          _raise_first, _ratios, _value, energy_curve,
+from .nonreciprocity import _landscape_table, phase_landscape
+from .observables import (GAIN_VARIANTS, _first_errors, _gain_columns,
+                          _gain_points, _raise_first, _ratios, energy_curve,
                           power_curve)
 
 #: fig2/fig3 regime
@@ -64,14 +64,12 @@ def _landscape_panel(name, family):
     params = _params(family, "custom", 2, g_b, GAMMA_WEAK, GAMMA_WEAK,
                      thetas=(0.0, 0.0))
     scape = phase_landscape(params, target="b_2", grid_points=LANDSCAPE_POINTS)
-    axes = np.meshgrid(*scape.theta_grids, indexing="ij")
-    rows = np.column_stack([*(a.ravel() for a in axes), scape.energy.ravel()]).tolist()
-    argmax = "; ".join(f"({a:.10g}, {b:.10g})" for a, b in scape.argmax)
+    columns, rows, argmax = _landscape_table(scape)
     md = _base_metadata(family, 2, GAMMA_WEAK, GAMMA_WEAK,
                         {"g_b": repr(g_b), "target": "b_2",
                          "grid": f"{LANDSCAPE_POINTS} points per axis over (-pi, pi]",
                          "argmax": argmax})
-    return SweepTable(name, ("theta_1", "theta_2", "E_over_omega"), rows, md)
+    return SweepTable(name, columns, rows, md)
 
 
 def _steady_panel(name, family, n, columns, part):
@@ -133,9 +131,9 @@ def _eta_panel(name, family):
     base = _params(family, "nr", 4, GAMMA_POWER, GAMMA_POWER,
                    GAMMA_INTERMEDIATE_POWER)
     solved = _gain_points(base, ("b_4",), g_b=POWER_SWEEP * GAMMA_POWER)
-    p_max = np.array([[_value(solved[v][3][i][0])[1] for v in GAIN_VARIANTS]
-                      for i in range(POWER_SWEEP.size)])
-    etas, _ = _ratios(p_max.T[..., None], "eta", ("b_4",))
+    batches = [solved[v] for v in GAIN_VARIANTS]
+    _raise_first(_first_errors([b.peak_errors for b in batches]))
+    etas, _ = _ratios(np.array([b.peaks[..., 1] for b in batches]), "eta", ("b_4",))
     rows = np.column_stack((POWER_SWEEP, *etas)).tolist()
     md = _base_metadata(family, 4, GAMMA_POWER, GAMMA_INTERMEDIATE_POWER,
                         {"sweep": "gb_over_gamma log 21 points on [0.001, 0.1]",

@@ -16,7 +16,7 @@ import numpy as np
 from .dynamics import assemble, steady_state
 from .network import (CouplingSpec, DriveSpec, ModeSpec, NetworkSpec,
                       TopologyParams, matched_coupling)
-from .observables import _energies, _picked, _raise_first, _steady_points
+from .observables import _default_target, _raise_first, _steady_points
 
 #: landscape grid values within this relative slack of the maximum tie
 ARGMAX_TIE_REL = 1e-9
@@ -131,14 +131,26 @@ def phase_landscape(params: TopologyParams, target: str | None = None,
         raise ValueError(
             f"{grid_points}^{params.n} grid points exceed the landscape limit "
             f"of {MAX_LANDSCAPE_POINTS}")
-    target = target or f"b_{params.n}"
+    target = target or _default_target(params)
     grid = np.linspace(-math.pi, math.pi, grid_points + 1)[1:]
     grids = (grid,) * params.n
     shape = (grid_points,) * params.n
     batch = _steady_points(params, thetas=grid[np.indices(shape).reshape(params.n, -1).T])
-    _raise_first(batch[1])
-    energy = _energies(_picked(batch, target)).reshape(shape)
+    _raise_first(batch.errors)
+    energy = batch.energies(target).reshape(shape)
     peak = float(energy.max())
     tie = peak - abs(peak) * ARGMAX_TIE_REL
     argmax = tuple(tuple(grid[combo].tolist()) for combo in np.argwhere(energy >= tie))
     return PhaseLandscape(grids, energy, argmax, target)
+
+
+def _landscape_table(scape: PhaseLandscape) -> tuple:
+    """``(columns, rows, argmax)`` of a landscape table: one
+    ``[theta_1, ..., theta_n, E_over_omega]`` row per grid point, and its
+    ties as ``(theta_1, ..., theta_n)`` text."""
+    axes = np.meshgrid(*scape.theta_grids, indexing="ij")
+    rows = np.column_stack([*(a.ravel() for a in axes), scape.energy.ravel()]).tolist()
+    argmax = "; ".join("(" + ", ".join(f"{t:.10g}" for t in peak) + ")"
+                       for peak in scape.argmax)
+    columns = tuple(f"theta_{k}" for k in range(1, len(axes) + 1)) + ("E_over_omega",)
+    return columns, rows, argmax

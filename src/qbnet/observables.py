@@ -5,8 +5,8 @@ topology parameters are filled into the dynamics matrix and solved or
 propagated from vacuum; many points of one topology are solved as one
 batch (``_steady_points``: amplitudes as a (P, n) array and the refused
 points' errors), and their charging-power peaks found as one
-(``_power_points``).  Energies and gains are read off a batch as
-vectors.  Stored energy is ``|amplitude|^2`` of the
+(``_power_points``); both return a ``Batch``.  Energies and gains are
+read off a batch as vectors.  Stored energy is ``|amplitude|^2`` of the
 target mode in units of the mode frequency, and charging power is
 ``P(t) = E(t) / t``.
 """
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -97,7 +98,7 @@ def _default_target(params: TopologyParams) -> str:
 
 def _report_targets(params: TopologyParams) -> tuple:
     if params.family == "cascaded":
-        return (f"b_{params.n}",)
+        return (_default_target(params),)
     return tuple(f"b_{k}" for k in range(1, params.n + 1))
 
 
@@ -106,19 +107,41 @@ def _system(params: TopologyParams) -> LinearSystem:
     return LinearSystem(matrices[0], drives[0], dict(index))
 
 
-def _steady_points(params: TopologyParams, **columns) -> tuple:
-    """A solved batch (``columns`` as in ``assemble_points``): ``(amplitudes
-    (P, n), errors, index)``, ``errors`` as in ``steady_states``."""
+class Batch(NamedTuple):
+    """P solved points of one topology: steady ``amplitudes`` (P, n), NaN
+    where ``errors`` maps a point to its refusal, columns by mode id in
+    ``index``; a power batch adds ``peaks`` (P, T, 2), ``(t_star, p_max)``
+    per target, NaN where ``peak_errors`` maps the point to its refusal or
+    to the ``ScanEdgeError`` of its first edge target."""
+
+    amplitudes: np.ndarray
+    errors: dict
+    index: Mapping
+    peaks: np.ndarray | None = None
+    peak_errors: dict | None = None
+
+    def energies(self, *targets) -> np.ndarray:
+        """``|a|^2`` (P, len(targets)) at ``targets``, rounded as the scalar
+        ``abs(a) ** 2``, by ``hypot`` and libm ``pow`` (array ``np.abs`` and
+        ``** 2`` differ in the last bit)."""
+        a = self.amplitudes.take([_row(self.index, t) for t in targets], axis=1)
+        return np.float_power(np.hypot(a.real, a.imag), 2.0)
+
+    def part(self, start: int, stop: int) -> Batch:
+        """Points ``[start, stop)``, renumbered from 0."""
+        def cut(errors):
+            return {i - start: e for i, e in errors.items() if start <= i < stop}
+        peaks = () if self.peaks is None else (self.peaks[start:stop], cut(self.peak_errors))
+        return Batch(self.amplitudes[start:stop], cut(self.errors), self.index, *peaks)
+
+
+def _steady_points(params: TopologyParams, **columns) -> Batch:
+    """A solved ``Batch`` (``columns`` as in ``assemble_points``),
+    ``errors`` as in ``steady_states``."""
     matrices, drives, index = assemble_points(params, **columns)
     pattern = _points_layout(params, columns)[-1]
     amplitudes, _, _, errors = steady_states(matrices, drives, pattern)
-    return amplitudes, errors, index
-
-
-def _part(batch: tuple, start: int, stop: int) -> tuple:
-    """Points ``[start, stop)`` of a solved batch, renumbered from 0."""
-    errors = {i - start: e for i, e in batch[1].items() if start <= i < stop}
-    return (batch[0][start:stop], errors, batch[2], *[p[start:stop] for p in batch[3:]])
+    return Batch(amplitudes, errors, index)
 
 
 def _gain_points(params: TopologyParams, targets=None, **columns) -> dict:
@@ -130,16 +153,9 @@ def _gain_points(params: TopologyParams, targets=None, **columns) -> dict:
     points = len(next(iter(columns.values()))) if columns else 1
     both = {f: np.concatenate((v, v)) for f, v in columns.items()}
     links = solve(params, **both, variant=["nr"] * points + ["r2"] * points)
-    return {"nr": _part(links, 0, points),
+    return {"nr": links.part(0, points),
             "r1": solve(params, **columns, variant=["r1"] * points),
-            "r2": _part(links, points, 2 * points)}
-
-
-def _value(found):
-    """A per-point result; an error in its place is raised."""
-    if isinstance(found, Exception):
-        raise found
-    return found
+            "r2": links.part(points, 2 * points)}
 
 
 def _raise_first(errors: dict) -> None:
@@ -148,22 +164,16 @@ def _raise_first(errors: dict) -> None:
         raise errors[min(errors)]
 
 
-def _picked(batch: tuple, *targets) -> np.ndarray:
-    """The (P, len(targets)) amplitudes of ``targets`` in a solved batch."""
-    return batch[0].take([_row(batch[2], t) for t in targets], axis=1)
-
-
-def _energies(amplitudes: np.ndarray) -> np.ndarray:
-    """``|a|^2`` rounded as the scalar ``abs(a) ** 2``, by ``hypot`` and libm
-    ``pow`` (array ``np.abs`` and ``** 2`` differ in the last bit)."""
-    return np.float_power(np.hypot(amplitudes.real, amplitudes.imag), 2.0)
+def _first_errors(maps) -> dict:
+    """Per point, its error in the first of the error ``maps`` holding one."""
+    return {i: error for found in reversed(maps) for i, error in found.items()}
 
 
 def steady_energy(params: TopologyParams, target: str | None = None) -> float:
     """Steady stored energy ``|alpha_ss(target)|^2`` of the full network."""
     batch = _steady_points(params)
-    _raise_first(batch[1])
-    return float(_energies(_picked(batch, target or _default_target(params)))[0, 0])
+    _raise_first(batch.errors)
+    return float(batch.energies(target or _default_target(params))[0, 0])
 
 
 def energy_curve(params: TopologyParams, target: str | None = None,
@@ -189,19 +199,6 @@ def power_curve(params: TopologyParams, target: str | None = None,
     curve = energy_curve(params, target, times)
     return PowerCurve(curve.times, curve.energy / curve.times, curve.mode,
                       curve.method)
-
-
-def _scan_argmax(grid, values) -> int:
-    """Index of the largest of ``values``, sampled on ``grid``; an argmax
-    on the first or last grid point means the maximum may lie outside
-    the grid, and raises ``ScanEdgeError``."""
-    i = int(np.argmax(values))
-    if i == 0 or i == len(grid) - 1:
-        raise ScanEdgeError(
-            f"scan maximum {values[i]:.6g} at the grid edge x = {grid[i]:.6g}; "
-            f"the maximum may lie outside [{grid[0]:.6g}, {grid[-1]:.6g}]",
-            edge=float(grid[i]))
-    return i
 
 
 def _octave_grid(t_lo: np.ndarray, span: float) -> np.ndarray:
@@ -268,9 +265,10 @@ def _newton(matrices, offsets, alpha, rows, t, lo, hi) -> tuple:
     return found_t, found_p
 
 
-def _peak_powers(matrices, alpha_ss, abscissas, rows, scale) -> list:
+def _peak_powers(matrices, alpha_ss, abscissas, rows, scale) -> tuple:
     """Per slice of a stack of decaying networks, from vacuum, the
-    ``(t_star, p_max)`` of each target row, or its ``ScanEdgeError``;
+    ``(t_star, p_max)`` (S, T, 2) of each target row, NaN where the scan
+    peaks on its edge, and each such slice's first ``ScanEdgeError``;
     ``alpha_ss`` are the steady states at unit drive, and each slice's
     ``p_max`` is multiplied by its ``scale``, ``|xi|^2``.
 
@@ -290,31 +288,32 @@ def _peak_powers(matrices, alpha_ss, abscissas, rows, scale) -> list:
         (start, start + POWER_STEPS_PER_OCTAVE) for start in octaves], rows)
     x += alpha_rows[:, None]
     power = np.abs(x) ** 2 / grid[..., None]
-    peaks = [[None] * len(rows) for _ in range(len(matrices))]
-    pairs = []
-    for s, k in np.ndindex(len(matrices), len(rows)):
-        try:
-            pairs.append((s, k, _scan_argmax(grid[s], power[s, :, k])))
-        except ScanEdgeError as exc:
-            peaks[s][k] = exc
-    if pairs:
-        s, k, i = np.array(pairs).T
+    argmax = power.argmax(axis=1)
+    edge = (argmax == 0) | (argmax == grid.shape[1] - 1)
+    errors: dict = {}
+    for s, k in zip(*edge.nonzero()):
+        i = argmax[s, k]
+        errors.setdefault(int(s), ScanEdgeError(
+            f"scan maximum {power[s, i, k]:.6g} at the grid edge x = {grid[s, i]:.6g}; "
+            f"the maximum may lie outside [{grid[s, 0]:.6g}, {grid[s, -1]:.6g}]",
+            edge=float(grid[s, i])))
+    peaks = np.full(edge.shape + (2,), np.nan)
+    s, k = (~edge).nonzero()
+    if s.size:
+        i = argmax[s, k]
         t, p = _newton(matrices[s], offsets[s], alpha_rows[s, k], rows[k],
                        grid[s, i], grid[s, i - 1], grid[s, i + 1])
         scan_t, scan_p = grid[s, i], power[s, i, k]
         keep = scan_p > p
-        t, p = np.where(keep, scan_t, t), np.where(keep, scan_p, p)
-        p = p * scale[s]
-        for s_, k_, t_, p_ in zip(s.tolist(), k.tolist(), t.tolist(), p.tolist()):
-            peaks[s_][k_] = (t_, p_)
-    return peaks
+        peaks[s, k, 0] = np.where(keep, scan_t, t)
+        peaks[s, k, 1] = np.where(keep, scan_p, p) * scale[s]
+    return peaks, errors
 
 
-def _power_points(params: TopologyParams, targets, **columns) -> tuple:
-    """``_steady_points`` plus ``peaks``: ``peaks[i]`` holds, per target,
-    point ``i``'s ``(t_star, p_max)`` from vacuum, its ``ScanEdgeError``
-    or the error refusing the point.  One batched ``eigvals`` gives every
-    horizon and stands in for the gate's dense abscissa.
+def _power_points(params: TopologyParams, targets, **columns) -> Batch:
+    """``_steady_points`` plus ``peaks`` from vacuum at ``targets`` and
+    their ``peak_errors``.  One batched ``eigvals`` gives every horizon
+    and stands in for the gate's dense abscissa.
 
     Every amplitude is linear in the drive ``xi``, so the peaks are
     searched at unit drive: ``t_star`` does not depend on ``xi`` and
@@ -324,18 +323,21 @@ def _power_points(params: TopologyParams, targets, **columns) -> tuple:
     abscissas = _abscissas(matrices)
     pattern = _points_layout(params, columns)[-1]
     amplitudes, _, _, errors = steady_states(matrices, drives, pattern, abscissas)
-    keep = np.ones(len(matrices), dtype=bool)
+    points = len(matrices)
+    keep = np.ones(points, dtype=bool)
     keep[list(errors)] = False
-    xi = np.asarray(columns.get("xi", [params.xi] * len(keep)), dtype=complex)[keep]
-    unit = amplitudes
-    if np.any(xi != 1.0):
-        unit_drives = assemble_points(params, **{**columns, "xi": np.ones(len(keep))})[1]
-        unit = steady_states(matrices, unit_drives, pattern, abscissas)[0]
-    peaks = iter(_peak_powers(matrices[keep], unit[keep], abscissas[keep], rows,
-                              np.abs(xi) ** 2) if keep.any() else ())
-    return amplitudes, errors, index, [
-        [errors[i]] * len(targets) if i in errors else next(peaks)
-        for i in range(len(keep))]
+    kept = keep.nonzero()[0]
+    peaks, peak_errors = np.full((points, len(rows), 2), np.nan), dict(errors)
+    if kept.size:
+        xi = np.asarray(columns.get("xi", [params.xi] * points), dtype=complex)[kept]
+        unit = amplitudes
+        if np.any(xi != 1.0):
+            unit_drives = assemble_points(params, **{**columns, "xi": np.ones(points)})[1]
+            unit = steady_states(matrices, unit_drives, pattern, abscissas)[0]
+        peaks[kept], edges = _peak_powers(matrices[kept], unit[kept], abscissas[kept],
+                                          rows, np.abs(xi) ** 2)
+        peak_errors.update((int(kept[s]), e) for s, e in edges.items())
+    return Batch(amplitudes, errors, index, peaks, peak_errors)
 
 
 def max_power(params: TopologyParams, target: str | None = None):
@@ -352,8 +354,9 @@ def max_power(params: TopologyParams, target: str | None = None):
     the driven one's ``t_star``.  This is ``_power_points`` on a batch
     of one.
     """
-    (peak,), = _power_points(params, (target or _default_target(params),))[3]
-    return _value(peak)
+    batch = _power_points(params, (target or _default_target(params),))
+    _raise_first(batch.peak_errors)
+    return tuple(batch.peaks[0, 0].tolist())
 
 
 def _ratios(values: np.ndarray, name: str, targets) -> tuple:
@@ -373,11 +376,9 @@ def _ratios(values: np.ndarray, name: str, targets) -> tuple:
 def _gains(solved, targets) -> tuple:
     """Energies (3, P, T) at ``targets`` of ``solved(v)``, v in
     ``GAIN_VARIANTS``, their ``_ratios``, and each refused point's error."""
-    energies = _energies(np.array([_picked(solved(v), *targets) for v in GAIN_VARIANTS]))
-    errors: dict = {}
-    for v in GAIN_VARIANTS:
-        for i, error in solved(v)[1].items():
-            errors.setdefault(i, error)
+    batches = [solved(v) for v in GAIN_VARIANTS]
+    energies = np.array([batch.energies(*targets) for batch in batches])
+    errors = _first_errors([b.errors for b in batches])
     return (energies, *_ratios(energies, "G", targets), errors)
 
 
@@ -407,11 +408,12 @@ def gain_report(params_base: TopologyParams, include_power: bool = False) -> Gai
     _raise_first(errors)
     columns = [energies, gains]
     if include_power:
-        power = np.array([[[_value(peak)[1] for peak in solved[v][3][0]]]
-                          for v in GAIN_VARIANTS])
+        batches = [solved[v] for v in GAIN_VARIANTS]
+        _raise_first(_first_errors([b.peak_errors for b in batches]))
+        power = np.array([batch.peaks[..., 1] for batch in batches])
         etas, eta_flags = _ratios(power, "eta", targets)
         columns += [power, etas]
         flags.setdefault(0, []).extend(eta_flags.get(0, ()))
     return GainReport(params_base, targets,
-                      *(tuple(row) for c in columns for row in c[:, 0].tolist()),
+                      *[tuple(row) for c in columns for row in c[:, 0].tolist()],
                       flags=tuple(flags.get(0, ())))

@@ -23,7 +23,7 @@ import numpy as np
 from .config import RunConfig, run_config_to_dict
 from .export import SweepTable
 from .network import TopologyParams
-from .observables import (_energies, _gain_columns, _picked, _power_points,
+from .observables import (_default_target, _gain_columns, _power_points,
                           _steady_points)
 
 
@@ -69,22 +69,14 @@ def _batches(points: list) -> list:
     return [(0, points[0], columns)]
 
 
-def _peak_columns(batch: tuple) -> tuple:
-    """``[t_star, p_max]`` of a ``_power_points`` batch at its one target."""
-    errors = {i: p for i, (p,) in enumerate(batch[3]) if isinstance(p, Exception)}
-    return np.array([(np.nan,) * 2 if i in errors else p
-                     for i, (p,) in enumerate(batch[3])]), errors, {}
-
-
 #: observable name -> (table columns, ``(values (P, k), errors, flags)``
-#: of a batch at ``(params, target, solved(variant), peaks())``)
+#: of a batch at ``(params, target, solved(variant))``)
 _OBSERVABLES = {
-    "steady_energy": (("steady_energy",), lambda params, target, solved, _: (
-        _energies(_picked(solved(params.variant), target)), solved(params.variant)[1], {})),
-    "gains": (("E_nr", "E_r1", "E_r2", "G1", "G2"),
-              lambda params, target, solved, _: _gain_columns(params, target, solved)),
-    "max_power": (("t_star", "p_max"),
-                  lambda params, target, solved, peaks: _peak_columns(peaks())),
+    "steady_energy": (("steady_energy",), lambda params, target, solved: (
+        solved(params.variant).energies(target), solved(params.variant).errors, {})),
+    "gains": (("E_nr", "E_r1", "E_r2", "G1", "G2"), _gain_columns),
+    "max_power": (("t_star", "p_max"), lambda params, target, solved: (
+        solved(params.variant).peaks[:, 0], solved(params.variant).peak_errors, {})),
 }
 
 
@@ -107,13 +99,13 @@ def run_sweep(cfg: RunConfig) -> SweepTable:
     failures, flags = {}, {}
     for start, params, batch in _batches(points):
         # each variant solved once; max_power's solve is the steady one
-        target, at = cfg.target or f"b_{params.n}", 0
-        peaks = functools.cache(lambda: _power_points(params, (target,), **batch))
+        target, at = cfg.target or _default_target(params), 0
         solved = functools.cache(lambda variant: (
-            peaks()[:3] if variant == params.variant and "max_power" in cfg.observables
+            _power_points(params, (target,), **batch)
+            if variant == params.variant and "max_power" in cfg.observables
             else _steady_points(params.with_variant(variant), **batch)))
         for _, observe in chosen:
-            found, errors, named = observe(params, target, solved, peaks)
+            found, errors, named = observe(params, target, solved)
             table[start:start + len(found), at:at + found.shape[1]] = found
             at += found.shape[1]
             for i, error in errors.items():

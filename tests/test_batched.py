@@ -20,11 +20,12 @@ from qbnet import (NoSteadyStateError, ScanEdgeError, TopologyParams,
                    build_network, figure_table, gain_report, is_stable,
                    max_power, parse_run_config, run_sweep, steady_energy,
                    steady_state)
+from qbnet.config import topology_to_dict
 from qbnet.dynamics import assemble_points, layout, steady_states
 from qbnet.network import (FAMILIES, VARIANTS, WITH_INTERMEDIATES,
                            parameter_tables)
-from qbnet.observables import (GAIN_VARIANTS, _energies, _picked,
-                               _power_points, _steady_points)
+from qbnet.observables import (GAIN_VARIANTS, _gain_points, _power_points,
+                               _steady_points)
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, strategies as st  # noqa: E402
@@ -74,9 +75,9 @@ def as_batch(points):
 def point_energy(batch, i, target):
     """``|alpha_ss(target)|^2`` of point ``i`` of a solved batch; a
     refused point raises its error."""
-    if i in batch[1]:
-        raise batch[1][i]
-    return float(_energies(_picked(batch, target))[i, 0])
+    if i in batch.errors:
+        raise batch.errors[i]
+    return float(batch.energies(target)[i, 0])
 
 
 def loop_assemble(spec):
@@ -114,7 +115,7 @@ def test_batch_equals_per_point(points):
                 with pytest.raises(type(exc)) as err:
                     point_energy(batch, i, target)
                 assert str(err.value) == str(exc)
-                assert np.isnan(batch[0][i]).all()
+                assert np.isnan(batch.amplitudes[i]).all()
                 with pytest.raises(type(exc)) as err:
                     steady_state(sys)
                 assert str(err.value) == str(exc)
@@ -166,31 +167,79 @@ EDGE_BATCH = [TopologyParams("parallel", "nr", 2, g_b, 0.001, 0.001, 1.0, 1.0)
 @given(power_batches())
 @example(EDGE_BATCH)
 def test_power_batch_equals_max_power(points):
-    # every slice of a stack is max_power alone, bit for bit, and every
-    # refused or edge slice is max_power's error
+    # every slice of a stack is max_power alone, bit for bit; a refused
+    # point's peak error is its steady error, an edge point's is the
+    # error of its first edge target, and every failed peak is NaN
     first, columns = as_batch(points)
     targets = [f"b_{k}" for k in range(1, first.n + 1)]
     batch = _power_points(first, targets, **columns)
-    for i, (peaks, params) in enumerate(zip(batch[3], points)):
-        for target, peak in zip(targets, peaks):
+    assert batch.peaks.shape == (len(points), len(targets), 2)
+    for i, params in enumerate(points):
+        first_error = None
+        for k, target in enumerate(targets):
             try:
                 expected = max_power(params, target)
             except (NoSteadyStateError, UnstableSystemError,
                     ScanEdgeError) as exc:
-                assert type(peak) is type(exc)
-                assert str(peak) == str(exc)
-                if not isinstance(exc, ScanEdgeError):
-                    assert batch[1][i] is peak
+                assert np.isnan(batch.peaks[i, k]).all()
+                if first_error is None:
+                    first_error = exc
                 continue
-            assert peak == expected
+            assert tuple(batch.peaks[i, k].tolist()) == expected
             assert point_energy(batch, i, target) == steady_energy(params, target)
+        if first_error is None:
+            assert i not in batch.peak_errors
+            continue
+        error = batch.peak_errors[i]
+        assert type(error) is type(first_error)
+        assert str(error) == str(first_error)
+        assert getattr(error, "edge", None) == getattr(first_error, "edge", None)
+        if not isinstance(first_error, ScanEdgeError):
+            assert batch.errors[i] is error
 
 
 def test_edge_batch_has_an_edge():
     # the explicit example above exercises the edge path
-    peaks = [p for ps in _power_points(EDGE_BATCH[0], ["b_2"], g_b=[
-        p.g_b for p in EDGE_BATCH])[3] for p in ps]
-    assert [type(p) for p in peaks] == [tuple, ScanEdgeError, tuple]
+    batch = _power_points(EDGE_BATCH[0], ["b_2"], g_b=[p.g_b for p in EDGE_BATCH])
+    assert list(batch.peak_errors) == [1] and batch.errors == {}
+    assert type(batch.peak_errors[1]) is ScanEdgeError
+    assert np.isnan(batch.peaks[1]).all() and np.isfinite(batch.peaks[[0, 2]]).all()
+
+
+#: ``nr`` peaks on the scan edge at both batteries; ``r1`` (no
+#: intermediates, undamped batteries) has a dark mode and is refused
+DARK_R1 = TopologyParams("parallel", "nr", 2, 100.0, 0.001, 0.0, 1.0, 1.0)
+UNSTABLE = "network is not strictly decaying (spectral abscissa 0.000e+00)"
+EDGE = ("scan maximum 0.00410921 at the grid edge x = 0.0236922; the maximum "
+        "may lie outside [0.0236922, 24843.1]")
+
+
+@pytest.mark.parametrize("observables, expected", [
+    (["gains", "max_power"], [(0, 0.01, UNSTABLE), (1, 100.0, UNSTABLE)]),
+    (["max_power", "gains"], [(0, 0.01, UNSTABLE), (1, 100.0, EDGE)]),
+    (["steady_energy", "max_power"], [(1, 100.0, EDGE)])],
+    ids=["gains-first", "max_power-first", "steady_energy-first"])
+def test_error_precedence(observables, expected):
+    # a steady refusal is never folded into a peak failure or the other
+    # way round: gain_report raises the refusal, and a sweep records each
+    # point's error from the first observable that fails there
+    with pytest.raises(UnstableSystemError) as err:
+        gain_report(DARK_R1, include_power=True)
+    assert str(err.value) == UNSTABLE
+    doc = {"topology": topology_to_dict(DARK_R1),
+           "sweep": {"variable": "g_b", "values": [0.01, 100.0]},
+           "observables": observables, "target": "b_2"}
+    assert run_sweep(parse_run_config(doc)).errors == expected
+
+
+def test_part_renumbers_peak_errors():
+    # the r2 half of a gain batch carries max_power's own error at point 0
+    params = TopologyParams("parallel", "nr", 2, 1000.0, 0.001, 0.001, 0.1, 1.0)
+    with pytest.raises(ScanEdgeError) as err:
+        max_power(params.with_variant("r2"), "b_1")
+    error = _gain_points(params, ("b_1", "b_2"))["r2"].peak_errors[0]
+    assert type(error) is ScanEdgeError
+    assert str(error) == str(err.value) and error.edge == err.value.edge
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -344,17 +393,14 @@ class TestCounters:
         assert 0 < len(numpy_calls) <= before
 
     def test_fig2c_solves_in_batches(self, linalg_calls):
-        # nr and r2 share a layout: one batch of 602, one of 301 for r1,
-        # and at most one refinement batch each
+        # nr and r2 share a layout: one batch of 602, one of 301 for r1
         figure_table("fig2c")
-        assert linalg_calls["solve"][:2] == [602, 301]
-        assert len(linalg_calls["solve"]) <= 4
+        assert linalg_calls["solve"] == [602, 301]
 
     @pytest.mark.parametrize("fig_id", ["fig2a", "fig3a"])
     def test_landscape_is_one_batch(self, fig_id, linalg_calls):
         figure_table(fig_id)
-        assert linalg_calls["solve"][0] == 41 * 41
-        assert len(linalg_calls["solve"]) <= 2
+        assert linalg_calls["solve"] == [41 * 41]
 
     def test_sweep_solves_nr_once_per_point(self, linalg_calls):
         doc = {"topology": {"family": "cascaded", "variant": "nr", "n": 4,
