@@ -17,8 +17,8 @@ from .config import (RunConfig, parse_run_config, run_config_to_dict,
                      network_from_dict, network_to_dict)
 from .dynamics import (LinearSystem, SteadyState, Trajectory, assemble,
                        evolve, is_stable, steady_state, vacuum)
-from .errors import (ConfigError, NoSteadyStateError, QbnetError,
-                     ScanEdgeError, UnstableSystemError, ValidationError)
+from .errors import (ConfigError, NoSteadyStateError, QbnetError, ScanEdgeError,
+                     UnknownModeError, UnstableSystemError, ValidationError)
 from .export import (TOOLKIT_VERSION as __version__, SweepTable, write_csv,
                      write_json, write_table)
 from .figures import FIGURE_COLUMNS, FIGURE_IDS, figure_table, run_figure
@@ -30,7 +30,7 @@ from .nonreciprocity import (IsolationResult, PhaseLandscape,
                              phase_landscape, triangle_network, window_check)
 from .observables import (EnergyCurve, GainReport, PowerCurve, energy_curve,
                           gain_report, max_power, power_curve, steady_energy)
-from .sweep import apply_sweep_value, run_sweep
+from .sweep import run_sweep
 
 __all__ = [
     "ConfigError", "CouplingSpec", "DriveSpec", "EffectiveLink",
@@ -38,8 +38,8 @@ __all__ = [
     "IsolationResult", "LinearSystem", "LogFitResult", "ModeSpec",
     "NetworkSpec", "NoSteadyStateError", "PhaseLandscape", "PowerCurve",
     "QbnetError", "RunConfig", "ScanEdgeError", "SteadyState",
-    "SweepTable", "TopologyParams", "Trajectory", "UnstableSystemError",
-    "ValidationError", "apply_sweep_value", "assemble", "build_network",
+    "SweepTable", "TopologyParams", "Trajectory", "UnknownModeError",
+    "UnstableSystemError", "ValidationError", "assemble", "build_network",
     "cascaded_nr_energy", "drive_relocation_energies", "effective_link",
     "effective_steady_amplitudes", "effective_steady_energy",
     "energy_curve", "evolve", "figure_table", "g_opt_odd", "gain_approx",

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .config import (FORMATS, load_json, network_from_dict, parse_run_config,
-                     topology_from_dict, topology_to_dict)
+                     resize_topology, topology_from_dict, topology_to_dict)
 from .errors import (ConfigError, NoSteadyStateError, QbnetError,
                      ScanEdgeError, UnstableSystemError)
 from .export import (SweepTable, table_to_csv_text, table_to_json_text,
@@ -90,23 +90,8 @@ def _topology_from_args(args) -> TopologyParams:
         base["family"] = args.family
     if args.variant is not None:
         base["variant"] = args.variant
-    if args.n is not None and base.get("n") != args.n:
-        base["n"] = args.n
-        # per-battery lists from the config no longer fit the new count
-        gamma_b = base.get("gamma_b")
-        if isinstance(gamma_b, list):
-            if len(set(gamma_b)) == 1:
-                base["gamma_b"] = gamma_b[0]
-            else:
-                raise ConfigError(
-                    "cannot override n: config gamma_b is heterogeneous")
-        thetas = base.get("thetas")
-        if isinstance(thetas, list) and len(thetas) != args.n:
-            if len(set(thetas)) == 1:
-                base["thetas"] = [thetas[0]] * args.n
-            else:
-                raise ConfigError(
-                    "cannot override n: config thetas length does not match")
+    if args.n is not None:
+        base = resize_topology(base, args.n)
     if args.gb is not None:
         base["g_b"] = args.gb
     if args.gamma is not None:

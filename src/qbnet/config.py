@@ -126,6 +126,22 @@ def topology_from_dict(doc: dict, path: str = "topology") -> TopologyParams:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def resize_topology(doc: dict, n: int) -> dict:
+    """Topology fields ``doc`` with battery count ``n``, unchanged at its own
+    count; otherwise each per-battery list that does not fit ``n`` repeats
+    its one value, or names itself in a ``ConfigError`` if it has more."""
+    if doc.get("n") == n:
+        return doc
+    doc = {**doc, "n": n}
+    for key in ("gamma_b", "thetas"):
+        values = doc.get(key)
+        if isinstance(values, (list, tuple)) and len(values) != n:
+            if len(set(values)) != 1:
+                raise ConfigError(f"cannot override n: config {key} is heterogeneous")
+            doc[key] = [values[0]] * n
+    return doc
+
+
 # --- NetworkSpec ----------------------------------------------------------
 
 def network_to_dict(spec: NetworkSpec) -> dict:

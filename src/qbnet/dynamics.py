@@ -64,7 +64,8 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.linalg.lapack import zgbtrf, zgbtrs
 
-from .errors import NoSteadyStateError, UnstableSystemError, ValidationError
+from .errors import (NoSteadyStateError, UnknownModeError, UnstableSystemError,
+                     ValidationError)
 from .network import (WITH_INTERMEDIATES, NetworkSpec, TopologyParams,
                       build_network, parameter_tables, validate)
 
@@ -197,7 +198,7 @@ def _row(index, mode_id: str) -> int:
     try:
         return index[mode_id]
     except KeyError:
-        raise KeyError(f"unknown mode id {mode_id!r}") from None
+        raise UnknownModeError(f"unknown mode id {mode_id!r}") from None
 
 
 @dataclass(frozen=True)
@@ -266,7 +267,7 @@ class Trajectory:
     method: str
 
     def mode(self, mode_id: str) -> np.ndarray:
-        return self.amplitudes[:, self.index[mode_id]]
+        return self.amplitudes[:, _row(self.index, mode_id)]
 
 
 def _fill(rotation, decay, pattern, strength, phase) -> np.ndarray:

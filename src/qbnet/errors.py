@@ -31,6 +31,12 @@ class ConfigError(QbnetError, ValueError):
     """
 
 
+class UnknownModeError(QbnetError, KeyError):
+    """A mode id names no mode of the network."""
+
+    __str__ = Exception.__str__  # the message, not KeyError's repr of it
+
+
 class NoSteadyStateError(QbnetError, RuntimeError):
     """The dynamics matrix is singular or near-singular.
 

@@ -17,9 +17,8 @@ from .closed_forms import g_opt_odd, logfit_ratio
 from .export import SweepTable, write_table
 from .network import TopologyParams
 from .nonreciprocity import _landscape_table, phase_landscape
-from .observables import (GAIN_VARIANTS, _first_errors, _gain_columns,
-                          _gain_points, _raise_first, _ratios, energy_curve,
-                          power_curve)
+from .observables import (GAIN_VARIANTS, _etas, _gain_columns, _gain_points,
+                          _raise_first, energy_curve, power_curve)
 
 #: fig2/fig3 regime
 GAMMA_WEAK = 0.1
@@ -131,9 +130,7 @@ def _eta_panel(name, family):
     base = _params(family, "nr", 4, GAMMA_POWER, GAMMA_POWER,
                    GAMMA_INTERMEDIATE_POWER)
     solved = _gain_points(base, ("b_4",), g_b=POWER_SWEEP * GAMMA_POWER)
-    batches = [solved[v] for v in GAIN_VARIANTS]
-    _raise_first(_first_errors([b.peak_errors for b in batches]))
-    etas, _ = _ratios(np.array([b.peaks[..., 1] for b in batches]), "eta", ("b_4",))
+    _, etas, _ = _etas(solved.get, ("b_4",))
     rows = np.column_stack((POWER_SWEEP, *etas)).tolist()
     md = _base_metadata(family, 4, GAMMA_POWER, GAMMA_INTERMEDIATE_POWER,
                         {"sweep": "gb_over_gamma log 21 points on [0.001, 0.1]",

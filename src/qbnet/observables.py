@@ -321,18 +321,17 @@ def _power_points(params: TopologyParams, targets, **columns) -> Batch:
     matrices, drives, index = assemble_points(params, **columns)
     rows = np.array([_row(index, t) for t in targets], dtype=np.intp)
     abscissas = _abscissas(matrices)
-    pattern = _points_layout(params, columns)[-1]
+    _, drive, *_, pattern = _points_layout(params, columns)
     amplitudes, _, _, errors = steady_states(matrices, drives, pattern, abscissas)
     points = len(matrices)
-    keep = np.ones(points, dtype=bool)
-    keep[list(errors)] = False
-    kept = keep.nonzero()[0]
+    kept = np.setdiff1d(np.arange(points), list(errors))
     peaks, peak_errors = np.full((points, len(rows), 2), np.nan), dict(errors)
     if kept.size:
         xi = np.asarray(columns.get("xi", [params.xi] * points), dtype=complex)[kept]
         unit = amplitudes
         if np.any(xi != 1.0):
-            unit_drives = assemble_points(params, **{**columns, "xi": np.ones(points)})[1]
+            unit_drives = np.zeros_like(drives)
+            unit_drives[:, drive] += -1j  # as ``assemble_points`` writes xi = 1
             unit = steady_states(matrices, unit_drives, pattern, abscissas)[0]
         peaks[kept], edges = _peak_powers(matrices[kept], unit[kept], abscissas[kept],
                                           rows, np.abs(xi) ** 2)
@@ -382,6 +381,15 @@ def _gains(solved, targets) -> tuple:
     return (energies, *_ratios(energies, "G", targets), errors)
 
 
+def _etas(solved, targets) -> tuple:
+    """Peak powers (3, P, T) at ``targets`` of the power batches ``solved(v)``,
+    v in ``GAIN_VARIANTS``, and their ``_ratios``; raises the first peak error."""
+    batches = [solved(v) for v in GAIN_VARIANTS]
+    _raise_first(_first_errors([b.peak_errors for b in batches]))
+    power = np.array([batch.peaks[..., 1] for batch in batches])
+    return (power, *_ratios(power, "eta", targets))
+
+
 def _gain_columns(params: TopologyParams, target, solved) -> tuple:
     """``([E_nr, E_r1, E_r2, G1, G2] (P, 5), errors, flags)`` at ``target``,
     a report target, else the last one."""
@@ -408,10 +416,7 @@ def gain_report(params_base: TopologyParams, include_power: bool = False) -> Gai
     _raise_first(errors)
     columns = [energies, gains]
     if include_power:
-        batches = [solved[v] for v in GAIN_VARIANTS]
-        _raise_first(_first_errors([b.peak_errors for b in batches]))
-        power = np.array([batch.peaks[..., 1] for batch in batches])
-        etas, eta_flags = _ratios(power, "eta", targets)
+        power, etas, eta_flags = _etas(solved.get, targets)
         columns += [power, etas]
         flags.setdefault(0, []).extend(eta_flags.get(0, ()))
     return GainReport(params_base, targets,

@@ -1,15 +1,14 @@
 """Parameter sweeps over topology scalars with per-point observables.
 
 A sweep evaluates the requested observables at every grid value of one
-variable.  Each variant the steady observables need is solved once for
-the whole grid, in one batch unless ``n`` is swept, so ``steady_energy``
-and the ``nr`` energy of ``gains`` read the same solve; ``max_power``
-scans and refines the whole grid as one batch, again unless ``n`` is
-swept, and its solve of the topology's own variant is the one the
-steady columns read.  Points that fail numerically (singular or
-unstable systems, a maximum outside the scanned range, a gain ratio
-whose denominator vanished) are recorded in the table's error list and
-skipped; the surviving rows keep grid order.
+variable.  The grid fills ``parameter_tables`` columns of the topology,
+so each variant the observables need is solved once for the whole grid,
+in one batch (one per value when ``n`` is swept): ``steady_energy`` and
+the ``nr`` energy of ``gains`` read the same solve, and so do the steady
+columns and ``max_power`` of the topology's own variant.  Points that
+fail numerically (singular or unstable systems, a maximum outside the
+scanned range, a gain ratio whose denominator vanished) are recorded in
+the table's error list and skipped; the surviving rows keep grid order.
 """
 
 from __future__ import annotations
@@ -20,53 +19,45 @@ import json
 
 import numpy as np
 
-from .config import RunConfig, run_config_to_dict
+from .config import RunConfig, resize_topology, run_config_to_dict
 from .export import SweepTable
 from .network import TopologyParams
 from .observables import (_default_target, _gain_columns, _power_points,
                           _steady_points)
 
 
-def apply_sweep_value(params: TopologyParams, variable: str, value,
-                      index: int | None = None) -> TopologyParams:
-    """Return params with one swept variable replaced by ``value``."""
-    if variable == "g_b":
-        return dataclasses.replace(params, g_b=float(value))
-    if variable == "gamma":
-        v = float(value)
-        return dataclasses.replace(params, gamma_c=v, gamma_b=(v,) * params.n)
-    if variable == "gamma_c":
-        return dataclasses.replace(params, gamma_c=float(value))
-    if variable == "Gamma":
-        return dataclasses.replace(params, Gamma=float(value))
-    if variable == "xi":
-        return dataclasses.replace(params, xi=complex(value))
+def _resized(topology: TopologyParams, value) -> TopologyParams:
+    n = int(value)
+    if n != value:
+        raise ValueError(f"n sweep values must be integers, got {value!r}")
+    return TopologyParams(**resize_topology(dataclasses.asdict(topology), n))
+
+
+def _batches(topology: TopologyParams, variable: str, values, index) -> list:
+    """``(start, params, columns)`` per batch of ``variable`` swept over
+    ``values``: none for an empty grid, one topology per value for ``n``,
+    else one batch of ``parameter_tables`` columns (``gamma`` fills
+    ``gamma_c`` and ``gamma_b``, ``theta`` the ``index``-th ``thetas``).
+    The first value ``TopologyParams`` refuses raises its error."""
+    if not len(values):
+        return []
     if variable == "n":
-        n = int(value)
-        if n != value:
-            raise ValueError(f"n sweep values must be integers, got {value!r}")
-        gamma_b = params.gamma_b[:1] * n
-        thetas = None if params.thetas is None else params.thetas[:1] * n
-        return dataclasses.replace(params, n=n, gamma_b=gamma_b, thetas=thetas)
+        return [(i, _resized(topology, value), {}) for i, value in enumerate(values)]
     if variable == "theta":
-        if index is None or not 1 <= index <= params.n:
-            raise ValueError(f"theta sweeps need index in 1..{params.n}")
-        thetas = list(params.thetas if params.thetas is not None
-                      else (0.0,) * params.n)
-        thetas[index - 1] = float(value)
-        return dataclasses.replace(params, thetas=tuple(thetas))
-    raise ValueError(f"unknown sweep variable {variable!r}")
-
-
-def _batches(points: list) -> list:
-    """``(start, first point, columns)`` per batch of the sweep: one batch,
-    or one per point when the battery count varies."""
-    if len({p.n for p in points}) != 1:  # none, or one batch per point
-        return [(i, p, {}) for i, p in enumerate(points)]
-    columns = {f: [getattr(p, f) for p in points]
-               for f in ("g_b", "gamma_c", "gamma_b", "Gamma", "xi", "thetas")
-               if getattr(points[0], f) is not None}
-    return [(0, points[0], columns)]
+        if index is None or not 1 <= index <= topology.n:
+            raise ValueError(f"theta sweeps need index in 1..{topology.n}")
+        thetas = np.tile(topology.thetas or (0.0,) * topology.n, (len(values), 1))
+        thetas[:, index - 1] = values
+        return [(0, topology, {"thetas": thetas})]
+    if variable not in ("g_b", "gamma", "gamma_c", "Gamma", "xi"):
+        raise ValueError(f"unknown sweep variable {variable!r}")
+    column = np.asarray(values, dtype=complex if variable == "xi" else float)
+    valid = np.isfinite(column) if variable == "xi" else np.isfinite(column) & (column >= 0)
+    columns = ({"gamma_c": column, "gamma_b": np.repeat(column[:, None], topology.n, 1)}
+               if variable == "gamma" else {variable: column})
+    for i in (~valid).nonzero()[0][:1]:  # the builder's own check and message
+        dataclasses.replace(topology, **{f: c[i].tolist() for f, c in columns.items()})
+    return [(0, topology, columns)]
 
 
 #: observable name -> (table columns, ``(values (P, k), errors, flags)``
@@ -92,12 +83,10 @@ def run_sweep(cfg: RunConfig) -> SweepTable:
     variable = cfg.sweep.variable
     label = variable if cfg.sweep.index is None else f"{variable}_{cfg.sweep.index}"
     values = cfg.sweep.grid.values
-    points = [apply_sweep_value(cfg.topology, variable, value, cfg.sweep.index)
-              for value in values]
     columns = (label,) + tuple(col for cols, _ in chosen for col in cols)
-    table = np.empty((len(points), len(columns) - 1))
+    table = np.empty((len(values), len(columns) - 1))
     failures, flags = {}, {}
-    for start, params, batch in _batches(points):
+    for start, params, batch in _batches(cfg.topology, variable, values, cfg.sweep.index):
         # each variant solved once; max_power's solve is the steady one
         target, at = cfg.target or _default_target(params), 0
         solved = functools.cache(lambda variant: (

@@ -11,13 +11,26 @@ its grid has not located the maximum, and is refused (``_scan_argmax``).
 
 ``loop_parameter_tables`` is the per-point form of
 ``network.parameter_tables``, which builds its tables column by column.
+
+``reference_sweep`` is the per-point form of ``sweep.run_sweep``, which
+fills its grid as ``parameter_tables`` columns: it builds and validates
+one ``TopologyParams`` per grid value (``apply_sweep_value``) and reads
+every field back as a column (``_batches``).  Its ``n`` sweeps keep only
+the first entry of ``gamma_b`` and ``thetas``, so it is a reference for
+uniform per-battery lists only.
 """
 
+import dataclasses
+import functools
+import json
 import math
 
 import numpy as np
 
-from qbnet import ScanEdgeError
+from qbnet import ScanEdgeError, SweepTable, TopologyParams
+from qbnet.config import run_config_to_dict
+from qbnet.observables import _default_target, _power_points, _steady_points
+from qbnet.sweep import _OBSERVABLES
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -131,3 +144,85 @@ def loop_parameter_tables(params, **columns) -> tuple:
         phases.append((0.0, *_direct_phases(variant, params.n, thetas)))
     return (np.array(rates, dtype=float), np.array(strengths, dtype=float),
             np.array(phases, dtype=float), np.array(column("xi"), dtype=complex))
+
+
+def apply_sweep_value(params: TopologyParams, variable: str, value,
+                      index: int | None = None) -> TopologyParams:
+    """Return params with one swept variable replaced by ``value``."""
+    if variable == "g_b":
+        return dataclasses.replace(params, g_b=float(value))
+    if variable == "gamma":
+        v = float(value)
+        return dataclasses.replace(params, gamma_c=v, gamma_b=(v,) * params.n)
+    if variable == "gamma_c":
+        return dataclasses.replace(params, gamma_c=float(value))
+    if variable == "Gamma":
+        return dataclasses.replace(params, Gamma=float(value))
+    if variable == "xi":
+        return dataclasses.replace(params, xi=complex(value))
+    if variable == "n":
+        n = int(value)
+        if n != value:
+            raise ValueError(f"n sweep values must be integers, got {value!r}")
+        gamma_b = params.gamma_b[:1] * n
+        thetas = None if params.thetas is None else params.thetas[:1] * n
+        return dataclasses.replace(params, n=n, gamma_b=gamma_b, thetas=thetas)
+    if variable == "theta":
+        if index is None or not 1 <= index <= params.n:
+            raise ValueError(f"theta sweeps need index in 1..{params.n}")
+        thetas = list(params.thetas if params.thetas is not None
+                      else (0.0,) * params.n)
+        thetas[index - 1] = float(value)
+        return dataclasses.replace(params, thetas=tuple(thetas))
+    raise ValueError(f"unknown sweep variable {variable!r}")
+
+
+def _batches(points: list) -> list:
+    """``(start, first point, columns)`` per batch of the sweep: one batch,
+    or one per point when the battery count varies."""
+    if len({p.n for p in points}) != 1:  # none, or one batch per point
+        return [(i, p, {}) for i, p in enumerate(points)]
+    columns = {f: [getattr(p, f) for p in points]
+               for f in ("g_b", "gamma_c", "gamma_b", "Gamma", "xi", "thetas")
+               if getattr(points[0], f) is not None}
+    return [(0, points[0], columns)]
+
+
+def reference_sweep(cfg) -> SweepTable:
+    """``run_sweep`` over one ``apply_sweep_value`` point per grid value."""
+    if cfg.sweep is None:
+        raise ValueError("config has no sweep section")
+    try:
+        chosen = [_OBSERVABLES[obs] for obs in cfg.observables]
+    except KeyError as exc:
+        raise ValueError(f"unknown observable {exc.args[0]!r}") from None
+    variable = cfg.sweep.variable
+    label = variable if cfg.sweep.index is None else f"{variable}_{cfg.sweep.index}"
+    values = cfg.sweep.grid.values
+    points = [apply_sweep_value(cfg.topology, variable, value, cfg.sweep.index)
+              for value in values]
+    columns = (label,) + tuple(col for cols, _ in chosen for col in cols)
+    table = np.empty((len(points), len(columns) - 1))
+    failures, flags = {}, {}
+    for start, params, batch in _batches(points):
+        # each variant solved once; max_power's solve is the steady one
+        target, at = cfg.target or _default_target(params), 0
+        solved = functools.cache(lambda variant: (
+            _power_points(params, (target,), **batch)
+            if variant == params.variant and "max_power" in cfg.observables
+            else _steady_points(params.with_variant(variant), **batch)))
+        for _, observe in chosen:
+            found, errors, named = observe(params, target, solved)
+            table[start:start + len(found), at:at + found.shape[1]] = found
+            at += found.shape[1]
+            for i, error in errors.items():
+                failures.setdefault(start + i, str(error))
+            for i, names in named.items():
+                flags.setdefault(start + i, []).extend(names)
+    for i, names in flags.items():
+        failures.setdefault(i, "undefined ratio: " + "; ".join(names))
+    rows = [[value, *row] for i, (value, row) in enumerate(zip(values, table.tolist()))
+            if i not in failures]
+    errors = [(i, values[i], failures[i]) for i in sorted(failures)]
+    metadata = {"config": json.dumps(run_config_to_dict(cfg), sort_keys=True)}
+    return SweepTable(f"sweep_{label}", columns, rows, metadata, errors)

@@ -223,6 +223,30 @@ class TestOtherCommands:
         assert (tmp_path / "fig2f.csv").exists()
 
 
+TOPOLOGY_FLAGS = ("--family", "cascaded", "--variant", "custom", "--n", "2",
+                  "--gb", "0.01", "--gamma", "0.1", "--theta", "0,0")
+
+
+@pytest.mark.parametrize("command", ["steady", "evolve", "power", "landscape",
+                                     "sweep"])
+def test_unknown_target_is_a_usage_error(command, tmp_path, capsys):
+    if command == "sweep":
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({
+            "topology": {"family": "cascaded", "variant": "nr", "n": 2,
+                         "g_b": 0.01, "gamma_c": 0.1, "gamma_b": 0.1,
+                         "Gamma": 0.1, "xi": 1.0},
+            "sweep": {"variable": "g_b", "values": [0.01]}, "target": "zz"}))
+        argv = ("sweep", "--config", str(cfg))
+    else:
+        argv = (command, *TOPOLOGY_FLAGS, "--target", "zz")
+        if command in ("evolve", "power"):
+            argv += ("--t-max", "10", "--points", "5")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err == "error: unknown mode id 'zz'\n"
+
+
 def test_console_entry_point():
     # run from the directory holding the package under test, so ``-m``
     # finds it whether or not it is installed or on PYTHONPATH
