@@ -3,9 +3,10 @@
 One structured-text format covers everything the command line consumes:
 a ``RunConfig`` document with a ``topology`` section mirroring
 ``TopologyParams``, an optional ``sweep`` section and output options.
-``NetworkSpec`` has its own schema for the ``validate`` command.
-Unknown keys are rejected with path-precise messages, and
-``serialize -> parse -> serialize`` is the identity.
+``NetworkSpec`` documents, read by the ``validate`` command only, have
+their own schema.  Unknown keys are rejected with path-precise messages,
+and ``run_config_to_dict -> parse_run_config -> run_config_to_dict`` is
+the identity.
 
 Complex numbers are encoded as plain numbers when purely real and as
 ``[re, im]`` pairs otherwise.
@@ -144,18 +145,6 @@ def resize_topology(doc: dict, n: int) -> dict:
 
 # --- NetworkSpec ----------------------------------------------------------
 
-def network_to_dict(spec: NetworkSpec) -> dict:
-    return {
-        "modes": [{"id": m.id, "role": m.role, "decay_rate": m.decay_rate,
-                   "detuning": m.detuning} for m in spec.modes],
-        "couplings": [{"source": c.source, "target": c.target,
-                       "strength": c.strength, "phase": c.phase}
-                      for c in spec.couplings],
-        "drives": [{"mode": d.mode, "amplitude": complex_to_json(d.amplitude)}
-                   for d in spec.drives],
-    }
-
-
 def network_from_dict(doc: dict, path: str = "network") -> NetworkSpec:
     _check_keys(doc, ("modes", "couplings", "drives"), path)
     _require("modes" in doc, path, "missing required key 'modes'")
@@ -191,17 +180,10 @@ def network_from_dict(doc: dict, path: str = "network") -> NetworkSpec:
 
 # --- grids ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GridSpec:
+def _grid_from_dict(doc, path: str) -> tuple:
     """The explicit values of a list or a start/stop/points range."""
-
-    values: tuple
-
-
-def _grid_from_dict(doc, path: str) -> GridSpec:
     if isinstance(doc, list):
-        return GridSpec(tuple(_number(v, f"{path}[{i}]")
-                              for i, v in enumerate(doc)))
+        return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(doc))
     _check_keys(doc, ("start", "stop", "points", "spacing"), path)
     for key in ("start", "stop", "points"):
         _require(key in doc, path, f"missing required key {key!r}")
@@ -218,7 +200,7 @@ def _grid_from_dict(doc, path: str) -> GridSpec:
         values = np.geomspace(start, stop, points)
     else:
         values = np.linspace(start, stop, points)
-    return GridSpec(tuple(float(v) for v in values))
+    return tuple(float(v) for v in values)
 
 
 # --- RunConfig ------------------------------------------------------------
@@ -230,11 +212,11 @@ _SWEEP_KEYS = ("variable", "values", "index")
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Swept variable plus its value grid; ``index`` is the 1-based
+    """Swept variable plus its grid values; ``index`` is the 1-based
     battery index for per-link variables (theta)."""
 
     variable: str
-    grid: GridSpec
+    values: tuple
     index: int | None = None
 
 
@@ -302,7 +284,7 @@ def run_config_to_dict(cfg: RunConfig) -> dict:
     doc: dict = {"topology": topology_to_dict(cfg.topology)}
     if cfg.sweep is not None:
         sweep: dict = {"variable": cfg.sweep.variable,
-                       "values": list(cfg.sweep.grid.values)}
+                       "values": list(cfg.sweep.values)}
         if cfg.sweep.index is not None:
             sweep["index"] = cfg.sweep.index
         doc["sweep"] = sweep
@@ -313,10 +295,6 @@ def run_config_to_dict(cfg: RunConfig) -> dict:
         doc["out_dir"] = cfg.out_dir
     doc["format"] = cfg.format
     return doc
-
-
-def run_config_to_json(cfg: RunConfig) -> str:
-    return json.dumps(run_config_to_dict(cfg), indent=2, sort_keys=True) + "\n"
 
 
 def load_json(path: str) -> dict:

@@ -88,14 +88,6 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def write_csv(table: SweepTable, path: str, deterministic: bool = False) -> None:
-    _write_text(path, table_to_csv_text(table, deterministic))
-
-
-def write_json(table: SweepTable, path: str, deterministic: bool = False) -> None:
-    _write_text(path, table_to_json_text(table, deterministic))
-
-
 def write_errors_csv(table: SweepTable, path: str) -> None:
     lines = ["row_index,point,error\n"]
     for index, point, message in table.errors:
@@ -111,7 +103,8 @@ def write_table(table: SweepTable, out_dir: str, fmt: str = "csv",
         raise ValueError(f"unknown format {fmt!r}")
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{table.name}.{fmt}")
-    (write_csv if fmt == "csv" else write_json)(table, path, deterministic)
+    text = table_to_csv_text if fmt == "csv" else table_to_json_text
+    _write_text(path, text(table, deterministic))
     paths = [path]
     if fmt == "csv" and table.errors:
         paths.append(os.path.join(out_dir, f"{table.name}_errors.csv"))

@@ -155,6 +155,8 @@ class TopologyParams:
             if isinstance(self.n, int) and self.n >= 1 and len(thetas) != self.n:
                 problems.append(
                     f"thetas has {len(thetas)} entries for n={self.n} batteries")
+            if not all(map(math.isfinite, thetas)):
+                problems.append(f"thetas entries must be finite, got {thetas}")
         if self.variant == "custom" and self.thetas is None:
             problems.append("variant 'custom' requires thetas")
         if problems:

@@ -9,13 +9,13 @@ battery instead of the charger and compare the transmitted energies).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dynamics import assemble, steady_state
-from .network import (CouplingSpec, DriveSpec, ModeSpec, NetworkSpec,
-                      TopologyParams, matched_coupling)
+from .errors import ValidationError
+from .network import DriveSpec, TopologyParams, build_network
 from .observables import _default_target, _raise_first, _steady_points
 
 #: landscape grid values within this relative slack of the maximum tie
@@ -78,36 +78,22 @@ def window_check(theta: float) -> bool:
     return -math.pi < theta < 0.0
 
 
-def triangle_network(theta: float, g_b: float, Gamma: float, gamma_c: float,
-                     gamma_b: float, xi: complex, drive_on: str = "c") -> NetworkSpec:
-    """One matched charger/intermediate/battery triangle.
-
-    ``drive_on`` selects the driven mode; relocating the drive to "b"
-    probes the backward direction of the same physical link.
-    """
-    g_i = matched_coupling(g_b, Gamma)
-    modes = (ModeSpec("c", "charger", gamma_c),
-             ModeSpec("a", "intermediate", Gamma),
-             ModeSpec("b", "battery", gamma_b))
-    couplings = (CouplingSpec("c", "b", g_b, theta),
-                 CouplingSpec("c", "a", g_i, 0.0),
-                 CouplingSpec("a", "b", g_i, 0.0))
-    if drive_on not in ("c", "b"):
-        raise ValueError(f"drive_on must be 'c' or 'b', got {drive_on!r}")
-    return NetworkSpec(modes, couplings, (DriveSpec(drive_on, xi),))
-
-
 def drive_relocation_energies(theta: float, g_b: float, Gamma: float,
                               gamma: float, xi: complex = 1.0):
-    """Full-network probe: ``(E_b forward-driven, E_c backward-driven)``.
+    """Full-network probe: ``(E_b forward-driven, E_c backward-driven)``
+    on the one-link cascaded ``custom`` network.
 
     Both configurations use decay-symmetric endpoints, so the ratio of
     the two energies equals the forward/backward transmission ratio of
     the link exactly.
     """
-    forward = assemble(triangle_network(theta, g_b, Gamma, gamma, gamma, xi, "c"))
-    backward = assemble(triangle_network(theta, g_b, Gamma, gamma, gamma, xi, "b"))
-    e_b = abs(steady_state(forward).amplitudes[forward.row("b")]) ** 2
+    if not -math.pi < theta <= math.pi:
+        raise ValidationError([f"theta {theta!r} outside (-pi, pi]"])
+    spec = build_network(TopologyParams("cascaded", "custom", 1, g_b, gamma, gamma,
+                                        Gamma, xi, (theta,)))
+    forward = assemble(spec)
+    backward = assemble(replace(spec, drives=(DriveSpec("b_1", xi),)))
+    e_b = abs(steady_state(forward).amplitudes[forward.row("b_1")]) ** 2
     e_c = abs(steady_state(backward).amplitudes[backward.row("c")]) ** 2
     return float(e_b), float(e_c)
 

@@ -48,13 +48,14 @@ def _batches(topology: TopologyParams, variable: str, values, index) -> list:
             raise ValueError(f"theta sweeps need index in 1..{topology.n}")
         thetas = np.tile(topology.thetas or (0.0,) * topology.n, (len(values), 1))
         thetas[:, index - 1] = values
-        return [(0, topology, {"thetas": thetas})]
-    if variable not in ("g_b", "gamma", "gamma_c", "Gamma", "xi"):
+        columns, valid = {"thetas": thetas}, np.isfinite(thetas).all(1)
+    elif variable in ("g_b", "gamma", "gamma_c", "Gamma", "xi"):
+        column = np.asarray(values, dtype=complex if variable == "xi" else float)
+        valid = np.isfinite(column) if variable == "xi" else np.isfinite(column) & (column >= 0)
+        columns = ({"gamma_c": column, "gamma_b": np.repeat(column[:, None], topology.n, 1)}
+                   if variable == "gamma" else {variable: column})
+    else:
         raise ValueError(f"unknown sweep variable {variable!r}")
-    column = np.asarray(values, dtype=complex if variable == "xi" else float)
-    valid = np.isfinite(column) if variable == "xi" else np.isfinite(column) & (column >= 0)
-    columns = ({"gamma_c": column, "gamma_b": np.repeat(column[:, None], topology.n, 1)}
-               if variable == "gamma" else {variable: column})
     for i in (~valid).nonzero()[0][:1]:  # the builder's own check and message
         dataclasses.replace(topology, **{f: c[i].tolist() for f, c in columns.items()})
     return [(0, topology, columns)]
@@ -82,7 +83,7 @@ def run_sweep(cfg: RunConfig) -> SweepTable:
         raise ValueError(f"unknown observable {exc.args[0]!r}") from None
     variable = cfg.sweep.variable
     label = variable if cfg.sweep.index is None else f"{variable}_{cfg.sweep.index}"
-    values = cfg.sweep.grid.values
+    values = cfg.sweep.values
     columns = (label,) + tuple(col for cols, _ in chosen for col in cols)
     table = np.empty((len(values), len(columns) - 1))
     failures, flags = {}, {}

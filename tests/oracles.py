@@ -198,7 +198,7 @@ def reference_sweep(cfg) -> SweepTable:
         raise ValueError(f"unknown observable {exc.args[0]!r}") from None
     variable = cfg.sweep.variable
     label = variable if cfg.sweep.index is None else f"{variable}_{cfg.sweep.index}"
-    values = cfg.sweep.grid.values
+    values = cfg.sweep.values
     points = [apply_sweep_value(cfg.topology, variable, value, cfg.sweep.index)
               for value in values]
     columns = (label,) + tuple(col for cols, _ in chosen for col in cols)

@@ -41,6 +41,15 @@ class TestSteady:
         doc = json.loads(out)
         assert doc["columns"] == ["battery", "E_over_omega"]
 
+    def test_gamma_c_overrides_gamma(self, capsys):
+        flags = ("steady", "--family", "cascaded", "--variant", "r1", "--n", "1",
+                 "--gb", "0.05", "--gamma", "0.1")
+        code, out, _ = run(capsys, *flags, "--gamma-c", "0.3")
+        assert code == 0
+        # the charger takes 0.3, the battery keeps --gamma
+        assert float(out.strip().split("=")[1]) == qbnet.steady_energy(
+            qbnet.TopologyParams("cascaded", "r1", 1, 0.05, 0.3, 0.1, 0.1, 1.0))
+
     def test_missing_parameters(self, capsys):
         code, _, err = run(capsys, "steady", "--family", "cascaded")
         assert code == 2
@@ -148,14 +157,36 @@ class TestConfigDriven:
 
 class TestValidate:
     def test_good_network(self, tmp_path, capsys):
-        from qbnet import TopologyParams, build_network, network_to_dict
-        spec = build_network(TopologyParams("cascaded", "nr", 2, 0.01, 0.1,
-                                            0.1, 0.1, 1.0))
+        doc = {"modes": [{"id": "c", "role": "charger", "decay_rate": 0.1},
+                         {"id": "a_1", "role": "intermediate", "decay_rate": 0.1},
+                         {"id": "b_1", "role": "battery", "decay_rate": 0.1}],
+               "couplings": [{"source": "c", "target": "a_1", "strength": 0.02},
+                             {"source": "a_1", "target": "b_1", "strength": 0.02},
+                             {"source": "c", "target": "b_1", "strength": 0.01,
+                              "phase": -1.5707963267948966}],
+               "drives": [{"mode": "c", "amplitude": [1.0, 0.5]}]}
         cfg = tmp_path / "net.json"
-        cfg.write_text(json.dumps(network_to_dict(spec)))
+        cfg.write_text(json.dumps(doc))
         code, out, _ = run(capsys, "validate", "--config", str(cfg))
         assert code == 0
         assert out.strip() == "ok"
+
+    def test_run_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"topology": {
+            "family": "parallel", "variant": "custom", "n": 2, "g_b": 0.01,
+            "gamma_c": 0.1, "gamma_b": 0.1, "Gamma": 0.1, "xi": 1.0,
+            "thetas": [0.5, 4.0]}}))
+        code, out, _ = run(capsys, "validate", "--config", str(cfg))
+        assert code == 0
+        assert out.strip() == "ok"
+
+    def test_neither_network_nor_run_config(self, tmp_path, capsys):
+        cfg = tmp_path / "other.json"
+        cfg.write_text(json.dumps({"couplings": []}))
+        code, _, err = run(capsys, "validate", "--config", str(cfg))
+        assert code == 2
+        assert "expected a 'modes' or 'topology' document" in err
 
     def test_bad_network(self, tmp_path, capsys):
         doc = {"modes": [{"id": "c", "role": "charger", "decay_rate": 0.1},

@@ -3,9 +3,8 @@ import json
 import pytest
 
 from qbnet import (ConfigError, TopologyParams, build_network,
-                   network_from_dict, network_to_dict, parse_run_config,
-                   run_config_to_dict, run_config_to_json, topology_from_dict,
-                   topology_to_dict, validate)
+                   network_from_dict, parse_run_config, run_config_to_dict,
+                   topology_from_dict, topology_to_dict, validate)
 
 
 def topo_doc(**overrides):
@@ -53,18 +52,30 @@ class TestTopologySerialization:
             topology_from_dict(topo_doc(variant="custom"))  # thetas missing
 
 
+def network_doc():
+    """The network document of cascaded ``r1`` with one battery."""
+    return {"modes": [{"id": "c", "role": "charger", "decay_rate": 0.1},
+                      {"id": "b_1", "role": "battery", "decay_rate": 0.1,
+                       "detuning": 0.0}],
+            "couplings": [{"source": "c", "target": "b_1", "strength": 0.01,
+                           "phase": 0.0}],
+            "drives": [{"mode": "c", "amplitude": 1.0}]}
+
+
 class TestNetworkSerialization:
-    def test_round_trip(self):
-        p = TopologyParams("cascaded", "nr", 2, 0.01, 0.1, 0.1, 0.1, 1.0)
-        spec = build_network(p)
-        doc = network_to_dict(spec)
-        again = network_from_dict(doc)
-        assert again == spec
-        assert validate(again) == []
+    def test_parse(self):
+        spec = network_from_dict(network_doc())
+        assert spec == build_network(
+            TopologyParams("cascaded", "r1", 1, 0.01, 0.1, 0.1, 0.1, 1.0))
+        assert validate(spec) == []
+
+    def test_complex_amplitude(self):
+        doc = network_doc()
+        doc["drives"][0]["amplitude"] = [0.5, -1.0]
+        assert network_from_dict(doc).drives[0].amplitude == 0.5 - 1j
 
     def test_unknown_key(self):
-        doc = network_to_dict(build_network(
-            TopologyParams("cascaded", "r1", 1, 0.01, 0.1, 0.1, 0.1, 1.0)))
+        doc = network_doc()
         doc["modes"][0]["color"] = "red"
         with pytest.raises(ConfigError, match=r"network\.modes\[0\]\.color"):
             network_from_dict(doc)
@@ -82,7 +93,7 @@ class TestRunConfig:
     def test_parse(self):
         cfg = parse_run_config(self.doc())
         assert cfg.sweep.variable == "g_b"
-        assert cfg.sweep.grid.values == (0.001, 0.01, 0.1)
+        assert cfg.sweep.values == (0.001, 0.01, 0.1)
         assert cfg.observables == ("steady_energy",)
 
     def test_parse_from_text(self):
@@ -91,8 +102,8 @@ class TestRunConfig:
 
     def test_serialize_parse_serialize_identity(self):
         cfg = parse_run_config(self.doc())
-        text = run_config_to_json(cfg)
-        again = run_config_to_json(parse_run_config(text))
+        text = json.dumps(run_config_to_dict(cfg), sort_keys=True)
+        again = json.dumps(run_config_to_dict(parse_run_config(text)), sort_keys=True)
         assert again == text
 
     def test_range_grid(self):
@@ -100,9 +111,15 @@ class TestRunConfig:
         doc["sweep"]["values"] = {"start": 0.001, "stop": 0.1, "points": 5,
                                   "spacing": "log"}
         cfg = parse_run_config(doc)
-        assert len(cfg.sweep.grid.values) == 5
-        assert cfg.sweep.grid.values[0] == pytest.approx(0.001)
-        assert cfg.sweep.grid.values[-1] == pytest.approx(0.1)
+        assert len(cfg.sweep.values) == 5
+        assert cfg.sweep.values[0] == pytest.approx(0.001)
+        assert cfg.sweep.values[-1] == pytest.approx(0.1)
+
+    def test_range_grid_is_linear_by_default(self):
+        doc = self.doc()
+        doc["sweep"]["values"] = {"start": 0.0, "stop": 1.0, "points": 5}
+        cfg = parse_run_config(doc)
+        assert cfg.sweep.values == (0.0, 0.25, 0.5, 0.75, 1.0)
 
     def test_unknown_top_level_key(self):
         for key, value in (("plot", True),
@@ -141,7 +158,7 @@ class TestRunConfig:
         doc = self.doc()
         doc["sweep"]["values"] = []
         cfg = parse_run_config(doc)
-        assert cfg.sweep.grid.values == ()
+        assert cfg.sweep.values == ()
 
     def test_canonical_dict_is_json_safe(self):
         cfg = parse_run_config(self.doc())

@@ -4,8 +4,7 @@ import math
 import pytest
 
 from qbnet import SweepTable, parse_run_config, run_sweep
-from qbnet.export import (format_number, table_to_csv_text, write_csv,
-                          write_table)
+from qbnet.export import format_number, table_to_csv_text, write_table
 
 
 def small_table():
@@ -19,9 +18,9 @@ class TestExport:
             assert float(format_number(value)) == value
 
     def test_csv_layout(self, tmp_path):
-        path = tmp_path / "demo.csv"
-        write_csv(small_table(), str(path), deterministic=True)
-        lines = path.read_text().splitlines()
+        assert write_table(small_table(), str(tmp_path), deterministic=True) == [
+            str(tmp_path / "demo.csv")]
+        lines = (tmp_path / "demo.csv").read_text().splitlines()
         assert lines[0] == "# table = demo"
         assert lines[1].startswith("# toolkit_version = ")
         assert lines[2] == "# alpha = 0.1"
@@ -31,16 +30,18 @@ class TestExport:
 
     def test_timestamp_suppressed_only_when_deterministic(self, tmp_path):
         t = small_table()
-        write_csv(t, str(tmp_path / "a.csv"), deterministic=False)
-        write_csv(t, str(tmp_path / "b.csv"), deterministic=True)
-        assert "# created = " in (tmp_path / "a.csv").read_text()
-        assert "# created = " not in (tmp_path / "b.csv").read_text()
+        write_table(t, str(tmp_path / "a"), deterministic=False)
+        write_table(t, str(tmp_path / "b"), deterministic=True)
+        assert "# created = " in (tmp_path / "a" / "demo.csv").read_text()
+        assert "# created = " not in (tmp_path / "b" / "demo.csv").read_text()
 
     def test_deterministic_reruns_byte_identical(self, tmp_path):
         t = small_table()
-        write_csv(t, str(tmp_path / "a.csv"), deterministic=True)
-        write_csv(t, str(tmp_path / "b.csv"), deterministic=True)
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        for fmt in ("csv", "json"):
+            write_table(t, str(tmp_path / "a"), fmt, deterministic=True)
+            write_table(t, str(tmp_path / "b"), fmt, deterministic=True)
+            assert ((tmp_path / "a" / f"demo.{fmt}").read_bytes()
+                    == (tmp_path / "b" / f"demo.{fmt}").read_bytes())
 
     def test_error_sidecar(self, tmp_path):
         t = small_table()

@@ -141,6 +141,13 @@ class TestParamsValidation:
         with pytest.raises(ValidationError):
             params(variant="custom", n=3, thetas=(0.1,))
 
+    @pytest.mark.parametrize("variant, thetas", [
+        ("custom", (math.nan, 0.0)), ("r1", (math.inf, 0.0)),
+        ("nr", (0.0, -math.inf))])
+    def test_non_finite_thetas(self, variant, thetas):
+        with pytest.raises(ValidationError, match="thetas entries must be finite"):
+            params(variant=variant, n=2, thetas=thetas)
+
     def test_custom_needs_thetas(self):
         with pytest.raises(ValidationError):
             params(variant="custom", n=2)

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qbnet import (TopologyParams, UnstableSystemError,
+from qbnet import (TopologyParams, UnstableSystemError, ValidationError,
                    drive_relocation_energies, isolation, nonreciprocity,
-                   phase_landscape, steady_energy, triangle_network, validate,
-                   window_check)
+                   phase_landscape, steady_energy, window_check)
 
 
 class TestIsolation:
@@ -76,10 +75,11 @@ class TestDriveRelocation:
         with pytest.raises(UnstableSystemError):
             drive_relocation_energies(0.0, 0.01, 0.1, 0.0)
 
-    def test_triangle_network_is_valid(self):
-        spec = triangle_network(-1.0, 0.01, 0.1, 0.1, 0.1, 1.0)
-        assert validate(spec) == []
-        assert len(spec.modes) == 3
+    @pytest.mark.parametrize("theta", [4.0, -math.pi, math.nan])
+    def test_theta_outside_the_range_refused(self, theta):
+        # the builder would wrap 4.0 into range; the probe refuses it
+        with pytest.raises(ValidationError, match=r"outside \(-pi, pi\]"):
+            drive_relocation_energies(theta, 0.01, 0.1, 0.1)
 
 
 class TestPhaseLandscape:

@@ -14,6 +14,33 @@ tomllib = pytest.importorskip("tomllib")
 PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
+#: the public surface; adding or removing a name is a deliberate edit here
+PUBLIC_NAMES = [
+    "ConfigError", "CouplingSpec", "DriveSpec", "EffectiveLink", "EnergyCurve",
+    "FIGURE_COLUMNS", "FIGURE_IDS", "GainReport", "IsolationResult",
+    "LinearSystem", "LogFitResult", "ModeSpec", "NetworkSpec",
+    "NoSteadyStateError", "PhaseLandscape", "PowerCurve", "QbnetError",
+    "RunConfig", "ScanEdgeError", "SteadyState", "SweepTable",
+    "TopologyParams", "Trajectory", "UnknownModeError", "UnstableSystemError",
+    "ValidationError", "assemble", "build_network", "cascaded_nr_energy",
+    "drive_relocation_energies", "effective_link",
+    "effective_steady_amplitudes", "effective_steady_energy", "energy_curve",
+    "evolve", "figure_table", "g_opt_odd", "gain_approx", "gain_bounds",
+    "gain_report", "is_stable", "isolation", "logfit_ratio",
+    "matched_coupling", "max_power", "network_from_dict",
+    "parallel_nr_energy", "parallel_r1_energy", "parse_run_config",
+    "phase_landscape", "power_curve", "run_config_to_dict", "run_figure",
+    "run_sweep", "steady_energy", "steady_state", "topology_from_dict",
+    "topology_to_dict", "vacuum", "validate", "window_check", "wrap_phase",
+    "write_table",
+]
+
+
+def test_public_surface_is_pinned():
+    assert len(PUBLIC_NAMES) == 63
+    assert sorted(qbnet.__all__) == PUBLIC_NAMES
+
+
 def test_every_exported_name_resolves():
     assert [name for name in qbnet.__all__ if not hasattr(qbnet, name)] == []
 

@@ -17,7 +17,7 @@ import qbnet.dynamics
 from qbnet import (ConfigError, TopologyParams, ValidationError, max_power,
                    parse_run_config, run_sweep, steady_energy)
 from qbnet.cli import cli_main
-from qbnet.config import GridSpec, RunConfig, SweepSpec
+from qbnet.config import RunConfig, SweepSpec
 from qbnet.export import table_to_csv_text, table_to_json_text
 
 from oracles import reference_sweep
@@ -85,6 +85,8 @@ def test_reference_cases_include_refused_and_edge_points():
 BASE = {"family": "cascaded", "variant": "nr", "n": 2, "g_b": 0.01,
         "gamma_c": 0.1, "gamma_b": 0.1, "Gamma": 0.1, "xi": 1.0}
 TOPOLOGY = parse_run_config({"topology": BASE}).topology
+CUSTOM = parse_run_config(
+    {"topology": {**BASE, "variant": "custom", "thetas": [0.3, 0.3]}}).topology
 
 
 def parsed(variable, values):
@@ -92,8 +94,8 @@ def parsed(variable, values):
                              "sweep": {"variable": variable, "values": values}})
 
 
-def built(variable, values, index=None):
-    return RunConfig(TOPOLOGY, SweepSpec(variable, GridSpec(tuple(values)), index))
+def built(variable, values, index=None, topology=TOPOLOGY):
+    return RunConfig(topology, SweepSpec(variable, tuple(values), index))
 
 
 @pytest.fixture
@@ -119,8 +121,12 @@ def no_assembly(monkeypatch):
     (built("g_b", [0.01, math.nan]), ValidationError,
      "g_b must be a finite rate >= 0, got nan"),
     (built("xi", [1.0, math.inf]), ValidationError, "xi must be finite, got (inf+0j)"),
+    (built("theta", [0.5, math.nan, math.inf], index=2), ValidationError,
+     "thetas entries must be finite, got (0.0, nan)"),
+    (built("theta", [-math.inf, 0.5], index=1, topology=CUSTOM), ValidationError,
+     "thetas entries must be finite, got (-inf, 0.3)"),
 ], ids=["g_b", "gamma", "Gamma", "n-fraction", "n-zero", "theta-0", "theta-3",
-        "g_b-nan", "xi-inf"])
+        "g_b-nan", "xi-inf", "theta-nan", "theta-inf"])
 def test_invalid_grid_raises_before_assembly(cfg, kind, message, no_assembly):
     with pytest.raises(ValueError) as err:
         run_sweep(cfg)
