@@ -24,7 +24,7 @@ numerical range proves ``spectral abscissa <= -mu``,
 its dense O(n^3) check (``eigvals`` or ``cond``) only when the
 certificate cannot prove its accept verdict (a zero-decay mode, a
 marginal decay, a bound near ``CONDITION_LIMIT``).  ``is_stable`` stays
-the dense reference; its abscissa is computed once per system.
+the dense reference.
 
 The gate is written once, over a (P, n, n) stack (``steady_states``):
 stacked dense checks only on slices the certificate cannot prove, one
@@ -55,7 +55,7 @@ network ``steady_state`` refuses, each point is one ``expm``.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
@@ -142,32 +142,18 @@ def _pattern(t: np.ndarray, s: np.ndarray, n: int) -> Pattern:
                    int(np.max(np.abs(t - s)[(t > 0) & (s > 0)], initial=0)))
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """What the dissipation structure of M proves (see the module doc).
-
-    ``dissipation`` is ``mu``, a lower bound with its own rounding
-    charged.  ``abscissa_bound`` bounds the spectral abscissa as
-    ``eigvals`` computes it: ``-mu`` plus a rounding margin of
-    ``(n + 2) eps ||M||_F`` for the eigensolver's backward error ``E``
-    (every eigenvalue of ``M + E`` lies within ``||E||_2`` of the
-    numerical range of M).  ``condition_bound`` is ``||M||_F / mu``,
-    or infinity unless ``mu > 0``.
-    """
-
-    dissipation: float
-    abscissa_bound: float
-    condition_bound: float
-
-
 def _certify(matrices: np.ndarray, pattern: Pattern) -> tuple:
     """``(mu, abscissa_bound, condition_bound)`` of each slice of a
     (P, n, n) stack, by the Gershgorin discs of ``H``: centre ``Re M[i, i]``,
     radius ``|M[t, s] + conj(M[s, t])| / 2`` summed over ``pattern`` at i.
 
-    Computed moduli and row sums are within ``(n + 2) eps`` relative,
-    the squared Frobenius sum within ``n^2 eps``; both are charged
-    against the bounds.
+    ``mu`` is a lower bound.  ``abscissa_bound``, on the abscissa as
+    ``eigvals`` computes it, adds ``(n + 2) eps ||M||_F`` to ``-mu`` for its
+    backward error E: every eigenvalue of ``M + E`` lies within ``||E||_2``
+    of the numerical range of M.  ``condition_bound`` is ``||M||_F / mu``,
+    infinite unless ``mu > 0``.  Computed moduli and row sums are within
+    ``(n + 2) eps`` relative, the squared Frobenius sum within ``n^2 eps``;
+    both are charged against the bounds.
     """
     points, n = matrices.shape[:2]
     slack = (n + 2) * _EPS
@@ -221,16 +207,6 @@ class LinearSystem:
     def pattern(self) -> Pattern:
         """The coupling positions, found once from the nonzero entries of M."""
         return _pattern(*np.tril(abs(self.matrix) + abs(self.matrix.T), -1).nonzero(), self.n)
-
-    @cached_property
-    def certificate(self) -> Certificate:
-        """The certificate of M, computed once per system."""
-        return Certificate(*(float(v[0]) for v in _certify(self.matrix[None], self.pattern)))
-
-    @cached_property
-    def abscissa(self) -> float:
-        """The dense spectral abscissa (``eigvals``), computed once."""
-        return float(_abscissas(self.matrix))
 
     def row(self, mode_id: str) -> int:
         return _row(self.index, mode_id)
@@ -376,15 +352,21 @@ def _solve(matrices, drives, width=None) -> tuple:
     return alpha, _norms((matrices @ alpha[..., None])[..., 0] + drives)
 
 
-def _gate(matrices, drives, certified, abscissas, width) -> tuple:
-    """The decay rule, the condition rule and the solve over a stack, as
-    ``steady_states`` returns them; dense checks run, stacked, on the slices
-    the certificate cannot prove, ``abscissas(slices)`` giving eigvals'."""
-    mu, abscissa_bound, condition_bound = certified
-    errors, conditions = {}, condition_bound
+def steady_states(matrices: np.ndarray, drives: np.ndarray, pattern: Pattern,
+                  abscissas: np.ndarray | None = None) -> tuple:
+    """``steady_state`` of each slice of a (P, n, n) stack with its (P, n)
+    drives and coupling ``pattern`` (a ``layout``'s), in one batched solve:
+    ``(amplitudes, residuals, conditions, errors)``, ``errors`` mapping a
+    refused slice (amplitudes NaN) to the error ``steady_state`` raises.
+    Dense checks run, stacked, only on the slices the certificate cannot
+    prove; ``abscissas``, the dense abscissa of every slice when the
+    caller has computed them, stand in for the gate's own ``eigvals``."""
+    mu, abscissa_bound, condition_bound = _certify(matrices, pattern)
+    errors, conditions, width = {}, condition_bound, pattern.width
     if not abscissa_bound.max() <= STABILITY_FLOOR:
         slices = (~(abscissa_bound <= STABILITY_FLOOR)).nonzero()[0]
-        for i, abscissa in zip(slices.tolist(), abscissas(slices).tolist()):
+        dense = _abscissas(matrices[slices]) if abscissas is None else abscissas[slices]
+        for i, abscissa in zip(slices.tolist(), dense.tolist()):
             if not abscissa <= STABILITY_FLOOR:
                 errors[i] = UnstableSystemError(
                     f"network is not strictly decaying (spectral abscissa "
@@ -414,19 +396,6 @@ def _gate(matrices, drives, certified, abscissas, width) -> tuple:
     return amplitudes, residuals, conditions, errors
 
 
-def steady_states(matrices: np.ndarray, drives: np.ndarray, pattern: Pattern,
-                  abscissas: np.ndarray | None = None) -> tuple:
-    """``steady_state`` of each slice of a (P, n, n) stack with its (P, n)
-    drives and coupling ``pattern`` (a ``layout``'s), in one batched solve:
-    ``(amplitudes, residuals, conditions, errors)``, ``errors`` mapping a
-    refused slice (amplitudes NaN) to the error ``steady_state`` raises.
-    ``abscissas``, the dense abscissa of every slice when the caller has
-    computed them, stand in for the gate's own ``eigvals``."""
-    dense = ((lambda slices: _abscissas(matrices[slices])) if abscissas is None
-             else abscissas.__getitem__)
-    return _gate(matrices, drives, _certify(matrices, pattern), dense, pattern.width)
-
-
 def steady_state(sys: LinearSystem) -> SteadyState:
     """Solve ``M alpha = -d``; refuse a network that does not decay to it.
 
@@ -436,10 +405,8 @@ def steady_state(sys: LinearSystem) -> SteadyState:
     ``SteadyState.residual`` is the norm of ``M alpha + d``.  This is
     ``steady_states`` on a stack of one.
     """
-    cert = sys.certificate
-    amplitudes, residuals, conditions, errors = _gate(
-        sys.matrix[None], sys.drive[None], np.array(astuple(cert))[:, None],
-        lambda _: np.array([sys.abscissa]), sys.pattern.width)
+    amplitudes, residuals, conditions, errors = steady_states(
+        sys.matrix[None], sys.drive[None], sys.pattern)
     if errors:
         raise errors[0]
     return SteadyState(amplitudes[0], float(residuals[0]), float(conditions[0]))
@@ -450,10 +417,11 @@ def is_stable(sys: LinearSystem):
 
     ``decaying`` is the decay rule of ``steady_state``: an abscissa at
     most ``STABILITY_FLOOR``.  This is the dense reference (all
-    eigenvalues, O(n^3), once per system); ``steady_state`` consults
-    ``LinearSystem.certificate`` first and falls back to it.
+    eigenvalues, O(n^3), on every call); ``steady_state`` consults the
+    certificate first and falls back to it.
     """
-    return sys.abscissa <= STABILITY_FLOOR, sys.abscissa
+    abscissa = float(_abscissas(sys.matrix))
+    return abscissa <= STABILITY_FLOOR, abscissa
 
 
 def _check_times(times: np.ndarray):

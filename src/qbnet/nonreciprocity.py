@@ -9,13 +9,13 @@ battery instead of the charger and compare the transmitted energies).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import assemble, steady_state
+from .dynamics import assemble, steady_states
 from .errors import ValidationError
-from .network import DriveSpec, TopologyParams, build_network
+from .network import TopologyParams, build_network
 from .observables import _default_target, _raise_first, _steady_points
 
 #: landscape grid values within this relative slack of the maximum tie
@@ -67,14 +67,18 @@ def isolation(theta: float, g_b: float, Gamma: float) -> IsolationResult:
     return IsolationResult(theta, forward_t, backward_t, ratio)
 
 
+def _check_phase(theta: float) -> None:
+    if not -math.pi < theta <= math.pi:
+        raise ValidationError([f"theta {theta!r} outside (-pi, pi]"])
+
+
 def window_check(theta: float) -> bool:
     """True iff the phase gives forward-dominant transfer.
 
     Valid input is (-pi, pi]; the forward window is the open interval
     (-pi, 0).
     """
-    if not -math.pi < theta <= math.pi:
-        raise ValueError(f"theta {theta!r} outside (-pi, pi]")
+    _check_phase(theta)
     return -math.pi < theta < 0.0
 
 
@@ -87,15 +91,15 @@ def drive_relocation_energies(theta: float, g_b: float, Gamma: float,
     the two energies equals the forward/backward transmission ratio of
     the link exactly.
     """
-    if not -math.pi < theta <= math.pi:
-        raise ValidationError([f"theta {theta!r} outside (-pi, pi]"])
-    spec = build_network(TopologyParams("cascaded", "custom", 1, g_b, gamma, gamma,
-                                        Gamma, xi, (theta,)))
-    forward = assemble(spec)
-    backward = assemble(replace(spec, drives=(DriveSpec("b_1", xi),)))
-    e_b = abs(steady_state(forward).amplitudes[forward.row("b_1")]) ** 2
-    e_c = abs(steady_state(backward).amplitudes[backward.row("c")]) ** 2
-    return float(e_b), float(e_c)
+    _check_phase(theta)
+    sys = assemble(build_network(TopologyParams("cascaded", "custom", 1, g_b, gamma,
+                                                gamma, Gamma, xi, (theta,))))
+    c, b = sys.row("c"), sys.row("b_1")
+    drives = np.zeros((2, sys.n), dtype=complex)
+    drives[0], drives[1, b] = sys.drive, sys.drive[c]
+    amplitudes, _, _, errors = steady_states(np.stack((sys.matrix,) * 2), drives, sys.pattern)
+    _raise_first(errors)
+    return float(abs(amplitudes[0, b]) ** 2), float(abs(amplitudes[1, c]) ** 2)
 
 
 def phase_landscape(params: TopologyParams, target: str | None = None,

@@ -17,9 +17,9 @@ import qbnet
 
 from qbnet import (NoSteadyStateError, ScanEdgeError, TopologyParams,
                    UnstableSystemError, ValidationError, assemble,
-                   build_network, figure_table, gain_report, is_stable,
-                   max_power, parse_run_config, run_sweep, steady_energy,
-                   steady_state)
+                   build_network, drive_relocation_energies, figure_table,
+                   gain_report, max_power, parse_run_config, run_sweep,
+                   steady_energy, steady_state)
 from qbnet.config import topology_to_dict
 from qbnet.dynamics import assemble_points, layout, steady_states
 from qbnet.network import (FAMILIES, VARIANTS, WITH_INTERMEDIATES,
@@ -456,11 +456,22 @@ class TestCounters:
         max_power(params)
         assert linalg_calls["eigvals"] == [1]
 
-    def test_is_stable_reuses_the_abscissa(self, linalg_calls):
-        sys = assemble(build_network(
-            TopologyParams("cascaded", "r1", 2, 0.01, 0.1, 0.1, 0.1, 1.0)))
-        assert is_stable(sys) == is_stable(sys)
-        assert linalg_calls["eigvals"] == [1]
+    def test_relocation_probe_assembles_once(self, linalg_calls, monkeypatch):
+        # the forward and backward drives differ only in the drive
+        # vector: one assembled triangle, solved as one two-slice batch
+        counts = {"assemble": 0, "validate": 0}
+        for module, name in ((qbnet.nonreciprocity, "assemble"),
+                             (qbnet.dynamics, "validate")):
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        drive_relocation_energies(-math.pi / 2, 0.01, 0.1, 0.1)
+        assert counts == {"assemble": 1, "validate": 1}
+        assert linalg_calls["solve"] == [2] and linalg_calls["eigvals"] == []
 
     def test_gain_report_power_builds_each_variant_once(self, linalg_calls):
         gamma = 5e-4

@@ -20,7 +20,7 @@ from qbnet import (TopologyParams, assemble, build_network, energy_curve, evolve
 from qbnet.cli import cli_main
 from qbnet.dynamics import (_augmented, _contour_sum, _contour_windows, _runs,
                             assemble_points)
-from qbnet.figures import POWER_TIMES, _POWER_CURVE, _params
+from qbnet.figures import _DYNAMICS_CURVE, POWER_TIMES, _POWER_CURVE, _params
 
 from oracles import mp_vacuum_amplitudes
 
@@ -55,6 +55,20 @@ def test_fig4_rows_match_mpmath(panel, family):
     for column, variant in enumerate(VARIANTS, start=1):
         want = mp_energy(_params(family, variant, 4, *_POWER_CURVE[:3]), times)
         assert relative(rows[:, column] * times, want) <= 1e-11, variant
+
+
+def test_fig3d_rows_match_mpmath():
+    # the uniform grid is stepped around the steady state; its first
+    # steps hold energies far below the steady one
+    table = figure_table("fig3d")
+    rows = np.array(table.rows)
+    assert rows[0, 0] == 0.0 and not rows[0, 1:].any()
+    picked = [1, 2, 3, 5, 10, 20, 100, 1000, 2000]
+    times = rows[picked, 0]
+    assert times.tolist() == picked
+    for column, variant in enumerate(VARIANTS, start=1):
+        want = mp_energy(_params("parallel", variant, 4, *_DYNAMICS_CURVE[:3]), times)
+        assert relative(rows[picked, column], want) <= 1e-12, variant
 
 
 @pytest.mark.parametrize("t", [1.0, 2.0])

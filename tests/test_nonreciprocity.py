@@ -55,6 +55,12 @@ class TestWindowCheck:
         with pytest.raises(ValueError):
             window_check(4.0)
 
+    @pytest.mark.parametrize("theta", [4.0, -math.pi, math.nan])
+    def test_theta_outside_the_range_refused(self, theta):
+        # the same typed refusal as drive_relocation_energies
+        with pytest.raises(ValidationError, match=r"outside \(-pi, pi\]"):
+            window_check(theta)
+
 
 class TestDriveRelocation:
     def test_backward_blocked_at_optimum(self):
