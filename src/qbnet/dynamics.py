@@ -31,9 +31,9 @@ stacked dense checks only on slices the certificate cannot prove, one
 batched solve, and arrays back (amplitudes, residuals, conditions) with
 a map from each refused slice to its error; ``steady_state`` is its
 P = 1 case, a ``SteadyState`` or the error raised.  ``layout`` compiles each
-built-in topology once from ``build_network``'s output, so
-``assemble_points`` fills P points without a spec, by ``assemble``'s
-entry formula.  Without mode 0, the charger, both families are banded
+built-in topology once from ``network.structure``, so ``assemble_points``
+fills P points without a spec, by ``assemble``'s entry formula, and
+returns that layout.  Without mode 0, the charger, both families are banded
 (``M[1:, 1:]`` of bandwidth 2 at most): a stack of at least ``_BAND_MIN_MODES``
 modes solves its certified slices by a bordered band LU, the rest by dense LU.
 
@@ -67,7 +67,7 @@ from scipy.linalg.lapack import zgbtrf, zgbtrs
 from .errors import (NoSteadyStateError, UnknownModeError, UnstableSystemError,
                      ValidationError)
 from .network import (WITH_INTERMEDIATES, NetworkSpec, TopologyParams,
-                      build_network, parameter_tables, validate)
+                      parameter_tables, structure, validate)
 
 #: spectral abscissa above this is treated as non-decaying
 STABILITY_FLOOR = -1e-14
@@ -261,70 +261,55 @@ def _fill(rotation, decay, pattern, strength, phase) -> np.ndarray:
     return matrices
 
 
-def _spec_arrays(spec: NetworkSpec) -> tuple:
-    """``index`` and the ``_fill`` arguments of one spec."""
-    index = {m.id: i for i, m in enumerate(spec.modes)}
-    s, t, strength, phase = np.array(
-        [(index[c.source], index[c.target], c.strength, c.phase)
-         for c in spec.couplings], dtype=float).reshape(-1, 4).T
-    return index, (-1j * np.array([m.detuning for m in spec.modes], dtype=float),
-                   np.array([[m.decay_rate for m in spec.modes]], dtype=float),
-                   _pattern(t.astype(np.intp), s.astype(np.intp), len(index)),
-                   strength[None], phase[None])
-
-
 def assemble(spec: NetworkSpec) -> LinearSystem:
     """Build the linear system for a validated network spec."""
     problems = validate(spec)
     if problems:
         raise ValidationError(problems)
-    index, arrays = _spec_arrays(spec)
+    index = {m.id: i for i, m in enumerate(spec.modes)}
+    s, t, strength, phase = np.array(
+        [(index[c.source], index[c.target], c.strength, c.phase)
+         for c in spec.couplings], dtype=float).reshape(-1, 4).T
     drive = np.zeros(len(index), dtype=complex)
     for d in spec.drives:
         drive[index[d.mode]] += -1j * complex(d.amplitude)
-    return LinearSystem(_fill(*arrays)[0], drive, index)
+    matrix = _fill(-1j * np.array([m.detuning for m in spec.modes], dtype=float),
+                   np.array([[m.decay_rate for m in spec.modes]], dtype=float),
+                   _pattern(t.astype(np.intp), s.astype(np.intp), len(index)),
+                   strength[None], phase[None])[0]
+    return LinearSystem(matrix, drive, index)
 
 
 @lru_cache(maxsize=256)
 def layout(family: str, intermediates: bool, n: int) -> tuple:
-    """``(index, drive row, rotation, decay, strength, phase, pattern)`` of
-    a built-in topology: the ``_fill`` arguments of its spec, with each
-    per-point value replaced by its column in the matching
-    ``network.parameter_tables`` table.  Found by building the topology
-    once with a distinct value in every column and reading where each
-    value landed; the variants with intermediates share one layout."""
-    probe = TopologyParams(family, "custom" if intermediates else "r1", n, 2.0,
-                           1.0, tuple(range(3, n + 3)), 2.0, 1.0,
-                           tuple(k / (n + 1) for k in range(1, n + 1)))
-    spec = build_network(probe)
-    index, (rotation, decay, pattern, strength, phase) = _spec_arrays(spec)
-
-    def columns(table, values):
-        return np.array([table[0].tolist().index(v) for v in values[0].tolist()])
-
-    rates, strengths, phases, _ = parameter_tables(probe)
-    arrays = (rotation, columns(rates, decay), columns(strengths, strength),
-              columns(phases, phase))
+    """``(index, decay, strength, phase, pattern)`` of a built-in topology,
+    compiled from ``network.structure``: its mode rows, the
+    ``network.parameter_tables`` column of each mode's decay rate and of
+    each coupling's strength and phase, and the coupling positions.  The
+    charger is row 0; the variants with intermediates share one layout."""
+    modes, couplings = structure(family, intermediates, n)
+    index = {m: i for i, (m, _, _) in enumerate(modes)}
+    s, t, strength, phase = np.array(
+        [(index[s], index[t], g, p) for s, t, g, p in couplings]).T
+    arrays = (np.array([r for *_, r in modes]), strength, phase)
+    pattern = _pattern(t, s, len(index))
     for array in arrays + pattern[:3]:
         array.setflags(write=False)  # shared by every caller
-    return (MappingProxyType(index), index[spec.drives[0].mode]) + arrays + (pattern,)
-
-
-def _points_layout(params: TopologyParams, columns: dict) -> tuple:
-    variant = columns["variant"][0] if "variant" in columns else params.variant
-    return layout(params.family, variant in WITH_INTERMEDIATES, params.n)
+    return (MappingProxyType(index),) + arrays + (pattern,)
 
 
 def assemble_points(params: TopologyParams, **columns) -> tuple:
-    """``(matrices, drives, index)`` of P points of a built-in topology,
+    """``(matrices, drives, layout)`` of P points of a built-in topology,
     ``columns`` as in ``network.parameter_tables``; no spec is built."""
-    index, drive, rotation, decay, strength, phase, pattern = _points_layout(params, columns)
+    variant = columns["variant"][0] if "variant" in columns else params.variant
+    compiled = layout(params.family, variant in WITH_INTERMEDIATES, params.n)
+    _, decay, strength, phase, pattern = compiled
     rates, strengths, phases, xi = parameter_tables(params, **columns)
-    matrices = _fill(rotation, rates[:, decay], pattern, strengths[:, strength],
-                     phases[:, phase])
+    matrices = _fill(-1j * 0.0, rates[:, decay], pattern, strengths[:, strength],
+                     phases[:, phase])  # assemble's -1j * detuning; a plain 0.0 flips signed zeros
     drives = np.zeros(matrices.shape[:2], dtype=complex)
-    drives[:, drive] += -1j * xi
-    return matrices, drives, index
+    drives[:, 0] += -1j * xi  # the charger
+    return matrices, drives, compiled
 
 
 def _band_solve(matrices, rhs, width):

@@ -9,8 +9,8 @@ amplitude decays at half the rate), all frequencies are in units of the
 common mode frequency, and detunings default to zero (every mode
 resonant with the drive).
 
-``build_network`` covers two families that differ only in each
-battery link's upstream mode:
+The built-in topologies are two families that differ only in each
+battery link's upstream mode, a rule written once, in ``structure``:
 
 * ``cascaded`` -- a chain ``c - b_1 - ... - b_N``.
 * ``parallel`` -- a star with every battery tied to the charger.
@@ -24,7 +24,8 @@ coupling: 0 for ``r2``, -pi/2 for ``nr``, caller-supplied for
 physical.
 
 ``parameter_tables`` lays out the scalars of many points of one topology
-as per-point tables, for ``dynamics.assemble_points``.
+as per-point tables: ``build_network`` fills the structure from one row,
+``dynamics.assemble_points`` fills its compiled layout from P rows.
 """
 
 from __future__ import annotations
@@ -207,33 +208,41 @@ def matched_coupling(g_b: float, Gamma: float) -> float:
     return math.sqrt(g_b * Gamma / 2.0)
 
 
-def build_network(params: TopologyParams) -> NetworkSpec:
-    """Charger ``c`` plus one direct link ``up -> b_k`` per battery.
+def structure(family: str, intermediates: bool, n: int) -> tuple:
+    """``(modes, couplings)`` of a built-in topology, in ``build_network``'s
+    order: ``(id, role, rate column)`` per mode and ``(source, target,
+    strength column, phase column)`` per coupling, by the columns of
+    ``parameter_tables``.  The charger ``c`` comes first, then one direct
+    link ``up -> b_k`` per battery, whose upstream mode the family fixes:
+    the previous battery in a cascaded chain, the charger in a parallel
+    star.  With ``intermediates`` every link gains a mode ``a_k`` coupled
+    as ``up -> a_k -> b_k`` at the matched strength, phase 0."""
+    modes, couplings = [("c", "charger", 0)], []
+    for k in range(1, n + 1):
+        up = "c" if k == 1 or family == "parallel" else f"b_{k - 1}"
+        if intermediates:
+            modes.append((f"a_{k}", "intermediate", 1))
+            couplings += [(up, f"a_{k}", 1, 0), (f"a_{k}", f"b_{k}", 1, 0)]
+        modes.append((f"b_{k}", "battery", k + 1))
+        couplings.append((up, f"b_{k}", 0, k))
+    return modes, couplings
 
-    The family fixes each link's upstream mode: the previous battery in
-    a cascaded chain, the charger in a parallel star.  For variants with
-    intermediates every link gains a mode ``a_k`` coupled as
-    ``up -> a_k -> b_k`` at the matched strength.
-    """
-    g_i = _intermediate_coupling(params.variant, params.g_b, params.Gamma)
-    thetas = params.direct_phases()
-    modes = [ModeSpec("c", "charger", params.gamma_c)]
-    couplings = []
-    for k in range(1, params.n + 1):
-        upstream = "c" if k == 1 or params.family == "parallel" else f"b_{k - 1}"
-        if params.has_intermediates:
-            modes.append(ModeSpec(f"a_{k}", "intermediate", params.Gamma))
-            couplings.append(CouplingSpec(upstream, f"a_{k}", g_i, 0.0))
-            couplings.append(CouplingSpec(f"a_{k}", f"b_{k}", g_i, 0.0))
-        modes.append(ModeSpec(f"b_{k}", "battery", params.gamma_b[k - 1]))
-        couplings.append(CouplingSpec(upstream, f"b_{k}", params.g_b, thetas[k - 1]))
-    return NetworkSpec(tuple(modes), tuple(couplings), (DriveSpec("c", params.xi),))
+
+def build_network(params: TopologyParams) -> NetworkSpec:
+    """The ``structure`` of ``params``' topology filled from its row of
+    ``parameter_tables``, with the drive ``xi`` on the charger."""
+    rates, strengths, phases = (t[0].tolist() for t in parameter_tables(params)[:3])
+    modes, couplings = structure(params.family, params.has_intermediates, params.n)
+    return NetworkSpec(
+        tuple(ModeSpec(m, role, rates[r]) for m, role, r in modes),
+        tuple(CouplingSpec(s, t, strengths[g], phases[p]) for s, t, g, p in couplings),
+        (DriveSpec("c", params.xi),))
 
 
 def parameter_tables(params: TopologyParams, **columns) -> tuple:
     """Rates ``[gamma_c, Gamma, *gamma_b]``, strengths ``[g_b, g_i]``,
     phases ``[0, *direct_phases]`` and drives ``xi`` of P points, one row
-    each, computed as ``build_network`` does.  ``columns`` maps a field
+    each: the values ``build_network`` fills in.  ``columns`` maps a field
     of ``params`` to one (trusted, already valid) value per point, other
     fields are broadcast; a ``variant`` column may mix variants that share
     one layout.  Each distinct variant and theta is resolved once."""

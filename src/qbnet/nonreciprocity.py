@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import assemble, steady_states
+from .dynamics import assemble_points, steady_states
 from .errors import ValidationError
-from .network import TopologyParams, build_network
+from .network import TopologyParams
 from .observables import _default_target, _raise_first, _steady_points
 
 #: landscape grid values within this relative slack of the maximum tie
@@ -92,12 +92,11 @@ def drive_relocation_energies(theta: float, g_b: float, Gamma: float,
     the link exactly.
     """
     _check_phase(theta)
-    sys = assemble(build_network(TopologyParams("cascaded", "custom", 1, g_b, gamma,
-                                                gamma, Gamma, xi, (theta,))))
-    c, b = sys.row("c"), sys.row("b_1")
-    drives = np.zeros((2, sys.n), dtype=complex)
-    drives[0], drives[1, b] = sys.drive, sys.drive[c]
-    amplitudes, _, _, errors = steady_states(np.stack((sys.matrix,) * 2), drives, sys.pattern)
+    matrices, drives, (index, *_, pattern) = assemble_points(TopologyParams(
+        "cascaded", "custom", 1, g_b, gamma, gamma, Gamma, xi, (theta,)), xi=[xi, 0.0])
+    c, b = index["c"], index["b_1"]
+    drives[1, b] = drives[0, c]
+    amplitudes, _, _, errors = steady_states(matrices, drives, pattern)
     _raise_first(errors)
     return float(abs(amplitudes[0, b]) ** 2), float(abs(amplitudes[1, c]) ** 2)
 

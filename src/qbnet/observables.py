@@ -19,8 +19,8 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .dynamics import (LinearSystem, _abscissas, _points_layout, _propagate_expm,
-                       _row, assemble_points, evolve, steady_states, vacuum)
+from .dynamics import (LinearSystem, _abscissas, _propagate_expm, _row,
+                       assemble_points, evolve, steady_states, vacuum)
 from .errors import ScanEdgeError
 from .network import TopologyParams
 
@@ -103,7 +103,7 @@ def _report_targets(params: TopologyParams) -> tuple:
 
 
 def _system(params: TopologyParams) -> LinearSystem:
-    matrices, drives, index = assemble_points(params)
+    matrices, drives, (index, *_) = assemble_points(params)
     return LinearSystem(matrices[0], drives[0], dict(index))
 
 
@@ -138,8 +138,7 @@ class Batch(NamedTuple):
 def _steady_points(params: TopologyParams, **columns) -> Batch:
     """A solved ``Batch`` (``columns`` as in ``assemble_points``),
     ``errors`` as in ``steady_states``."""
-    matrices, drives, index = assemble_points(params, **columns)
-    pattern = _points_layout(params, columns)[-1]
+    matrices, drives, (index, *_, pattern) = assemble_points(params, **columns)
     amplitudes, _, _, errors = steady_states(matrices, drives, pattern)
     return Batch(amplitudes, errors, index)
 
@@ -318,10 +317,9 @@ def _power_points(params: TopologyParams, targets, **columns) -> Batch:
     Every amplitude is linear in the drive ``xi``, so the peaks are
     searched at unit drive: ``t_star`` does not depend on ``xi`` and
     ``p_max`` scales with ``|xi|^2`` (0 for an undriven network)."""
-    matrices, drives, index = assemble_points(params, **columns)
+    matrices, drives, (index, *_, pattern) = assemble_points(params, **columns)
     rows = np.array([_row(index, t) for t in targets], dtype=np.intp)
     abscissas = _abscissas(matrices)
-    _, drive, *_, pattern = _points_layout(params, columns)
     amplitudes, _, _, errors = steady_states(matrices, drives, pattern, abscissas)
     points = len(matrices)
     kept = np.setdiff1d(np.arange(points), list(errors))
@@ -331,7 +329,7 @@ def _power_points(params: TopologyParams, targets, **columns) -> Batch:
         unit = amplitudes
         if np.any(xi != 1.0):
             unit_drives = np.zeros_like(drives)
-            unit_drives[:, drive] += -1j  # as ``assemble_points`` writes xi = 1
+            unit_drives[:, 0] += -1j  # as ``assemble_points`` writes xi = 1
             unit = steady_states(matrices, unit_drives, pattern, abscissas)[0]
         peaks[kept], edges = _peak_powers(matrices[kept], unit[kept], abscissas[kept],
                                           rows, np.abs(xi) ** 2)
@@ -392,10 +390,8 @@ def _etas(solved, targets) -> tuple:
 
 def _gain_columns(params: TopologyParams, target, solved) -> tuple:
     """``([E_nr, E_r1, E_r2, G1, G2] (P, 5), errors, flags)`` at ``target``,
-    a report target, else the last one."""
-    targets = _report_targets(params)
-    energies, gains, flags, errors = _gains(
-        solved, (target if target in targets else targets[-1],))
+    by default the last battery."""
+    energies, gains, flags, errors = _gains(solved, (target or _default_target(params),))
     return np.hstack([*energies, *gains]), errors, flags
 
 

@@ -244,13 +244,13 @@ def test_part_renumbers_peak_errors():
 
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("n", [1, 2, 5, 60])
 @pytest.mark.parametrize("corner", [False, True])
 def test_layout_is_the_builders(family, variant, n, corner):
     # the compiled layout reproduces build_network + assemble bit for bit,
     # signed zeros included (no coupling, zero and wrapped phases)
-    thetas = (0.0, -0.0, math.pi, -math.pi / 2, 4.0) if corner else (
-        tuple(0.3 * k - 1.0 for k in range(5)))
+    thetas = ((0.0, -0.0, math.pi, -math.pi / 2, 4.0) if corner else (
+        tuple(0.3 * k - 1.0 for k in range(5)))) * 12
     params = TopologyParams(family, variant, n, 0.0 if corner else 0.013,
                             0.0 if corner else 0.1,
                             tuple(0.1 + 0.01 * k for k in range(n)), 0.7,
@@ -259,13 +259,38 @@ def test_layout_is_the_builders(family, variant, n, corner):
     spec = build_network(params)
     sys = assemble(spec)
     matrix, drive = loop_assemble(spec)
-    matrices, drives, index = assemble_points(params)
+    matrices, drives, (index, *_) = assemble_points(params)
     assert matrices.shape == (1, sys.n, sys.n)
     assert matrices[0].tobytes() == sys.matrix.tobytes() == matrix.tobytes()
     assert drives[0].tobytes() == sys.drive.tobytes() == drive.tobytes()
     assert dict(index) == sys.index
     assert layout(family, params.has_intermediates, n) is layout(
         family, variant in WITH_INTERMEDIATES, n)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("variant", ["r1", "nr"])
+@pytest.mark.parametrize("n", [1, 3, 60])
+def test_layout_compiles_without_a_spec(family, variant, n, monkeypatch):
+    # the layout is compiled from the topology's structure alone: no spec
+    # is built and no parameter table is read to find its columns
+    def refuse(*args, **kwargs):
+        raise AssertionError("layout built a spec or a table")
+
+    for module in (qbnet.network, qbnet.dynamics):
+        for name in ("build_network", "parameter_tables"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    compiled = layout.__wrapped__(family, variant in WITH_INTERMEDIATES, n)
+    monkeypatch.undo()
+    params = TopologyParams(family, variant, n, 0.02, 0.1,
+                            tuple(0.1 + 0.01 * k for k in range(n)), 0.3, 1.0 - 0.5j)
+    matrices, drives, cached = assemble_points(params)
+    sys = assemble(build_network(params))
+    assert matrices[0].tobytes() == sys.matrix.tobytes()
+    assert drives[0].tobytes() == sys.drive.tobytes()
+    assert dict(compiled[0]) == dict(cached[0]) == sys.index
+    for built, kept in zip((*compiled[1:4], *compiled[4]), (*cached[1:4], *cached[4])):
+        assert np.array_equal(built, kept)
 
 
 def test_gamma_check_survives_the_batch():
@@ -442,7 +467,7 @@ class TestCounters:
         params = TopologyParams("cascaded", "r1", 101, 0.05, 0.1, 0.0, 0.1, 1.0)
         energy = steady_energy(params)
         assert linalg_calls["zgbtrf"] == [] and linalg_calls["solve"] == [1]
-        matrices, drives, index = assemble_points(params)
+        matrices, drives, (index, *_) = assemble_points(params)
         assert np.linalg.matrix_rank(matrices[0, 1:, 1:]) == 100
         dense = np.linalg.solve(matrices[0], -drives[0])
         assert energy == pytest.approx(abs(dense[index["b_101"]]) ** 2, rel=1e-12)
@@ -459,18 +484,19 @@ class TestCounters:
     def test_relocation_probe_assembles_once(self, linalg_calls, monkeypatch):
         # the forward and backward drives differ only in the drive
         # vector: one assembled triangle, solved as one two-slice batch
-        counts = {"assemble": 0, "validate": 0}
-        for module, name in ((qbnet.nonreciprocity, "assemble"),
+        counts = {"assemble_points": 0, "assemble": 0, "validate": 0}
+        for module, name in ((qbnet.nonreciprocity, "assemble_points"),
+                             (qbnet.dynamics, "assemble"),
                              (qbnet.dynamics, "validate")):
             original = getattr(module, name)
 
-            def counted(*args, _name=name, _original=original):
+            def counted(*args, _name=name, _original=original, **kwargs):
                 counts[_name] += 1
-                return _original(*args)
+                return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
         drive_relocation_energies(-math.pi / 2, 0.01, 0.1, 0.1)
-        assert counts == {"assemble": 1, "validate": 1}
+        assert counts == {"assemble_points": 1, "assemble": 0, "validate": 0}
         assert linalg_calls["solve"] == [2] and linalg_calls["eigvals"] == []
 
     def test_gain_report_power_builds_each_variant_once(self, linalg_calls):

@@ -20,8 +20,7 @@ from qbnet import (CouplingSpec, DriveSpec, LinearSystem, ModeSpec,
                    effective_steady_energy, gain_report, is_stable, max_power,
                    parse_run_config, run_sweep, steady_energy, steady_state)
 from qbnet.dynamics import (_BAND_MIN_MODES, CONDITION_LIMIT, STABILITY_FLOOR,
-                            _certify, _points_layout, _solve,
-                            assemble_points, steady_states)
+                            _certify, _solve, assemble_points, steady_states)
 from qbnet.network import FAMILIES, VARIANTS
 
 pytest.importorskip("hypothesis")
@@ -153,9 +152,8 @@ def test_band_route_agrees_with_dense_lu(params, spread):
     # the bordered band LU against the dense LU it stands in for, on
     # stacks of three points with 3 to 81 modes, both sides of
     # _BAND_MIN_MODES; each route's error is about eps * cond * |alpha|
-    matrices, drives, _ = assemble_points(
+    matrices, drives, (*_, pattern) = assemble_points(
         params, g_b=[params.g_b * 10.0 ** (spread * k) for k in range(3)])
-    pattern = _points_layout(params, {})[-1]
     mu, _, condition = _certify(matrices, pattern)
     assume(matrices.shape[1] > 2 and (mu > 0.0).all())
     band, _ = _solve(matrices, drives, pattern.width)
@@ -171,10 +169,9 @@ def test_spec_path_takes_the_batch_route(family, variant):
     # paths of a long network take the band route, to the same bits
     params = TopologyParams(family, variant, 60, 0.02, 0.1, 0.15, 0.3,
                             1.0 - 0.5j, tuple(0.1 * k for k in range(60)))
-    matrices, drives, _ = assemble_points(params)
+    matrices, drives, (*_, pattern) = assemble_points(params)
     assert matrices.shape[1] >= _BAND_MIN_MODES
-    amplitudes, residuals, conditions, _ = steady_states(
-        matrices, drives, _points_layout(params, {})[-1])
+    amplitudes, residuals, conditions, _ = steady_states(matrices, drives, pattern)
     ss = steady_state(system(params))
     assert amplitudes[0].tobytes() == ss.amplitudes.tobytes()
     assert (residuals[0], conditions[0]) == (ss.residual, ss.condition)

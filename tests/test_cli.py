@@ -259,15 +259,17 @@ TOPOLOGY_FLAGS = ("--family", "cascaded", "--variant", "custom", "--n", "2",
 
 
 @pytest.mark.parametrize("command", ["steady", "evolve", "power", "landscape",
-                                     "sweep"])
+                                     "sweep", "sweep-gains"])
 def test_unknown_target_is_a_usage_error(command, tmp_path, capsys):
-    if command == "sweep":
+    if command.startswith("sweep"):
         cfg = tmp_path / "sweep.json"
-        cfg.write_text(json.dumps({
-            "topology": {"family": "cascaded", "variant": "nr", "n": 2,
-                         "g_b": 0.01, "gamma_c": 0.1, "gamma_b": 0.1,
-                         "Gamma": 0.1, "xi": 1.0},
-            "sweep": {"variable": "g_b", "values": [0.01]}, "target": "zz"}))
+        doc = {"topology": {"family": "cascaded", "variant": "nr", "n": 2,
+                            "g_b": 0.01, "gamma_c": 0.1, "gamma_b": 0.1,
+                            "Gamma": 0.1, "xi": 1.0},
+               "sweep": {"variable": "g_b", "values": [0.01]}, "target": "zz"}
+        if command == "sweep-gains":
+            doc["observables"] = ["gains"]
+        cfg.write_text(json.dumps(doc))
         argv = ("sweep", "--config", str(cfg))
     else:
         argv = (command, *TOPOLOGY_FLAGS, "--target", "zz")

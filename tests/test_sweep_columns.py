@@ -82,6 +82,22 @@ def test_reference_cases_include_refused_and_edge_points():
     assert any(m.startswith("undefined ratio") for m in messages)
 
 
+def test_gains_are_read_at_the_sweep_target():
+    # a battery short of the chain's end: E_nr is the steady_energy column
+    # bit for bit, and G1 the ratio of the nr and r1 energies at b_1
+    topology, values = TOPOLOGIES["cascaded"], [0.01, 0.05, 0.3]
+    table = run_sweep(parse_run_config({
+        "topology": topology, "target": "b_1", "observables": ["steady_energy", "gains"],
+        "sweep": {"variable": "g_b", "values": values}}))
+    assert len(table.rows) == len(values)
+    for value, row in zip(values, table.rows):
+        got = dict(zip(table.columns, row))
+        params = TopologyParams(**{**topology, "g_b": value})
+        assert got["E_nr"].hex() == got["steady_energy"].hex()
+        assert got["G1"] == (steady_energy(params, "b_1")
+                             / steady_energy(params.with_variant("r1"), "b_1"))
+
+
 BASE = {"family": "cascaded", "variant": "nr", "n": 2, "g_b": 0.01,
         "gamma_c": 0.1, "gamma_b": 0.1, "Gamma": 0.1, "xi": 1.0}
 TOPOLOGY = parse_run_config({"topology": BASE}).topology
