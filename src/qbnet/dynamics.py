@@ -51,6 +51,11 @@ batched solves shared by every point of the window.  ``evolve`` serves a
 window by the contour only when one ``eig`` of M, with a Bauer-Fike
 margin, proves every eigenvalue left of it; otherwise, and for a
 network ``steady_state`` refuses, each point is one ``expm``.
+
+scipy loads only when a run needs ``expm`` or a band solve: ``expm``,
+``zgbtrf`` and ``zgbtrs`` start as stand-ins that import scipy's function
+on their first call and bind it in their place, so ``import qbnet`` and
+every steady solve below ``_BAND_MIN_MODES`` modes load no scipy module.
 """
 
 from __future__ import annotations
@@ -61,13 +66,41 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .errors import (NoSteadyStateError, UnknownModeError, UnstableSystemError,
                      ValidationError)
 from .network import (WITH_INTERMEDIATES, NetworkSpec, TopologyParams,
                       parameter_tables, structure, validate)
+
+
+class _OnFirstUse:
+    """Stand-in for the scipy function bound here as ``name``: its first call
+    imports it (``load``), binds it in its own place, unless something else
+    (a test's counter, a tracer) is bound there by then, and forwards."""
+
+    def __init__(self, name, load):
+        self.name, self.load = name, load
+
+    def __call__(self, *args, **kwargs):
+        function = self.load()
+        if globals()[self.name] is self:
+            globals()[self.name] = function
+        return function(*args, **kwargs)
+
+
+def _load_expm():
+    from scipy.linalg import expm
+    return expm
+
+
+def _load_band_lu():
+    from scipy.linalg.lapack import zgbtrf, zgbtrs
+    return zgbtrf, zgbtrs
+
+
+expm = _OnFirstUse("expm", _load_expm)
+zgbtrf = _OnFirstUse("zgbtrf", lambda: _load_band_lu()[0])
+zgbtrs = _OnFirstUse("zgbtrs", lambda: _load_band_lu()[1])
 
 #: spectral abscissa above this is treated as non-decaying
 STABILITY_FLOOR = -1e-14

@@ -106,7 +106,10 @@ class TopologyParams:
         g_b: direct coupling strength.
         gamma_c: charger energy decay rate.
         gamma_b: battery decay rates; a scalar is broadcast to all n.
-        Gamma: intermediate-mode decay rate (ignored by r1).
+        Gamma: intermediate-mode decay rate (ignored by r1).  Every
+            variant needs ``g_b * Gamma`` finite: ``gain_report`` builds
+            the matched coupling ``sqrt(g_b * Gamma / 2)`` of ``nr`` and
+            ``r2`` from any variant.
         xi: complex drive amplitude on the charger.
         thetas: direct-coupling phases; required for "custom",
             optional for "r1" (defaults to all zero) and ignored by
@@ -144,6 +147,10 @@ class TopologyParams:
                             ("Gamma", self.Gamma)):
             if not math.isfinite(value) or value < 0:
                 problems.append(f"{name} must be a finite rate >= 0, got {value!r}")
+        if (math.isfinite(self.g_b) and math.isfinite(self.Gamma)
+                and not math.isfinite(self.g_b * self.Gamma)):
+            problems.append(f"the matched coupling sqrt(g_b * Gamma / 2) overflows "
+                            f"at g_b={self.g_b!r}, Gamma={self.Gamma!r}")
         if any(not math.isfinite(g) or g < 0 for g in gamma_b):
             problems.append(f"gamma_b entries must be finite rates >= 0, got {gamma_b}")
         xi = complex(self.xi)

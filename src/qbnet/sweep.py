@@ -54,6 +54,9 @@ def _batches(topology: TopologyParams, variable: str, values, index) -> list:
         valid = np.isfinite(column) if variable == "xi" else np.isfinite(column) & (column >= 0)
         columns = ({"gamma_c": column, "gamma_b": np.repeat(column[:, None], topology.n, 1)}
                    if variable == "gamma" else {variable: column})
+        with np.errstate(all="ignore"):  # TopologyParams' matched-coupling rule
+            valid &= np.isfinite(columns.get("g_b", topology.g_b)
+                                 * columns.get("Gamma", topology.Gamma))
     else:
         raise ValueError(f"unknown sweep variable {variable!r}")
     for i in (~valid).nonzero()[0][:1]:  # the builder's own check and message

@@ -4,7 +4,8 @@ import pytest
 
 from qbnet import (CouplingSpec, DriveSpec, ModeSpec, NetworkSpec,
                    TopologyParams, ValidationError, build_network,
-                   matched_coupling, validate, wrap_phase)
+                   drive_relocation_energies, gain_report, matched_coupling,
+                   steady_energy, validate, wrap_phase)
 
 
 def params(family="cascaded", variant="nr", n=3, g_b=0.01, gamma=0.1,
@@ -159,6 +160,25 @@ class TestParamsValidation:
     def test_intermediates_need_Gamma(self):
         with pytest.raises(ValidationError):
             build_network(params(variant="nr", Gamma=0.0))
+
+    @pytest.mark.parametrize("call", [
+        lambda: steady_energy(TopologyParams("cascaded", "nr", 1, 1e200, 0.1, 0.1,
+                                             1e200, 1.0)),
+        lambda: gain_report(TopologyParams("parallel", "nr", 1, 1e200, 0.1, 0.1,
+                                           1e200, 1.0)),
+        lambda: drive_relocation_energies(0.5, 1e200, 1e200, 0.1),
+        # r1 has no intermediate, but its gains build nr's
+        lambda: params(variant="r1", g_b=1e160, Gamma=1e160)],
+        ids=["steady_energy", "gain_report", "drive_relocation", "r1"])
+    def test_matched_coupling_must_not_overflow(self, call):
+        with pytest.raises(ValidationError,
+                           match=r"matched coupling sqrt\(g_b \* Gamma / 2\) overflows"):
+            call()
+
+    def test_largest_matched_coupling_is_accepted(self):
+        # g_b * Gamma at the float maximum: the coupling is finite
+        assert math.isfinite(build_network(params(g_b=1e154, Gamma=1e154)).couplings[0]
+                             .strength)
 
 
 class TestValidate:

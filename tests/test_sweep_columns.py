@@ -6,6 +6,7 @@ check its whole grid before it assembles anything, and resize its
 topology per ``n`` value by the command line's ``--n`` rule.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -103,6 +104,9 @@ BASE = {"family": "cascaded", "variant": "nr", "n": 2, "g_b": 0.01,
 TOPOLOGY = parse_run_config({"topology": BASE}).topology
 CUSTOM = parse_run_config(
     {"topology": {**BASE, "variant": "custom", "thetas": [0.3, 0.3]}}).topology
+#: each valid alone, but g_b * Gamma overflows at 1e200 on the other axis
+LOSSY = dataclasses.replace(TOPOLOGY, Gamma=1e200)
+STRONG = dataclasses.replace(TOPOLOGY, variant="r1", g_b=1e200)
 
 
 def parsed(variable, values):
@@ -141,8 +145,12 @@ def no_assembly(monkeypatch):
      "thetas entries must be finite, got (0.0, nan)"),
     (built("theta", [-math.inf, 0.5], index=1, topology=CUSTOM), ValidationError,
      "thetas entries must be finite, got (-inf, 0.3)"),
+    (built("g_b", [0.01, 1e200, 1e300], topology=LOSSY), ValidationError,
+     "the matched coupling sqrt(g_b * Gamma / 2) overflows at g_b=1e+200, Gamma=1e+200"),
+    (built("Gamma", [0.1, 1e300], topology=STRONG), ValidationError,
+     "the matched coupling sqrt(g_b * Gamma / 2) overflows at g_b=1e+200, Gamma=1e+300"),
 ], ids=["g_b", "gamma", "Gamma", "n-fraction", "n-zero", "theta-0", "theta-3",
-        "g_b-nan", "xi-inf", "theta-nan", "theta-inf"])
+        "g_b-nan", "xi-inf", "theta-nan", "theta-inf", "g_b-overflow", "Gamma-overflow"])
 def test_invalid_grid_raises_before_assembly(cfg, kind, message, no_assembly):
     with pytest.raises(ValueError) as err:
         run_sweep(cfg)
