@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .network import (FAMILIES, VARIANTS, CouplingSpec, DriveSpec, ModeSpec,
-                      NetworkSpec, TopologyParams)
+from .network import (FAMILIES, VARIANTS, WITH_FREE_PHASES, CouplingSpec, DriveSpec,
+                      ModeSpec, NetworkSpec, TopologyParams)
 
 SWEEPABLE = ("g_b", "gamma", "gamma_c", "Gamma", "xi", "n", "theta")
 OBSERVABLES = ("steady_energy", "gains", "max_power")
@@ -253,6 +253,9 @@ def parse_run_config(doc) -> RunConfig:
                  f"must be one of {SWEEPABLE}, got {variable!r}")
         index = doc["sweep"].get("index")
         if variable == "theta":
+            _require(topology.variant in WITH_FREE_PHASES, f"{spath}.variable",
+                     f"theta sweeps need a variant in {WITH_FREE_PHASES}, "
+                     f"got {topology.variant!r}")
             _require(isinstance(index, int) and not isinstance(index, bool)
                      and 1 <= index <= topology.n, f"{spath}.index",
                      f"theta sweeps need a battery index in 1..{topology.n}")

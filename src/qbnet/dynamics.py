@@ -44,13 +44,13 @@ so a small early amplitude never cancels against ``alpha_ss``.  Runs of
 equal steps on a decaying network are the exception: they are stepped
 around the steady state, ``alpha_ss + e^{M h} (alpha - alpha_ss)``, a
 contraction.  The isolated points of a decaying network (every point of
-a log grid) are grouped into decade windows ``[t0, 10 t0]``.  A window
-with enough of them is one contour sum: the Bromwich integral of the
-resolvent on a hyperbola (Talbot 1979; Weideman & Trefethen 2007), 97
-batched solves shared by every point of the window.  ``evolve`` serves a
-window by the contour only when one ``eig`` of M, with a Bauer-Fike
-margin, proves every eigenvalue left of it; otherwise, and for a
-network ``steady_state`` refuses, each point is one ``expm``.
+a log grid) are grouped into decade windows ``[t0, 10 t0]``, and each
+window, whatever its size, is one contour sum: the Bromwich integral of
+the resolvent on a hyperbola (Talbot 1979; Weideman & Trefethen 2007),
+97 batched solves shared by every point of the window.  ``evolve``
+serves a window by the contour only when one ``eig`` of M, with a
+Bauer-Fike margin, proves every eigenvalue left of it; otherwise, and
+for a network ``steady_state`` refuses, each point is one ``expm``.
 
 scipy loads only when a run needs ``expm`` or a band solve: ``expm``,
 ``zgbtrf`` and ``zgbtrs`` start as stand-ins that import scipy's function
@@ -148,11 +148,6 @@ _CONTOUR_SPAN = 10.0
 #: eigenvalues must lie left of the hyperbola at angle alpha + this: the
 #: strip |Im u| < 0.35 of the trapezoidal rule holds no pole
 _CONTOUR_GUARD = 0.35
-#: break-even, measured on the 10 x 10 augmented fig4 matrices: one
-#: window's contour sum (97 resolvents) takes 182 us, as long as 12
-#: single-point expm calls (180 us; 8 take 131 us, 16 take 246 us), so
-#: a window with fewer points uses expm
-_CONTOUR_MIN_POINTS = 12
 
 _U = _CONTOUR_H * np.arange(-_CONTOUR_N, _CONTOUR_N + 1)
 #: nodes z_k and weights h z'(u_k) / (2 pi i) at t0 = 1 (they scale as 1/t0)
@@ -516,8 +511,8 @@ def _contour_windows(matrix: np.ndarray, times: np.ndarray, runs) -> list:
     """The decade windows of ``times`` that the contour sum serves for
     the augmented matrix of ``matrix``: lists of one-point-run indices
     at ``t != 0``, each within ``[t0, _CONTOUR_SPAN t0]`` of its first
-    point ``t0``, holding at least ``_CONTOUR_MIN_POINTS`` points, and
-    proved to keep the spectrum left of the contour.
+    point ``t0``, proved to keep the spectrum left of the contour,
+    whatever their size.
 
     The proof is one ``eig`` of M.  The computed pairs are exact for
     ``M + E`` with ``||E|| <= (n + 2) eps ||M||_F``, so by Bauer-Fike
@@ -533,7 +528,6 @@ def _contour_windows(matrix: np.ndarray, times: np.ndarray, runs) -> list:
                                     side="right"))
         windows.append(alone[:count])
         alone = alone[count:]
-    windows = [w for w in windows if len(w) >= _CONTOUR_MIN_POINTS]
     if not windows:
         return []
     eigenvalues, vectors = np.linalg.eig(matrix)
@@ -664,12 +658,12 @@ def evolve(sys: LinearSystem, initial, times) -> Trajectory:
     contraction (on cascaded nr, n = 4, in the fig4 regime, 2,001
     augmented steps to t = 2e5 drift by 5e-12 |alpha_ss|, this form by
     3e-14).  On a decaying network the isolated points (every point of a
-    log grid) of each decade window ``[t0, 10 t0]`` holding at least
-    ``_CONTOUR_MIN_POINTS`` of them are one contour sum of 97 resolvents
-    (Talbot, IMA J. Appl. Math. 23, 1979; Weideman & Trefethen, Math.
-    Comp. 76, 2007), served only when one ``eig`` of M proves every
-    eigenvalue, with its Bauer-Fike margin, left of the contour
-    (``_contour_windows``); other isolated points are one ``expm`` each.
+    log grid, a one-point grid too) of each decade window ``[t0, 10 t0]``
+    are one contour sum of 97 resolvents (Talbot, IMA J. Appl. Math. 23,
+    1979; Weideman & Trefethen, Math. Comp. 76, 2007), served only when
+    one ``eig`` of M proves every eigenvalue, with its Bauer-Fike margin,
+    left of the contour (``_contour_windows``); the points of an
+    unproved window are one ``expm`` each.
     A network ``steady_state`` refuses (marginal or singular) is
     propagated by ``expm`` alone.
 

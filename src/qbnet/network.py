@@ -43,6 +43,8 @@ VARIANTS = ("r1", "r2", "nr", "custom")
 #: the variants with an intermediate mode per link; they differ only in
 #: the direct phases, so they share one layout
 WITH_INTERMEDIATES = ("r2", "nr", "custom")
+#: the variants whose direct phases are free (``thetas``); nr and r2 fix theirs
+WITH_FREE_PHASES = ("r1", "custom")
 ROLES = ("charger", "battery", "intermediate")
 
 
@@ -186,7 +188,7 @@ class TopologyParams:
 def _direct_phases(variant: str, n: int, thetas) -> tuple:
     if variant == "nr":
         return (-math.pi / 2.0,) * n
-    if variant == "r2" or thetas is None:
+    if variant not in WITH_FREE_PHASES or thetas is None:
         return (0.0,) * n
     return tuple(wrap_phase(t) for t in thetas)
 
@@ -208,10 +210,13 @@ def matched_coupling(g_b: float, Gamma: float) -> float:
     intermediate has the same effective magnitude as the direct
     coupling, which is what permits full backward cancellation.
     """
-    if Gamma <= 0:
+    if not Gamma > 0:  # NaN included
         raise ValueError(f"Gamma must be > 0, got {Gamma!r}")
-    if g_b < 0:
+    if not g_b >= 0:
         raise ValueError(f"g_b must be >= 0, got {g_b!r}")
+    if not math.isfinite(g_b * Gamma):
+        raise ValueError(f"the matched coupling sqrt(g_b * Gamma / 2) overflows "
+                         f"at g_b={g_b!r}, Gamma={Gamma!r}")
     return math.sqrt(g_b * Gamma / 2.0)
 
 
@@ -276,7 +281,7 @@ def parameter_tables(params: TopologyParams, **columns) -> tuple:
     kinds = np.asarray(variants) if len(distinct) > 1 else None
     for k, variant in enumerate(distinct):  # the first may fill every row
         rows = slice(None) if kinds is None else kinds == variant
-        if "thetas" in columns and variant in ("r1", "custom"):
+        if "thetas" in columns and variant in WITH_FREE_PHASES:
             thetas = np.asarray(columns["thetas"], dtype=float)[rows]
             bits, inverse = np.unique(thetas.view(np.int64), return_inverse=True)
             wrapped = np.array([wrap_phase(t) for t in bits.view(float).tolist()])

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamics import assemble_points, steady_states
 from .errors import ValidationError
-from .network import TopologyParams
+from .network import WITH_FREE_PHASES, TopologyParams
 from .observables import _default_target, _raise_first, _steady_points
 
 #: landscape grid values within this relative slack of the maximum tie
@@ -111,9 +111,9 @@ def phase_landscape(params: TopologyParams, target: str | None = None,
     network solve, all of them one batch, so a grid of more than
     ``MAX_LANDSCAPE_POINTS`` points is refused before anything is built.
     """
-    if params.variant not in ("custom", "r1"):
+    if params.variant not in WITH_FREE_PHASES:
         raise ValueError(
-            f"landscapes need variant 'custom' or 'r1', got {params.variant!r}")
+            f"landscapes need a variant in {WITH_FREE_PHASES}, got {params.variant!r}")
     if grid_points < 21:
         raise ValueError(f"need at least 21 grid points per axis, got {grid_points}")
     if grid_points ** params.n > MAX_LANDSCAPE_POINTS:

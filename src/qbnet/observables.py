@@ -24,7 +24,8 @@ from .dynamics import (LinearSystem, _abscissas, _propagate_expm, _row,
 from .errors import ScanEdgeError
 from .network import TopologyParams
 
-#: a gain ratio with a denominator below this is reported as undefined
+#: a gain ratio with a denominator below this (or a quotient that is not
+#: finite) is reported as undefined
 RATIO_FLOOR = 1e-300
 
 #: the maximum-power scan reaches HORIZON_FACTOR / |spectral abscissa|
@@ -73,8 +74,8 @@ class GainReport:
 
     Tuples are indexed by target battery (a single terminal battery
     for cascaded scenarios, every battery for parallel ones).  Entries
-    in ``flags`` name ratios whose denominator vanished; those ratios
-    are NaN.
+    in ``flags`` name undefined ratios (a vanished denominator or a
+    quotient that is not finite); those ratios are NaN.
     """
 
     params: TopologyParams
@@ -358,10 +359,11 @@ def max_power(params: TopologyParams, target: str | None = None):
 
 def _ratios(values: np.ndarray, name: str, targets) -> tuple:
     """``nr / r1`` and ``nr / r2`` of ``values`` (3, P, T) over ``GAIN_VARIANTS``
-    and ``targets``; one whose denominator is below ``RATIO_FLOOR`` is NaN
-    and named ``{name}1[target]`` or ``{name}2[target]`` in ``flags[p]``."""
-    undefined = values[1:] < RATIO_FLOOR
+    and ``targets``; one is undefined when its denominator is below
+    ``RATIO_FLOOR`` or its quotient is not finite: NaN, and named
+    ``{name}1[target]`` or ``{name}2[target]`` in ``flags[p]``."""
     gains = values[0] / np.maximum(values[1:], RATIO_FLOOR)
+    undefined = (values[1:] < RATIO_FLOOR) | ~np.isfinite(gains)
     flags: dict = {}
     if np.count_nonzero(undefined):
         gains[undefined] = np.nan

@@ -7,8 +7,8 @@ in one batch (one per value when ``n`` is swept): ``steady_energy`` and
 the ``nr`` energy of ``gains`` read the same solve, and so do the steady
 columns and ``max_power`` of the topology's own variant.  Points that
 fail numerically (singular or unstable systems, a maximum outside the
-scanned range, a gain ratio whose denominator vanished) are recorded in
-the table's error list and skipped; the surviving rows keep grid order.
+scanned range, an undefined gain ratio) are recorded in the table's
+error list and skipped; the surviving rows keep grid order.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import RunConfig, resize_topology, run_config_to_dict
 from .export import SweepTable
-from .network import TopologyParams
+from .network import WITH_FREE_PHASES, TopologyParams
 from .observables import (_default_target, _gain_columns, _power_points,
                           _steady_points)
 
@@ -44,6 +44,9 @@ def _batches(topology: TopologyParams, variable: str, values, index) -> list:
     if variable == "n":
         return [(i, _resized(topology, value), {}) for i, value in enumerate(values)]
     if variable == "theta":
+        if topology.variant not in WITH_FREE_PHASES:
+            raise ValueError(f"theta sweeps need a variant in {WITH_FREE_PHASES}, "
+                             f"got {topology.variant!r}")
         if index is None or not 1 <= index <= topology.n:
             raise ValueError(f"theta sweeps need index in 1..{topology.n}")
         thetas = np.tile(topology.thetas or (0.0,) * topology.n, (len(values), 1))

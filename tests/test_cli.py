@@ -133,6 +133,24 @@ class TestConfigDriven:
         assert code == 0
         assert out.strip() == str(out_dir / "sweep_g_b.csv")
 
+    def test_sweep_writes_to_the_config_out_dir(self, tmp_path, capsys):
+        out_dir = tmp_path / "from_config"
+        doc = {"topology": self.topo(),
+               "sweep": {"variable": "g_b", "values": [0.01]},
+               "out_dir": str(out_dir)}
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "sweep", "--config", str(cfg))
+        assert code == 0
+        assert out.strip() == str(out_dir / "sweep_g_b.csv")
+        assert "g_b,steady_energy" in (out_dir / "sweep_g_b.csv").read_text()
+        # --out overrides the config's out_dir
+        code, out, _ = run(capsys, "sweep", "--config", str(cfg),
+                           "--out", str(tmp_path / "flag"))
+        assert code == 0
+        assert out.strip() == str(tmp_path / "flag" / "sweep_g_b.csv")
+        assert (tmp_path / "flag" / "sweep_g_b.csv").exists()
+
     def test_sweep_json_to_stdout_lists_refused_points(self, tmp_path, capsys):
         topo = dict(self.topo(), variant="r1")
         doc = {"topology": topo,

@@ -106,6 +106,17 @@ class TestRunConfig:
         again = json.dumps(run_config_to_dict(parse_run_config(text)), sort_keys=True)
         assert again == text
 
+    def test_out_dir_round_trips(self):
+        doc = dict(self.doc(), out_dir="results")
+        cfg = parse_run_config(doc)
+        assert cfg.out_dir == "results"
+        assert run_config_to_dict(cfg)["out_dir"] == "results"
+        assert parse_run_config(run_config_to_dict(cfg)) == cfg
+
+    def test_out_dir_must_be_a_string(self):
+        with pytest.raises(ConfigError, match=r"config\.out_dir: must be a string"):
+            parse_run_config(dict(self.doc(), out_dir=3))
+
     def test_range_grid(self):
         doc = self.doc()
         doc["sweep"]["values"] = {"start": 0.001, "stop": 0.1, "points": 5,
@@ -137,12 +148,23 @@ class TestRunConfig:
 
     def test_theta_sweep_needs_index(self):
         doc = self.doc()
+        doc["topology"]["variant"] = "r1"
         doc["sweep"] = {"variable": "theta", "values": [0.0, 1.0]}
         with pytest.raises(ConfigError, match="index"):
             parse_run_config(doc)
         doc["sweep"]["index"] = 2
         cfg = parse_run_config(doc)
         assert cfg.sweep.index == 2
+
+    @pytest.mark.parametrize("variant", ["nr", "r2"])
+    def test_theta_sweep_needs_free_phases(self, variant):
+        # nr and r2 fix their phases, so the sweep would repeat one row
+        doc = self.doc()
+        doc["topology"]["variant"] = variant
+        doc["sweep"] = {"variable": "theta", "values": [-1.5, 0.0, 1.5], "index": 1}
+        with pytest.raises(ConfigError, match=r"config\.sweep\.variable: theta sweeps "
+                                              r"need a variant in \('r1', 'custom'\)"):
+            parse_run_config(doc)
 
     def test_bad_observable(self):
         doc = self.doc()

@@ -1,11 +1,11 @@
 """Charging curves by the contour sum, against 40-digit mpmath.
 
 ``evolve`` reads every isolated grid point off ``[alpha0; 1]`` under the
-augmented matrix ``[[M, d], [0, 0]]``: a decade window holding enough of
-them is one contour sum, a smaller one is one ``expm`` per point.
-Neither cancels against ``alpha_ss``, so small early energies keep
-their relative accuracy (the around-steady-state form read 0 for
-cascaded ``P_nr(1)`` on fig4a, against an exact 4.9e-39).
+augmented matrix ``[[M, d], [0, 0]]``: a proved decade window of them,
+one point or many, is one contour sum, an unproved one is one ``expm``
+per point.  Neither cancels against ``alpha_ss``, so small early
+energies keep their relative accuracy (the around-steady-state form read
+0 for cascaded ``P_nr(1)`` on fig4a, against an exact 4.9e-39).
 """
 
 import json
@@ -32,8 +32,9 @@ VARIANTS = ("nr", "r1", "r2")
 #: t = 1, the last row of four of the six decade windows (where the
 #: contour sum's rounding has grown most), and the end
 SAMPLED_ROWS = [0, 188, 377, 566, 944, 1000]
-#: fig4a's cascaded nr network
+#: fig4a's cascaded nr and r1 networks
 CASCADED_NR = _params("cascaded", "nr", 4, *_POWER_CURVE[:3])
+CASCADED_R1 = _params("cascaded", "r1", 4, *_POWER_CURVE[:3])
 
 
 def relative(got, want):
@@ -71,13 +72,17 @@ def test_fig3d_rows_match_mpmath():
         assert relative(rows[picked, column], want) <= 1e-12, variant
 
 
-@pytest.mark.parametrize("t", [1.0, 2.0])
-def test_one_point_grid_is_exact(t):
-    # one point is below the contour's break-even: a single augmented
-    # expm, accurate relative to E itself (E(1) = 4.9e-39)
-    curve = energy_curve(CASCADED_NR, "b_4", [t])
-    assert curve.method == "expm"
-    assert relative(curve.energy, mp_energy(CASCADED_NR, [t])) <= 1e-12
+@pytest.mark.parametrize("params, t", [
+    (CASCADED_NR, 1.0), (CASCADED_NR, 2.0),
+    *[(CASCADED_R1, t) for t in (1.0, 2.0, 3.0, 5.0)]],
+    ids=["1.0", "2.0", "r1-1.0", "r1-2.0", "r1-3.0", "r1-5.0"])
+def test_one_point_grid_is_exact(params, t):
+    # a lone point is a window of its own, accurate relative to E itself
+    # (nr: E(1) = 4.9e-39; r1: one augmented expm read E 2.2e-9 to 5.5e-8
+    # off at t = 1 to 5)
+    curve = energy_curve(params, "b_4", [t])
+    assert curve.method == "contour"
+    assert relative(curve.energy, mp_energy(params, [t])) <= 1e-12
 
 
 class TestMethod:
@@ -86,12 +91,21 @@ class TestMethod:
         assert curve.method == "contour"
 
     def test_mixed_grid(self):
-        # a log decade of 20 points, then 3 sparse points: contour+expm
+        # a log decade of 20 points, then 3 sparse points, each a window
         times = np.concatenate([np.geomspace(1.0, 10.0, 20), [100.0, 1e3, 1e4]])
         curve = energy_curve(CASCADED_NR, "b_4", times)
-        assert curve.method == "contour+expm"
+        assert curve.method == "contour"
         want = mp_energy(CASCADED_NR, times[[0, 19, 20, 22]])
         assert relative(curve.energy[[0, 19, 20, 22]], want) <= 1e-11
+        # eigenvalues at |Im| / |Re| ~ 100: the two early decades are
+        # proved, the later ones are not
+        params = TopologyParams("parallel", "r1", 2, 1.0, 0.01, 0.01, 0.01, 1.0)
+        times = np.geomspace(1e-2, 1e3, 30)
+        curve = energy_curve(params, "b_2", times)
+        assert curve.method == "contour+expm"
+        picked = [0, 5, 12, 20, 29]
+        want = mp_energy(params, times[picked], "b_2")
+        assert relative(curve.energy[picked], want) <= 1e-11
 
     def test_uniform_panel_records_expm(self):
         assert figure_table("fig3d").metadata["method"] == "expm"

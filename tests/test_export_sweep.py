@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from qbnet import SweepTable, parse_run_config, run_sweep
@@ -135,6 +136,16 @@ class TestRunSweep:
         table = run_sweep(parse_run_config(doc))
         assert [row[0] for row in table.rows] == [1.0]
         assert table.errors == [(0, 0.0, "undefined ratio: G1[b_2]; G2[b_2]")]
+
+    def test_infinite_gain_goes_to_sidecar(self):
+        # at xi = 1e160 the energies overflow to inf and inf / inf is NaN:
+        # the point is refused, not written as a row holding NaN
+        doc = config_doc(observables=["steady_energy", "gains"])
+        doc["sweep"] = {"variable": "xi", "values": [1.0, 1e160]}
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = run_sweep(parse_run_config(doc))
+        assert [row[0] for row in table.rows] == [1.0]
+        assert table.errors == [(1, 1e160, "undefined ratio: G1[b_2]; G2[b_2]")]
 
     def test_theta_sweep(self):
         doc = config_doc()

@@ -33,6 +33,15 @@ class TestMatchedCoupling:
         with pytest.raises(ValueError):
             matched_coupling(-0.01, 1.0)
 
+    def test_non_finite_is_refused(self):
+        # TopologyParams' overflow rule and wording; NaN fails the domain
+        with pytest.raises(ValueError, match=r"sqrt\(g_b \* Gamma / 2\) overflows "
+                                             r"at g_b=1e\+200, Gamma=1e\+200"):
+            matched_coupling(1e200, 1e200)
+        with pytest.raises(ValueError, match="g_b must be >= 0, got nan"):
+            matched_coupling(math.nan, 1.0)
+        assert math.isfinite(matched_coupling(1e154, 1e154))
+
 
 class TestBuildCascaded:
     def test_r1_counts(self):

@@ -6,6 +6,7 @@ import pytest
 from qbnet import (TopologyParams, UnstableSystemError, cascaded_nr_energy,
                    energy_curve, gain_report, max_power, power_curve,
                    steady_energy)
+from qbnet.observables import _ratios
 
 # independently derived single-driven-mode optimum: maximise
 # (2 xi / gamma)^2 (1 - exp(-gamma t / 2))^2 / t, i.e. solve 1 + s = e^{s/2}
@@ -152,6 +153,23 @@ class TestGainReport:
         report = gain_report(params(xi=0.0))
         assert report.flags
         assert math.isnan(report.g1[0])
+
+    def test_infinite_quotient_flags_ratios(self):
+        # every energy overflows to inf at xi = 1e160 (log-domain gains are
+        # open), and inf / inf is no gain
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = gain_report(params(n=2, xi=1e160))
+        assert report.flags == ("G1[b_2]", "G2[b_2]")
+        assert math.isnan(report.g1[0]) and math.isnan(report.g2[0])
+
+    def test_overflowing_quotient_is_undefined(self):
+        # values (3, P, T): the nr energy, then the r1 and r2 denominators
+        values = np.array([[[1e10, 1.0]], [[1e-299, 0.0]], [[1.0, 4.0]]])
+        with np.errstate(over="ignore"):
+            gains, flags = _ratios(values, "G", ("b_1", "b_2"))
+        assert flags == {0: ["G1[b_1]", "G1[b_2]"]}
+        assert np.isnan(gains[0]).all()
+        assert gains[1].tolist() == [[1e10, 0.25]]
 
     def test_include_power(self):
         report = gain_report(params(n=1, g_b=0.05), include_power=True)

@@ -369,10 +369,10 @@ class TestMethodRecorded:
         sys_ = assemble(spec)
         assert evolve(sys_, vacuum(sys_), [0.0, 1.0]).method == "augmented"
 
-    def test_decaying_auto_records_expm(self):
+    def test_decaying_auto_records_contour(self):
         sys_ = assemble(build_network(
             TopologyParams("cascaded", "nr", 1, 0.05, 0.1, 0.1, 0.1, 1.0)))
-        assert evolve(sys_, vacuum(sys_), [0.0, 1.0]).method == "expm"
+        assert evolve(sys_, vacuum(sys_), [0.0, 1.0]).method == "contour"
 
     @pytest.mark.parametrize("command", ["evolve", "power"])
     def test_table_metadata(self, capsys, command):

@@ -58,6 +58,9 @@ def sweep_doc(name, variable, order):
            "observables": list(order)}
     if variable == "theta":
         doc["sweep"]["index"] = 1
+        if doc["topology"]["variant"] == "nr":  # nr fixes its phases: free them
+            doc["topology"] = {**doc["topology"], "variant": "custom",
+                               "thetas": [-math.pi / 2] * doc["topology"]["n"]}
     if order == ORDERS[1]:
         doc["target"] = "b_1"
     return doc
@@ -106,6 +109,8 @@ CUSTOM = parse_run_config(
     {"topology": {**BASE, "variant": "custom", "thetas": [0.3, 0.3]}}).topology
 #: each valid alone, but g_b * Gamma overflows at 1e200 on the other axis
 LOSSY = dataclasses.replace(TOPOLOGY, Gamma=1e200)
+#: a theta sweep needs free phases
+R1 = dataclasses.replace(TOPOLOGY, variant="r1")
 STRONG = dataclasses.replace(TOPOLOGY, variant="r1", g_b=1e200)
 
 
@@ -136,12 +141,16 @@ def no_assembly(monkeypatch):
     (parsed("n", [1, 2.5]), ValueError, "n sweep values must be integers, got 2.5"),
     (parsed("n", [0, 1]), ValidationError,
      "battery count n must be an integer >= 1, got 0"),
-    (built("theta", [0.0], index=0), ValueError, "theta sweeps need index in 1..2"),
-    (built("theta", [0.0], index=3), ValueError, "theta sweeps need index in 1..2"),
+    (built("theta", [0.0], index=0, topology=R1), ValueError,
+     "theta sweeps need index in 1..2"),
+    (built("theta", [0.0], index=3, topology=R1), ValueError,
+     "theta sweeps need index in 1..2"),
+    (built("theta", [0.0], index=1), ValueError,
+     "theta sweeps need a variant in ('r1', 'custom'), got 'nr'"),
     (built("g_b", [0.01, math.nan]), ValidationError,
      "g_b must be a finite rate >= 0, got nan"),
     (built("xi", [1.0, math.inf]), ValidationError, "xi must be finite, got (inf+0j)"),
-    (built("theta", [0.5, math.nan, math.inf], index=2), ValidationError,
+    (built("theta", [0.5, math.nan, math.inf], index=2, topology=R1), ValidationError,
      "thetas entries must be finite, got (0.0, nan)"),
     (built("theta", [-math.inf, 0.5], index=1, topology=CUSTOM), ValidationError,
      "thetas entries must be finite, got (-inf, 0.3)"),
@@ -150,7 +159,8 @@ def no_assembly(monkeypatch):
     (built("Gamma", [0.1, 1e300], topology=STRONG), ValidationError,
      "the matched coupling sqrt(g_b * Gamma / 2) overflows at g_b=1e+200, Gamma=1e+300"),
 ], ids=["g_b", "gamma", "Gamma", "n-fraction", "n-zero", "theta-0", "theta-3",
-        "g_b-nan", "xi-inf", "theta-nan", "theta-inf", "g_b-overflow", "Gamma-overflow"])
+        "theta-nr", "g_b-nan", "xi-inf", "theta-nan", "theta-inf", "g_b-overflow",
+        "Gamma-overflow"])
 def test_invalid_grid_raises_before_assembly(cfg, kind, message, no_assembly):
     with pytest.raises(ValueError) as err:
         run_sweep(cfg)
