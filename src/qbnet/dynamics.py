@@ -52,10 +52,13 @@ serves a window by the contour only when one ``eig`` of M, with a
 Bauer-Fike margin, proves every eigenvalue left of it; otherwise, and
 for a network ``steady_state`` refuses, each point is one ``expm``.
 
-scipy loads only when a run needs ``expm`` or a band solve: ``expm``,
-``zgbtrf`` and ``zgbtrs`` start as stand-ins that import scipy's function
-on their first call and bind it in their place, so ``import qbnet`` and
-every steady solve below ``_BAND_MIN_MODES`` modes load no scipy module.
+``expm`` is scaling and squaring with a Pade approximant over the whole
+stack, degree and scaling chosen per slice (Al-Mohy & Higham 2009), in
+numpy.  scipy loads only when a run needs a band solve: ``zgbtrf`` and
+``zgbtrs`` start as stand-ins that import scipy's function on their first
+call and bind it in their place, so ``import qbnet``, every propagation
+and every steady solve below ``_BAND_MIN_MODES`` modes load no scipy
+module.
 """
 
 from __future__ import annotations
@@ -88,17 +91,11 @@ class _OnFirstUse:
         return function(*args, **kwargs)
 
 
-def _load_expm():
-    from scipy.linalg import expm
-    return expm
-
-
 def _load_band_lu():
     from scipy.linalg.lapack import zgbtrf, zgbtrs
     return zgbtrf, zgbtrs
 
 
-expm = _OnFirstUse("expm", _load_expm)
 zgbtrf = _OnFirstUse("zgbtrf", lambda: _load_band_lu()[0])
 zgbtrs = _OnFirstUse("zgbtrs", lambda: _load_band_lu()[1])
 
@@ -117,10 +114,11 @@ STEP_BLOCK = 16
 
 #: isolated grid points are exponentiated, and contour resolvents
 #: solved, in stacks of at most this many matrix entries (4 MiB of
-#: complex128)
+#: complex128; ``expm`` works in up to 16 such stacks)
 _EXPM_STACK_ENTRIES = 2 ** 18
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 #: band-route break-even (``_solve``, one network per family and variant):
 #: a tie at 41 modes, the band wins all four at 49; also 8 per unit of width
@@ -570,6 +568,136 @@ def _contour_sum(matrices, x0, times) -> np.ndarray:
     return out
 
 
+# The Pade degrees m of ``expm``, with theta_m, the largest ||2^-s A|| whose
+# r_m meets the unit roundoff u = eps / 2 in backward error, and
+# |c_{2m+1}| / u, c_{2m+1} being the leading coefficient of that error's
+# series (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31(3), 2009,
+# Table 3.1 and (5.1)).
+_DEGREES = np.array([3, 5, 7, 9, 13])
+_THETA = np.array([1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+                   2.097847961257068, 4.25])
+_C_OVER_U = 1.0 / (np.array([100800.0, 10059033600.0, 4487938430976000.0,
+                             5914384781877411840000.0,
+                             113250775606021113483283660800000000.0]) * (_EPS / 2.0))
+#: the coefficients b_0 .. b_m of the numerator of each r_m
+_PADE = {3: (120.0, 60.0, 12.0, 1.0),
+         5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+         7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+         9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+             2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+         13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+              1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+              33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)}
+
+
+def _powers(matrices: np.ndarray) -> np.ndarray:
+    """A, A^2, A^4, ..., A^10 of each slice of a (P, n, n) stack: (6, P, n, n)."""
+    powers = np.empty((6,) + matrices.shape, dtype=complex)
+    powers[0] = matrices
+    np.matmul(matrices, matrices, out=powers[1])
+    np.matmul(powers[1], powers[1], out=powers[2])
+    np.matmul(powers[2], powers[1], out=powers[3])
+    np.matmul(powers[2], powers[2:4], out=powers[4:6])
+    return powers
+
+
+def _pade_structure(powers: np.ndarray) -> tuple:
+    """``(degree, squarings)`` of each slice of A from its ``_powers``:
+    Al-Mohy & Higham 2009, Algorithm 5.1, with exact 1-norms.
+
+    The degree is the least m whose theta_m exceeds eta, the bound on
+    ||A^k||^(1/k) that m needs, and whose ell_m is 0; else 13, with the
+    s that brings eta_5 under theta_13 plus ell_13 of the scaled A.
+    ell_m counts the squarings that the nonnormality of A asks for,
+    from alpha_m = |c_{2m+1}| || |A|^(2m+1) ||_1 / ||A||_1; every
+    || |2^-s A|^(2m+1) ||_1 is read off one chain of row vectors
+    ``1^T |2^-s A|^k``.  A slice that can take a degree below 13 has
+    s = 0, so the one chain serves every degree.
+    """
+    moduli = np.abs(powers)
+    columns = np.einsum("...ij->...j", moduli)  # column sums: 1-norms are their maxima
+    d = columns[2:].max(axis=-1) ** (1.0 / np.array([[4.0], [6.0], [8.0], [10.0]]))
+    eta = np.maximum(d[:-1], d[1:])  # eta_1 (= eta_2), eta_3, eta_4
+    s = np.ceil(np.log2(np.maximum(np.minimum(eta[1], eta[2]) / _THETA[4], 1.0)))
+    scale = np.exp2(-s)[:, None]
+    b = moduli[0] * scale[..., None]
+    b2 = b @ b
+    b4 = b2 @ b2
+    chain = np.empty((7,) + b.shape[:1] + (1, b.shape[-1]))  # k = 1, 3, 7, 11, 15, 19, 27
+    chain[0, :, 0] = columns[0] * scale
+    for k, step in enumerate((b2, b4, b4, b4, b4, b4 @ b4), 1):
+        np.matmul(chain[k - 1], step, out=chain[k])
+    norm_b = chain[:, :, 0].max(axis=-1)
+    alpha = norm_b[2:] * _C_OVER_U[:, None] / np.maximum(norm_b[0], _TINY)  # alpha_m / u
+    ell = np.ceil(np.log2(np.maximum(alpha, 1.0)) / (2 * _DEGREES[:, None]))
+    fits = (eta[[0, 0, 1, 1]] < _THETA[:4, None]) & (ell[:4] == 0)
+    degree = np.where(fits.any(axis=0), _DEGREES[fits.argmax(axis=0)], 13)
+    return degree, np.where(degree == 13, s + ell[4], 0).astype(int)
+
+
+def _plus_identity(stack: np.ndarray, c: float) -> np.ndarray:
+    """``stack + c I`` in place, ``stack`` contiguous."""
+    n = stack.shape[-1]
+    stack.reshape(len(stack), n * n)[:, ::n + 1] += c
+    return stack
+
+
+def _sum(coefficients, powers, one: float) -> np.ndarray:
+    """``sum_k coefficients[k] powers[k] + one I`` over a stack."""
+    total = coefficients[0] * powers[0]
+    for c, power in zip(coefficients[1:], powers[1:]):
+        total += c * power
+    return _plus_identity(total, one)
+
+
+def _pade(m: int, powers) -> np.ndarray:
+    """``r_m(A) = (V - U)^-1 (V + U)`` of a stack from ``powers`` (A, A^2,
+    A^4, ..., A^(m - 1); up to A^6 for m = 13), U and V being the odd and
+    even parts of its numerator, formed as ``I + 2 (V - U)^-1 U``; degree
+    13 reaches its powers above 6 through A^6 (Higham, SIAM J. Matrix
+    Anal. Appl. 26(4), 2005, (2.4))."""
+    b, a, evens = _PADE[m], powers[0], powers[1:]
+    if m < 13:
+        u = a @ _sum(b[3::2], evens, b[1])
+        v = _sum(b[2::2], evens, b[0])
+    else:
+        u = a @ (evens[2] @ _sum(b[9::2], evens, 0.0) + _sum(b[3:9:2], evens, b[1]))
+        v = evens[2] @ _sum(b[8::2], evens, 0.0) + _sum(b[2:8:2], evens, b[0])
+    return _plus_identity(np.linalg.solve(v - u, 2.0 * u), 1.0)
+
+
+def expm(matrices: np.ndarray) -> np.ndarray:
+    """``e^A`` of each slice of a (P, n, n) stack: scaling and squaring with
+    a Pade approximant r_m, ``e^A = r_m(2^-s A)^(2^s)``, m and s chosen per
+    slice by ``_pade_structure`` (Al-Mohy & Higham 2009, scipy's algorithm).
+
+    The slices of each degree are evaluated together, those of degree 13
+    ordered by s so that each squaring applies to the leading slices that
+    still need it.  Every step is per slice, so no slice's result depends
+    on the others in its stack.  Its workspace peaks at 16 stacks the
+    size of ``matrices``.
+    """
+    powers = _powers(matrices)
+    degree, squarings = _pade_structure(powers)
+    out = np.empty_like(powers[0])
+    for m in sorted(set(degree.tolist())):
+        picked = (degree == m).nonzero()[0]
+        if m < 13:
+            rows = slice(None) if len(picked) == len(degree) else picked
+            out[picked] = _pade(m, powers[:m // 2 + 1, rows])
+            continue
+        picked = picked[np.argsort(-squarings[picked], kind="stable")]
+        s = squarings[picked]
+        scaled = powers[:4, picked]
+        scaled *= np.exp2(np.multiply.outer([-1, -2, -4, -6], s))[..., None, None]
+        x = _pade(13, scaled)
+        for k in range(s.max()):
+            count = np.count_nonzero(s > k)
+            x[:count] = x[:count] @ x[:count]
+        out[picked] = x
+    return out
+
+
 def _propagate_expm(matrices: np.ndarray, x0: np.ndarray, times: np.ndarray,
                     runs, rows=slice(None), windows=(), steady=None) -> np.ndarray:
     """``x(t) = e^{K t} x0`` of each slice of a stack, the one place qbnet
@@ -584,7 +712,7 @@ def _propagate_expm(matrices: np.ndarray, x0: np.ndarray, times: np.ndarray,
     ``e^{K t} x0``: the points of each of ``windows`` (lists of such
     runs' starts, see ``_contour_windows``) by one contour sum
     (``_contour_sum``), the rest of all slices exponentiated together,
-    one ``expm`` call per ``_EXPM_STACK_ENTRIES`` entries.  Scipy's expm
+    one ``expm`` call per ``_EXPM_STACK_ENTRIES`` entries.  ``expm``
     (scaling and squaring, Pade) assumes no diagonalisability of K.
 
     ``steady``, (P, n - 1), is given when each K is the augmented matrix

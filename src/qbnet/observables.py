@@ -44,6 +44,11 @@ _NEWTON_STEPS = 64
 #: of t, finer than a 2,000-point log grid over the same six decades
 POWER_STEPS_PER_OCTAVE = 145
 
+#: an energy that overflows to inf, and its gain of inf / inf, are
+#: flagged: ``_gains`` raises no numpy warning for them (one decorator,
+#: not a fresh ``np.errstate`` per call)
+_FLAGGED_LATER = np.errstate(over="ignore", invalid="ignore")
+
 
 @dataclass(frozen=True)
 class EnergyCurve:
@@ -372,6 +377,7 @@ def _ratios(values: np.ndarray, name: str, targets) -> tuple:
     return gains, flags
 
 
+@_FLAGGED_LATER
 def _gains(solved, targets) -> tuple:
     """Energies (3, P, T) at ``targets`` of ``solved(v)``, v in
     ``GAIN_VARIANTS``, their ``_ratios``, and each refused point's error."""

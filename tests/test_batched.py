@@ -332,17 +332,32 @@ def test_refused_slice_does_not_abort_the_batch():
 @pytest.fixture
 def linalg_calls(monkeypatch):
     """Per numpy.linalg kernel, the leading stack size of every call
-    (1 for a single matrix); per band factorisation (``zgbtrf``), the
-    order of the stacked block diagonal it factors."""
+    (1 for a single matrix), the Pade solves made inside
+    ``qbnet.dynamics.expm`` apart, under "expm solve"; per band
+    factorisation (``zgbtrf``), the order of the stacked block diagonal
+    it factors."""
     calls = {"solve": [], "eigvals": [], "cond": []}
-    for name, sizes in calls.items():
+    within = calls["expm solve"] = []
+    inside = []
+    for name in ("solve", "eigvals", "cond"):
         original = getattr(np.linalg, name)
 
-        def counted(a, *args, _sizes=sizes, _original=original, **kwargs):
-            _sizes.append(a.shape[0] if np.ndim(a) == 3 else 1)
+        def counted(a, *args, _name=name, _original=original, **kwargs):
+            sizes = within if inside and _name == "solve" else calls[_name]
+            sizes.append(a.shape[0] if np.ndim(a) == 3 else 1)
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    exponentiate = qbnet.dynamics.expm
+
+    def marked(matrices):
+        inside.append(True)
+        try:
+            return exponentiate(matrices)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(qbnet.dynamics, "expm", marked)
     band = calls["zgbtrf"] = []
     factor = qbnet.dynamics.zgbtrf
     monkeypatch.setattr(qbnet.dynamics, "zgbtrf",
@@ -445,8 +460,9 @@ class TestCounters:
                "sweep": {"variable": "gamma", "values": [0.1, 0.05, 0.2]},
                "observables": ["steady_energy", "max_power"]}
         table = run_sweep(parse_run_config(doc))
-        # the steady column reads the max_power batch's own solve
-        assert linalg_calls["solve"] == [3]
+        # the steady column reads the max_power batch's own solve; the
+        # peak search's exponentials solve apart
+        assert linalg_calls["solve"] == [3] and linalg_calls["expm solve"]
         assert len(table.rows) == 3
 
     def test_long_networks_factor_one_band_per_batch(self, linalg_calls):

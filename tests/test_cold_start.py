@@ -1,9 +1,9 @@
-"""scipy stays off the import path until a run needs it.
+"""scipy stays off the import path until a run needs a band solve.
 
-``qbnet.dynamics`` binds ``expm``, ``zgbtrf`` and ``zgbtrs`` as stand-ins
-that import scipy's function on first use and bind it in their place.
-Each check runs in a fresh interpreter, where the first use is really
-the first.
+``qbnet.dynamics.expm`` is numpy's own, so no propagation loads scipy;
+``zgbtrf`` and ``zgbtrs`` are stand-ins that import scipy's function on
+first use and bind it in their place.  Each check runs in a fresh
+interpreter, where the first use is really the first.
 """
 
 import json
@@ -49,20 +49,36 @@ print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "sc
     assert (tmp_path / "fig2b.csv").is_file()
 
 
+def test_power_runs_load_no_scipy(tmp_path):
+    # every propagation: a stepped curve panel, an eta panel's peak
+    # searches, gains --power and the power command's curve and peak
+    topology = ["--family", "parallel", "--n", "2", "--gb", "0.001", "--gamma", "0.01"]
+    code = """
+import contextlib, io
+import qbnet.cli
+out = sys.argv[1]
+argvs = [["figure", "fig3d", "--deterministic", "--out", out],
+         ["figure", "fig4c", "--deterministic", "--out", out],
+         ["gains", "--power", *sys.argv[2:]], ["power", "--points", "50", *sys.argv[2:]]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [qbnet.cli.cli_main(argv) for argv in argvs]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+    assert fresh(code, tmp_path, *topology) == [[0, 0, 0, 0], []]
+    assert (tmp_path / "fig3d.csv").is_file() and (tmp_path / "fig4c.csv").is_file()
+
+
 def test_first_use_binds_scipys_own_functions():
     code = """
 import qbnet.dynamics as dynamics
-from qbnet import TopologyParams, figure_table, steady_energy
-figure_table("fig3d")
-import scipy.linalg, scipy.linalg.lapack
-after_expm = [dynamics.expm is scipy.linalg.expm,
-              dynamics.zgbtrf is scipy.linalg.lapack.zgbtrf]
+from qbnet import TopologyParams, steady_energy
 steady_energy(TopologyParams("cascaded", "nr", 50, 0.01, 0.1, 0.1, 0.1, 1.0))
-print(json.dumps([after_expm, dynamics.zgbtrf is scipy.linalg.lapack.zgbtrf,
+import scipy.linalg.lapack
+print(json.dumps([dynamics.zgbtrf is scipy.linalg.lapack.zgbtrf,
                   dynamics.zgbtrs is scipy.linalg.lapack.zgbtrs]))
 """
-    # fig3d exponentiates but solves below the band route's 48 modes
-    assert fresh(code) == [[True, False], True, True]
+    # 101 modes: the band route's first solve binds both routines
+    assert fresh(code) == [True, True]
 
 
 def test_counter_patched_before_first_use_counts_every_call():

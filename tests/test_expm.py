@@ -1,0 +1,139 @@
+"""The batched Pade ``expm`` against scipy's and 34-digit mpmath.
+
+``qbnet.dynamics.expm`` is Al-Mohy & Higham's 2009 scaling and squaring,
+scipy's own algorithm, written over a (P, n, n) stack.  scipy's ``expm``,
+its choice of degree and scaling where scipy exposes it, and mpmath's
+``expm`` at 34 digits are the oracles.
+"""
+
+import numpy as np
+import pytest
+from scipy.linalg import expm as scipy_expm
+
+import qbnet.dynamics as dynamics
+from qbnet import TopologyParams, figure_table, gain_report
+from qbnet.dynamics import _augmented, _pade_structure, _powers, assemble_points, expm
+from qbnet.observables import _system
+
+mp = pytest.importorskip("mpmath")
+
+#: fig4c's first point: cascaded nr, n = 4, g_b / gamma = 1e-3, near its
+#: exceptional point (eigenvector condition number 4.5e6)
+NEAR_EP = TopologyParams("cascaded", "nr", 4, 5e-7, 5e-4, 5e-4, 1.0, 1.0)
+
+
+def mp_expm(matrix, dps=34) -> np.ndarray:
+    """``e^A`` of one matrix in ``dps``-digit mpmath, rounded to complex128."""
+    with mp.workdps(dps):
+        exact = mp.expm(mp.matrix([[mp.mpc(complex(x)) for x in row] for row in matrix]))
+        return np.array(exact.tolist(), dtype=complex)
+
+
+def relative(got, want) -> float:
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+def near_ep_stack(exponents) -> np.ndarray:
+    """M of ``NEAR_EP`` times ``2^k`` for each of ``exponents``."""
+    matrix = assemble_points(NEAR_EP)[0][0]
+    return matrix * np.exp2(np.asarray(exponents, dtype=float))[:, None, None]
+
+
+class TestStack:
+    def test_slices_are_single_calls(self):
+        # every degree and s = 0 .. 20, in a seeded order, with three
+        # random matrices: each slice is bit-identical to its own call,
+        # and to its place in either half of the stack
+        rng = np.random.default_rng(7)
+        noise = rng.normal(size=(3, 9, 9, 2)) @ [1.0, 1j]
+        stack = np.concatenate((near_ep_stack(np.arange(-8, 24)), noise))
+        stack = stack[rng.permutation(len(stack))]
+        degree, scale = _pade_structure(_powers(stack))
+        assert set(degree.tolist()) == {3, 5, 7, 9, 13}
+        assert set(range(21)) <= set(scale.tolist())
+        stacked = expm(stack)
+        for i in range(len(stack)):
+            assert np.array_equal(stacked[i], expm(stack[i:i + 1])[0])
+        half = len(stack) // 2
+        assert np.array_equal(stacked, np.concatenate((expm(stack[:half]),
+                                                        expm(stack[half:]))))
+
+    def test_zero_is_identity(self):
+        assert np.array_equal(expm(np.zeros((2, 4, 4), dtype=complex)),
+                              np.broadcast_to(np.eye(4), (2, 4, 4)))
+
+    def test_empty_stack(self):
+        assert expm(np.zeros((0, 3, 3), dtype=complex)).shape == (0, 3, 3)
+
+
+class TestAgainstMpmath:
+    @pytest.mark.parametrize("t", [1e-3, 0.01, 0.3, 1.0, 4.0, 30.0, 100.0])
+    def test_jordan_block(self, t):
+        # a defective 6 x 6 Jordan block: degrees 3, 5, 7 and 9, then 13
+        # with s = 1, 4 and 6 (the worst reads 3.4e-15)
+        jordan = np.diag(np.full(6, -0.4 + 0.3j)) + np.diag(np.ones(5), 1)
+        assert relative(expm(jordan[None] * t)[0], mp_expm(jordan * t)) <= 1e-14
+
+    @pytest.mark.parametrize("augmented, reach, bound", [(False, 16, 1e-12),
+                                                         (True, 20, 1e-13)])
+    def test_near_exceptional_point(self, augmented, reach, bound):
+        # fig4c's first point at t = 1 .. 2^reach: M, up to where e^{M t}
+        # has decayed to 1.6e-7 (both expms read 2.1e-13 there), and the
+        # augmented [[M, d], [0, 0]] over the peak search's whole reach
+        # (1.9e-14 at 2^20, where scipy reads 2.5e-11)
+        sys_ = _system(NEAR_EP)
+        matrix = _augmented(sys_) if augmented else sys_.matrix
+        stack = matrix * np.exp2(np.arange(0.0, reach + 1.0, 4.0))[:, None, None]
+        for slice_, want in zip(expm(stack), map(mp_expm, stack)):
+            assert relative(slice_, want) <= bound
+
+
+@pytest.fixture(scope="module")
+def power_stacks():
+    """Every stack ``expm`` exponentiates for fig4c, fig4d and a
+    fig4-regime ``gain_report(include_power=True)``."""
+    stacks = []
+
+    def recorded(matrices):
+        stacks.append(matrices.copy())
+        return expm(matrices)
+
+    original, dynamics.expm = dynamics.expm, recorded
+    try:
+        figure_table("fig4c")
+        figure_table("fig4d")
+        gamma = 5e-4
+        gain_report(TopologyParams("parallel", "nr", 3, gamma * 0.01, gamma,
+                                   (gamma, 1.5 * gamma, 0.7 * gamma), 1.0, 1.0),
+                    include_power=True)
+    finally:
+        dynamics.expm = original
+    return stacks
+
+
+class TestPowerStacks:
+    def test_sample_matches_mpmath(self, power_stacks):
+        # 1e-12 normwise on a seeded sample of slices (scipy's own worst
+        # on one power pass is 2.9e-13)
+        slices = [(stack, i) for stack in power_stacks for i in range(len(stack))]
+        rng = np.random.default_rng(21)
+        for k in rng.choice(len(slices), 40, replace=False):
+            stack, i = slices[k]
+            assert relative(expm(stack)[i], mp_expm(stack[i])) <= 1e-12
+
+    def test_every_slice_matches_scipy(self, power_stacks):
+        for stack in power_stacks:
+            got, want = expm(stack), scipy_expm(stack)
+            assert (np.linalg.norm(got - want, axis=(1, 2))
+                    <= 1e-12 * np.linalg.norm(want, axis=(1, 2))).all()
+
+    def test_degree_and_scaling_are_scipys(self, power_stacks):
+        matfuncs = pytest.importorskip("scipy.linalg._matfuncs_expm")
+        if not hasattr(matfuncs, "pick_pade_structure"):
+            pytest.skip("scipy does not expose its Pade structure")
+        for stack in power_stacks:
+            degree, scale = _pade_structure(_powers(stack))
+            for matrix, m, s in zip(stack, degree.tolist(), scale.tolist()):
+                work = np.empty((5,) + matrix.shape, dtype=complex)
+                work[0] = matrix
+                assert matfuncs.pick_pade_structure(work) == (m, s)

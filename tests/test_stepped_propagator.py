@@ -273,7 +273,7 @@ class TestStackedPropagator:
 def test_only_dynamics_binds_expm():
     # the propagator is the one place a dynamics matrix is exponentiated
     def binds(node):
-        return ((isinstance(node, ast.alias) and node.name == "expm")
+        return ((isinstance(node, (ast.alias, ast.FunctionDef)) and node.name == "expm")
                 or (isinstance(node, ast.Attribute) and node.attr == "expm"))
 
     package = pathlib.Path(qbnet.__file__).parent
