@@ -117,6 +117,10 @@ STEP_BLOCK = 16
 #: complex128; ``expm`` works in up to 16 such stacks)
 _EXPM_STACK_ENTRIES = 2 ** 18
 
+#: ``expm`` prescales a slice whose 1-norm exceeds this, so that A^10 stays
+#: below 2^640, far from overflow
+_EXPM_NORM_MAX = 2.0 ** 64
+
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
@@ -326,9 +330,12 @@ def layout(family: str, intermediates: bool, n: int) -> tuple:
 
 def assemble_points(params: TopologyParams, **columns) -> tuple:
     """``(matrices, drives, layout)`` of P points of a built-in topology,
-    ``columns`` as in ``network.parameter_tables``; no spec is built."""
-    variant = columns["variant"][0] if "variant" in columns else params.variant
-    compiled = layout(params.family, variant in WITH_INTERMEDIATES, params.n)
+    ``columns`` as in ``network.parameter_tables``; no spec is built.  The
+    layout has intermediates when any variant of the points has them (an
+    ``r1`` point then fills it with decoupled intermediates)."""
+    variants = columns.get("variant", (params.variant,))
+    compiled = layout(params.family, not set(WITH_INTERMEDIATES).isdisjoint(variants),
+                      params.n)
     _, decay, strength, phase, pattern = compiled
     rates, strengths, phases, xi = parameter_tables(params, **columns)
     matrices = _fill(-1j * 0.0, rates[:, decay], pattern, strengths[:, strength],
@@ -501,7 +508,7 @@ def _left_of_contour(eigenvalues: np.ndarray, margin: float, mu: float) -> bool:
     bounding square decides."""
     a = _CONTOUR_ALPHA + _CONTOUR_GUARD
     y = (np.abs(eigenvalues.imag) + margin) / (mu * np.cos(a))
-    edge = mu * (1.0 - np.sin(a) * np.sqrt(1.0 + y * y))
+    edge = mu * (1.0 - np.sin(a) * np.hypot(1.0, y))
     return bool(np.all(eigenvalues.real + margin < edge))
 
 
@@ -666,6 +673,16 @@ def _pade(m: int, powers) -> np.ndarray:
     return _plus_identity(np.linalg.solve(v - u, 2.0 * u), 1.0)
 
 
+def _squared(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each slice of a stack squared ``counts`` times, in place, the slices
+    ordered by ``counts``, largest first, so that each squaring applies to
+    the leading slices that still need it."""
+    for k in range(counts.max(initial=0)):
+        count = np.count_nonzero(counts > k)
+        x[:count] = x[:count] @ x[:count]
+    return x
+
+
 def expm(matrices: np.ndarray) -> np.ndarray:
     """``e^A`` of each slice of a (P, n, n) stack: scaling and squaring with
     a Pade approximant r_m, ``e^A = r_m(2^-s A)^(2^s)``, m and s chosen per
@@ -675,8 +692,17 @@ def expm(matrices: np.ndarray) -> np.ndarray:
     ordered by s so that each squaring applies to the leading slices that
     still need it.  Every step is per slice, so no slice's result depends
     on the others in its stack.  Its workspace peaks at 16 stacks the
-    size of ``matrices``.
+    size of ``matrices``.  A slice whose 1-norm exceeds ``_EXPM_NORM_MAX``,
+    so that its A^10 could overflow, is first scaled by the least power of
+    two 2^-p that brings it under, and p is added to its s.
     """
+    prescale = _prescale(matrices)
+    if prescale is not None:
+        order = np.argsort(-prescale, kind="stable")
+        out = np.empty_like(matrices)
+        out[order] = _squared(expm(matrices[order] * np.exp2(-prescale[order])[:, None, None]),
+                              prescale[order])
+        return out
     powers = _powers(matrices)
     degree, squarings = _pade_structure(powers)
     out = np.empty_like(powers[0])
@@ -690,12 +716,20 @@ def expm(matrices: np.ndarray) -> np.ndarray:
         s = squarings[picked]
         scaled = powers[:4, picked]
         scaled *= np.exp2(np.multiply.outer([-1, -2, -4, -6], s))[..., None, None]
-        x = _pade(13, scaled)
-        for k in range(s.max()):
-            count = np.count_nonzero(s > k)
-            x[:count] = x[:count] @ x[:count]
-        out[picked] = x
+        out[picked] = _squared(_pade(13, scaled), s)
     return out
+
+
+def _prescale(matrices: np.ndarray) -> np.ndarray | None:
+    """Per slice, the least p with ``||2^-p A||_1 <= _EXPM_NORM_MAX``, or
+    None when p = 0 on every slice, as one check of the largest modulus
+    (n times it bounds every 1-norm) shows for every stack of a power pass."""
+    moduli = np.abs(matrices)
+    if not matrices.shape[-1] * moduli.max(initial=0.0) > _EXPM_NORM_MAX:
+        return None
+    norms = moduli.sum(axis=-2).max(axis=-1)
+    prescale = np.ceil(np.log2(np.maximum(norms / _EXPM_NORM_MAX, 1.0))).astype(int)
+    return prescale if prescale.any() else None
 
 
 def _propagate_expm(matrices: np.ndarray, x0: np.ndarray, times: np.ndarray,

@@ -31,6 +31,7 @@ as per-point tables: ``build_network`` fills the structure from one row,
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -251,44 +252,67 @@ def build_network(params: TopologyParams) -> NetworkSpec:
         (DriveSpec("c", params.xi),))
 
 
+def _variant_rows(variants) -> list:
+    """``(variant, rows)`` per distinct variant of a ``variant`` column, in
+    order of first appearance: ``rows`` is a slice when the variant's points
+    are one run, else a mask of an integer code repeated run by run; no
+    array of strings is built."""
+    runs = [(variant, len(list(run))) for variant, run in itertools.groupby(variants)]
+    distinct = list(dict.fromkeys(variant for variant, _ in runs))
+    if len(distinct) == len(runs):
+        ends = itertools.accumulate(count for _, count in runs)
+        return [(variant, slice(end - count, end)) for (variant, count), end in zip(runs, ends)]
+    code = np.repeat([distinct.index(variant) for variant, _ in runs],
+                     [count for _, count in runs])
+    return [(variant, code == k) for k, variant in enumerate(distinct)]
+
+
 def parameter_tables(params: TopologyParams, **columns) -> tuple:
     """Rates ``[gamma_c, Gamma, *gamma_b]``, strengths ``[g_b, g_i]``,
     phases ``[0, *direct_phases]`` and drives ``xi`` of P points, one row
     each: the values ``build_network`` fills in.  ``columns`` maps a field
     of ``params`` to one (trusted, already valid) value per point, other
-    fields are broadcast; a ``variant`` column may mix variants that share
-    one layout.  Each distinct variant and theta is resolved once."""
+    fields are broadcast.  A ``variant`` column may mix variants, each
+    distinct variant and theta resolved once: ``g_i`` is the matched
+    coupling for a variant with intermediates and 0 for ``r1``, so an
+    ``r1`` point filled into an intermediates layout (``dynamics.
+    assemble_points``, when another variant of the column has them) keeps
+    its intermediates decoupled and undriven."""
     points = len(next(iter(columns.values()))) if columns else 1
-    variants = columns.get("variant", [params.variant] * points)
+    groups = (_variant_rows(columns["variant"]) if "variant" in columns
+              else [(params.variant, slice(None))])
     derived = "g_b" not in columns and "Gamma" not in columns
     rates = np.empty((points, params.n + 2))
     strengths = np.empty((points, 2))
     phases = np.zeros((points, params.n + 1))
     rates[:] = (params.gamma_c, params.Gamma, *params.gamma_b)
-    # a batch shares one layout, so every variant has intermediates or none
-    strengths[:] = (params.g_b, _intermediate_coupling(variants[0], params.g_b,
-                                                       params.Gamma) if derived else 0.0)
+    strengths[:, 0] = params.g_b
     for table, at, field in ((rates, 0, "gamma_c"), (rates, 1, "Gamma"),
                              (rates, slice(2, None), "gamma_b"), (strengths, 0, "g_b")):
         if field in columns:
             table[:, at] = columns[field]
-    if not derived and variants[0] in WITH_INTERMEDIATES:
-        refused = (rates[:, 1] <= 0).nonzero()[0]
-        if refused.size:  # the builder's own check and message
-            _intermediate_coupling(variants[refused[0]], 0.0, float(rates[refused[0], 1]))
-        np.sqrt(strengths[:, 0] * rates[:, 1] / 2.0, out=strengths[:, 1])
-    distinct = dict.fromkeys(variants)
-    kinds = np.asarray(variants) if len(distinct) > 1 else None
-    for k, variant in enumerate(distinct):  # the first may fill every row
-        rows = slice(None) if kinds is None else kinds == variant
+    if not derived and any(variant in WITH_INTERMEDIATES for variant, _ in groups):
+        refused = rates[:, 1] <= 0
+        for variant, rows in groups:
+            if variant not in WITH_INTERMEDIATES:
+                refused[rows] = False
+        for i in refused.nonzero()[0][:1].tolist():  # the builder's own check and message
+            _intermediate_coupling(columns["variant"][i] if "variant" in columns
+                                   else params.variant, 0.0, float(rates[i, 1]))
+    for variant, rows in groups:
+        if variant not in WITH_INTERMEDIATES:
+            strengths[rows, 1] = 0.0
+        elif derived:
+            strengths[rows, 1] = _intermediate_coupling(variant, params.g_b, params.Gamma)
+        else:
+            strengths[rows, 1] = np.sqrt(strengths[rows, 0] * rates[rows, 1] / 2.0)
         if "thetas" in columns and variant in WITH_FREE_PHASES:
             thetas = np.asarray(columns["thetas"], dtype=float)[rows]
             bits, inverse = np.unique(thetas.view(np.int64), return_inverse=True)
             wrapped = np.array([wrap_phase(t) for t in bits.view(float).tolist()])
             phases[rows, 1:] = wrapped[inverse].reshape(thetas.shape)
         else:
-            phases[rows if k else slice(None), 1:] = _direct_phases(variant, params.n,
-                                                                    params.thetas)
+            phases[rows, 1:] = _direct_phases(variant, params.n, params.thetas)
     xi = np.empty(points, dtype=complex)
     xi[:] = columns.get("xi", params.xi)
     return rates, strengths, phases, xi

@@ -13,7 +13,6 @@ target mode in units of the mode frequency, and charging power is
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
@@ -44,9 +43,10 @@ _NEWTON_STEPS = 64
 #: of t, finer than a 2,000-point log grid over the same six decades
 POWER_STEPS_PER_OCTAVE = 145
 
-#: an energy that overflows to inf, and its gain of inf / inf, are
-#: flagged: ``_gains`` raises no numpy warning for them (one decorator,
-#: not a fresh ``np.errstate`` per call)
+#: an energy or a peak power that overflows to inf, and its gain of
+#: inf / inf, are flagged: ``_gains``, ``_power_points`` and ``_etas`` raise
+#: no numpy warning for them (one decorator, not a fresh ``np.errstate``
+#: per call)
 _FLAGGED_LATER = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -127,11 +127,8 @@ class Batch(NamedTuple):
     peak_errors: dict | None = None
 
     def energies(self, *targets) -> np.ndarray:
-        """``|a|^2`` (P, len(targets)) at ``targets``, rounded as the scalar
-        ``abs(a) ** 2``, by ``hypot`` and libm ``pow`` (array ``np.abs`` and
-        ``** 2`` differ in the last bit)."""
-        a = self.amplitudes.take([_row(self.index, t) for t in targets], axis=1)
-        return np.float_power(np.hypot(a.real, a.imag), 2.0)
+        """``|a|^2`` (P, len(targets)) at ``targets``, by ``_energies``."""
+        return _energies([self], targets)
 
     def part(self, start: int, stop: int) -> Batch:
         """Points ``[start, stop)``, renumbered from 0."""
@@ -139,6 +136,16 @@ class Batch(NamedTuple):
             return {i - start: e for i, e in errors.items() if start <= i < stop}
         peaks = () if self.peaks is None else (self.peaks[start:stop], cut(self.peak_errors))
         return Batch(self.amplitudes[start:stop], cut(self.errors), self.index, *peaks)
+
+
+def _energies(batches, targets) -> np.ndarray:
+    """``|a|^2`` at ``targets`` of the points of ``batches``, one batch after
+    another, (P, len(targets)) in one pass, rounded as the scalar
+    ``abs(a) ** 2``, by ``hypot`` and libm ``pow`` (array ``np.abs`` and
+    ``** 2`` differ in the last bit)."""
+    taken = [b.amplitudes.take([_row(b.index, t) for t in targets], axis=1) for b in batches]
+    a = taken[0] if len(taken) == 1 else np.concatenate(taken)
+    return np.float_power(np.hypot(a.real, a.imag), 2.0)
 
 
 def _steady_points(params: TopologyParams, **columns) -> Batch:
@@ -150,16 +157,29 @@ def _steady_points(params: TopologyParams, **columns) -> Batch:
 
 
 def _gain_points(params: TopologyParams, targets=None, **columns) -> dict:
-    """The solved batch of each gain variant, by ``_steady_points``, or
-    by ``_power_points`` at ``targets`` when given: ``nr`` and ``r2``
-    share a layout, so they are one batch of twice the points."""
-    solve = (_steady_points if targets is None
-             else functools.partial(_power_points, targets=targets))
+    """The solved batch of each gain variant.  Steady (``targets`` None):
+    one ``_steady_points`` batch of nr, r1 and r2 in turn, so one assemble,
+    one certificate and one solve; r1 fills the intermediates layout with
+    its intermediate coupling at 0, and nothing drives those decoupled
+    modes, so its battery amplitudes are r1's own.  Their decay, Gamma / 2,
+    can still fail the gate where r1 passes, so when it refuses an r1 point
+    r1 is solved again in its own layout, whose verdicts are r1's.  Power
+    (``_power_points`` at ``targets``): nr and r2 share one batch of twice
+    the points, r1 keeps its own, smaller layout to propagate."""
     points = len(next(iter(columns.values()))) if columns else 1
+    if targets is None:
+        thrice = {f: np.concatenate((v, v, v)) for f, v in columns.items()}
+        stacked = _steady_points(params, **thrice,
+                                 variant=sum(([v] * points for v in GAIN_VARIANTS), []))
+        solved = {v: stacked.part(k * points, (k + 1) * points)
+                  for k, v in enumerate(GAIN_VARIANTS)}
+        if solved["r1"].errors:
+            solved["r1"] = _steady_points(params, **columns, variant=["r1"] * points)
+        return solved
     both = {f: np.concatenate((v, v)) for f, v in columns.items()}
-    links = solve(params, **both, variant=["nr"] * points + ["r2"] * points)
+    links = _power_points(params, targets, **both, variant=["nr"] * points + ["r2"] * points)
     return {"nr": links.part(0, points),
-            "r1": solve(params, **columns, variant=["r1"] * points),
+            "r1": _power_points(params, targets, **columns, variant=["r1"] * points),
             "r2": links.part(points, 2 * points)}
 
 
@@ -315,6 +335,7 @@ def _peak_powers(matrices, alpha_ss, abscissas, rows, scale) -> tuple:
     return peaks, errors
 
 
+@_FLAGGED_LATER
 def _power_points(params: TopologyParams, targets, **columns) -> Batch:
     """``_steady_points`` plus ``peaks`` from vacuum at ``targets`` and
     their ``peak_errors``.  One batched ``eigvals`` gives every horizon
@@ -380,13 +401,15 @@ def _ratios(values: np.ndarray, name: str, targets) -> tuple:
 @_FLAGGED_LATER
 def _gains(solved, targets) -> tuple:
     """Energies (3, P, T) at ``targets`` of ``solved(v)``, v in
-    ``GAIN_VARIANTS``, their ``_ratios``, and each refused point's error."""
+    ``GAIN_VARIANTS``, read in one pass, their ``_ratios``, and each refused
+    point's error."""
     batches = [solved(v) for v in GAIN_VARIANTS]
-    energies = np.array([batch.energies(*targets) for batch in batches])
+    energies = _energies(batches, targets).reshape(len(batches), -1, len(targets))
     errors = _first_errors([b.errors for b in batches])
     return (energies, *_ratios(energies, "G", targets), errors)
 
 
+@_FLAGGED_LATER
 def _etas(solved, targets) -> tuple:
     """Peak powers (3, P, T) at ``targets`` of the power batches ``solved(v)``,
     v in ``GAIN_VARIANTS``, and their ``_ratios``; raises the first peak error."""
@@ -409,10 +432,12 @@ def gain_report(params_base: TopologyParams, include_power: bool = False) -> Gai
     The three variants share every parameter except the variant tag.
     Cascaded scenarios report the terminal battery; parallel ones
     report each battery.  ``include_power`` adds maximum-power triples
-    and the corresponding eta ratios.  Each variant is assembled and
-    solved once, ``nr`` and ``r2`` in one batch; with ``include_power``
-    every battery's peak comes off one octave scan and one lockstep
-    Newton search per batch (``_power_points``).
+    and the corresponding eta ratios.  Without it the three variants are
+    one batch (``_gain_points``): one assemble, one certificate and one
+    solve, ``r1`` with its intermediates decoupled.  With it ``nr`` and
+    ``r2`` are one batch and ``r1`` another, and every battery's peak
+    comes off one octave scan and one lockstep Newton search per batch
+    (``_power_points``).
     """
     targets = _report_targets(params_base)
     solved = _gain_points(params_base, targets if include_power else None)

@@ -422,7 +422,7 @@ class TestCounters:
         assert built == []
 
     @pytest.mark.parametrize("call, before", [(steady_energy, 24),
-                                              (gain_report, 48)])
+                                              (gain_report, 24)])
     def test_single_call_numpy_budget(self, call, before, numpy_calls):
         # the fixed cost of one small call: no more numpy calls than the
         # per-point tables made (``before``, counted the same way)
@@ -433,9 +433,9 @@ class TestCounters:
         assert 0 < len(numpy_calls) <= before
 
     def test_fig2c_solves_in_batches(self, linalg_calls):
-        # nr and r2 share a layout: one batch of 602, one of 301 for r1
+        # nr, r1 and r2 share the intermediates layout: one batch of 903
         figure_table("fig2c")
-        assert linalg_calls["solve"] == [602, 301]
+        assert linalg_calls["solve"] == [903]
 
     @pytest.mark.parametrize("fig_id", ["fig2a", "fig3a"])
     def test_landscape_is_one_batch(self, fig_id, linalg_calls):
@@ -467,12 +467,12 @@ class TestCounters:
 
     def test_long_networks_factor_one_band_per_batch(self, linalg_calls):
         # 201 modes: one band factorisation, no dense solve; a gain report
-        # stacks nr and r2 into one block diagonal, r1 (101 modes) alone
+        # stacks nr, r1 and r2 into one block diagonal
         params = TopologyParams("cascaded", "nr", 100, 0.01, 0.1, 0.1, 0.1, 1.0)
         steady_energy(params)
         assert linalg_calls["zgbtrf"] == [200] and linalg_calls["solve"] == []
         gain_report(params)
-        assert linalg_calls["zgbtrf"] == [200, 400, 100]
+        assert linalg_calls["zgbtrf"] == [200, 600]
         assert linalg_calls["solve"] == []
 
     def test_unproven_long_chain_takes_the_dense_route(self, linalg_calls):
@@ -605,3 +605,85 @@ def test_tables_equal_the_loop(batch):
         assert got.shape == want.shape
         assert (np.ascontiguousarray(got).view(np.int64).tobytes()
                 == np.ascontiguousarray(want).view(np.int64).tobytes())
+
+
+@pytest.mark.parametrize("seed", [22, 23])
+def test_joint_r1_is_its_own_layout(seed):
+    # a steady gain batch solves r1 in the intermediates layout with its
+    # intermediate coupling at 0: every verdict is r1's own, every battery
+    # energy within 1e-14 relative of r1 solved in its own layout (both
+    # dense LU below 48 modes), and nr and r2 are their own solves, bit
+    # for bit
+    rng = np.random.default_rng(seed)
+    compared = 0
+    for k in range(120):
+        family, n, points = FAMILIES[k % 2], int(rng.integers(1, 9)), int(rng.integers(1, 8))
+        gamma = 10.0 ** rng.uniform(-3.0, 0.0)
+        columns = {"g_b": gamma * 10.0 ** rng.uniform(-3.0, 0.5, points),
+                   "Gamma": gamma * 10.0 ** rng.uniform(-1.0, 2.0, points),
+                   "gamma_b": gamma * 10.0 ** rng.uniform(-0.5, 0.5, (points, n))}
+        base = TopologyParams(family, "nr", n, float(columns["g_b"][0]), gamma,
+                              tuple(columns["gamma_b"][0]), float(columns["Gamma"][0]), 1.0)
+        targets = [f"b_{i}" for i in range(1, n + 1)]
+        solved = _gain_points(base, **columns)
+        for variant in GAIN_VARIANTS:
+            own = _steady_points(base.with_variant(variant), **columns)
+            assert sorted(solved[variant].errors) == sorted(own.errors)
+            joint, alone = solved[variant].energies(*targets), own.energies(*targets)
+            if variant != "r1":
+                assert joint.tobytes() == alone.tobytes()
+                continue
+            assert np.isfinite(alone).all() and (alone > 0).all()
+            assert (np.abs(joint - alone) <= 1e-14 * alone).all()
+            compared += alone.size
+    assert compared > 1000
+
+
+#: tiny and huge Gamma for cascaded and parallel n = 2, g_b / gamma = 1e-3,
+#: and whether nr is refused there (first, so the report raises its error)
+EDGE_GAMMAS = {1e-300: True, 1e-20: True, 1e-13: False, 1e11: False, 1e20: True,
+               1e250: True}
+#: where every variant passes alone, but the decoupled intermediates of r1
+#: in the joint stack (decay Gamma / 2) fail its gate: r1 is solved again
+#: in its own layout
+JOINT_REFUSES_R1 = {("cascaded", 1e-13), ("cascaded", 1e11), ("parallel", 1e-13)}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("Gamma", EDGE_GAMMAS)
+def test_gain_report_verdict_at_edge_gammas(family, Gamma):
+    # the report keeps the verdict of the three variants solved apart:
+    # the first refusal (nr's), or every energy
+    params = TopologyParams(family, "nr", 2, 1e-4, 0.1, 0.1, Gamma, 1.0)
+    targets = ("b_2",) if family == "cascaded" else ("b_1", "b_2")
+    apart = [_steady_points(params.with_variant(v)) for v in GAIN_VARIANTS]
+    assert bool(apart[0].errors) is EDGE_GAMMAS[Gamma]
+    if apart[0].errors:
+        with pytest.raises(type(apart[0].errors[0])) as err:
+            gain_report(params)
+        assert str(err.value) == str(apart[0].errors[0])
+        return
+    assert not apart[1].errors and not apart[2].errors
+    stacked = _steady_points(params, variant=list(GAIN_VARIANTS))
+    assert list(stacked.errors) == ([1] if (family, Gamma) in JOINT_REFUSES_R1 else [])
+    report = gain_report(params)
+    assert report.e_nr == tuple(apart[0].energies(*targets)[0].tolist())
+    assert report.e_r2 == tuple(apart[2].energies(*targets)[0].tolist())
+    assert report.e_r1 == pytest.approx(apart[1].energies(*targets)[0].tolist(), rel=1e-14)
+
+
+@pytest.mark.parametrize("variants", [["nr", "r1", "r2"], ["r1", "custom", "r1", "nr"],
+                                      ["r2", "r2", "r1", "r1", "nr"]])
+def test_mixed_tables_equal_the_loop(variants):
+    # r1 beside variants with intermediates: g_i is 0 on its rows, in
+    # contiguous blocks and interleaved, with derived and column g_b
+    n, points = 3, len(variants)
+    params = TopologyParams("parallel", "custom", n, 0.02, 0.1, 0.1, 0.3, 1.0,
+                            (0.5, -4.0, 3.5))
+    for columns in ({"variant": variants},
+                    {"variant": variants, "g_b": np.linspace(0.01, 0.05, points),
+                     "thetas": [(0.1 * k, -0.0, 7.0) for k in range(points)]}):
+        tables = parameter_tables(params, **columns)
+        for got, want in zip(tables, loop_parameter_tables(params, **columns)):
+            assert got.view(np.int64).tobytes() == want.view(np.int64).tobytes()
+        assert (tables[1][[v == "r1" for v in variants], 1] == 0.0).all()

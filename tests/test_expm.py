@@ -11,8 +11,9 @@ import pytest
 from scipy.linalg import expm as scipy_expm
 
 import qbnet.dynamics as dynamics
-from qbnet import TopologyParams, figure_table, gain_report
-from qbnet.dynamics import _augmented, _pade_structure, _powers, assemble_points, expm
+from qbnet import TopologyParams, figure_table, gain_report, steady_state
+from qbnet.dynamics import (_augmented, _pade_structure, _powers, _prescale, assemble_points,
+                            expm)
 from qbnet.observables import _system
 
 mp = pytest.importorskip("mpmath")
@@ -137,3 +138,38 @@ class TestPowerStacks:
                 work = np.empty((5,) + matrix.shape, dtype=complex)
                 work[0] = matrix
                 assert matfuncs.pick_pade_structure(work) == (m, s)
+
+
+#: cascaded nr, n = 2, every decay 0.1: A^10 of its augmented K t
+#: overflows from about t = 1e30 on
+DECAYING = TopologyParams("cascaded", "nr", 2, 0.01, 0.1, 0.1, 0.1, 1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestPrescale:
+    def test_power_stacks_are_not_prescaled(self, power_stacks):
+        # p = 0 on every slice of a power pass: the panels keep their bits
+        assert all(_prescale(stack) is None for stack in power_stacks)
+
+    def test_nilpotent_is_exact(self):
+        # 1-norm 2^80, scaled by 2^-16: r_3 of the scaled A is I + A
+        # exactly, and 16 squarings of it give I + A
+        a = np.zeros((1, 2, 2), dtype=complex)
+        a[0, 0, 1] = 2.0 ** 80
+        assert np.array_equal(expm(a)[0], np.eye(2) + a[0])
+
+    @pytest.mark.parametrize("t", [1e30, 1e50, 1e100, 1e300])
+    def test_long_times_reach_the_steady_state(self, t):
+        # e^{K t} of the augmented K: e^{M t} has decayed to nothing and
+        # the drive column holds alpha_ss
+        sys_ = _system(DECAYING)
+        got = expm(_augmented(sys_)[None] * t)[0]
+        assert np.isfinite(got).all()
+        assert relative(got[:-1, -1], steady_state(sys_).amplitudes) <= 1e-13
+        assert np.abs(got[:-1, :-1]).max() <= 1e-13
+
+    def test_prescaled_slices_are_single_calls(self):
+        stack = _augmented(_system(DECAYING)) * np.array([1e50, 1.0, 1e30, 1e300])[:, None, None]
+        stacked = expm(stack)
+        for i in range(len(stack)):
+            assert np.array_equal(stacked[i], expm(stack[i:i + 1])[0])

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from qbnet import (TopologyParams, UnstableSystemError, cascaded_nr_energy,
-                   energy_curve, gain_report, max_power, power_curve,
-                   steady_energy)
-from qbnet.observables import _ratios
+                   energy_curve, evolve, gain_report, max_power, power_curve,
+                   steady_energy, vacuum)
+from qbnet.dynamics import _augmented, expm
+from qbnet.observables import _ratios, _system
 
 # independently derived single-driven-mode optimum: maximise
 # (2 xi / gamma)^2 (1 - exp(-gamma t / 2))^2 / t, i.e. solve 1 + s = e^{s/2}
@@ -176,3 +177,22 @@ class TestGainReport:
         assert report.p_max_nr is not None
         assert report.eta1[0] > 0
         assert report.eta1[0] == report.p_max_nr[0] / report.p_max_r1[0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_extreme_inputs_raise_no_numpy_warning():
+    # a propagation past any overflow of A^10 and a drive whose energies
+    # and peak powers overflow: finite results, or infinite ones whose
+    # ratios are flagged, and no RuntimeWarning on the way
+    p = params(n=2)
+    sys_ = _system(p)
+    trajectory = evolve(sys_, vacuum(sys_), [1e50, 1e300])
+    assert np.isfinite(trajectory.amplitudes).all()
+    assert np.isfinite(expm(_augmented(sys_)[None] * 1e50)).all()
+    loud = params(n=2, xi=1e160)
+    steady = gain_report(loud)
+    assert steady.flags == ("G1[b_2]", "G2[b_2]")
+    report = gain_report(loud, include_power=True)
+    assert report.flags == ("G1[b_2]", "G2[b_2]", "eta1[b_2]", "eta2[b_2]")
+    assert math.isnan(report.eta1[0]) and math.isnan(report.eta2[0])
+    assert report.p_max_nr == report.p_max_r1 == report.p_max_r2 == (math.inf,)
