@@ -253,18 +253,16 @@ def build_network(params: TopologyParams) -> NetworkSpec:
 
 
 def _variant_rows(variants) -> list:
-    """``(variant, rows)`` per distinct variant of a ``variant`` column, in
-    order of first appearance: ``rows`` is a slice when the variant's points
-    are one run, else a mask of an integer code repeated run by run; no
-    array of strings is built."""
-    runs = [(variant, len(list(run))) for variant, run in itertools.groupby(variants)]
-    distinct = list(dict.fromkeys(variant for variant, _ in runs))
-    if len(distinct) == len(runs):
-        ends = itertools.accumulate(count for _, count in runs)
-        return [(variant, slice(end - count, end)) for (variant, count), end in zip(runs, ends)]
-    code = np.repeat([distinct.index(variant) for variant, _ in runs],
-                     [count for _, count in runs])
-    return [(variant, code == k) for k, variant in enumerate(distinct)]
+    """``(variant, rows)`` per run of equal variants of a ``variant``
+    column, ``rows`` its slice; no array of strings is built.  A variant
+    that recurs in a later run is resolved again there, to the same
+    values."""
+    runs, start = [], 0
+    for variant, run in itertools.groupby(variants):
+        count = sum(1 for _ in run)
+        runs.append((variant, slice(start, start + count)))
+        start += count
+    return runs
 
 
 def parameter_tables(params: TopologyParams, **columns) -> tuple:
@@ -273,11 +271,11 @@ def parameter_tables(params: TopologyParams, **columns) -> tuple:
     each: the values ``build_network`` fills in.  ``columns`` maps a field
     of ``params`` to one (trusted, already valid) value per point, other
     fields are broadcast.  A ``variant`` column may mix variants, each
-    distinct variant and theta resolved once: ``g_i`` is the matched
-    coupling for a variant with intermediates and 0 for ``r1``, so an
-    ``r1`` point filled into an intermediates layout (``dynamics.
-    assemble_points``, when another variant of the column has them) keeps
-    its intermediates decoupled and undriven."""
+    run of one variant, and each distinct theta in it, resolved once:
+    ``g_i`` is the matched coupling for a variant with intermediates and 0
+    for ``r1``, so an ``r1`` point filled into an intermediates layout
+    (``dynamics.assemble_points``, when another variant of the column has
+    them) keeps its intermediates decoupled and undriven."""
     points = len(next(iter(columns.values()))) if columns else 1
     groups = (_variant_rows(columns["variant"]) if "variant" in columns
               else [(params.variant, slice(None))])

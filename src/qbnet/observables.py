@@ -18,8 +18,8 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .dynamics import (LinearSystem, _abscissas, _propagate_expm, _row,
-                       assemble_points, evolve, steady_states, vacuum)
+from .dynamics import (_BAND_MIN_MODES, LinearSystem, _abscissas, _propagate_expm,
+                       _row, assemble_points, evolve, steady_states, vacuum)
 from .errors import ScanEdgeError
 from .network import TopologyParams
 
@@ -44,9 +44,11 @@ _NEWTON_STEPS = 64
 POWER_STEPS_PER_OCTAVE = 145
 
 #: an energy or a peak power that overflows to inf, and its gain of
-#: inf / inf, are flagged: ``_gains``, ``_power_points`` and ``_etas`` raise
+#: inf / inf, are flagged: ``_gains``, ``_gain_powers`` and ``_etas`` raise
 #: no numpy warning for them (one decorator, not a fresh ``np.errstate``
-#: per call)
+#: per call).  Only these callers, whose results are flagged, carry it,
+#: and none of them calls another: ``max_power`` still warns of an
+#: overflowing ``p_max``
 _FLAGGED_LATER = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -158,24 +160,33 @@ def _steady_points(params: TopologyParams, **columns) -> Batch:
 
 def _gain_points(params: TopologyParams, targets=None, **columns) -> dict:
     """The solved batch of each gain variant.  Steady (``targets`` None):
-    one ``_steady_points`` batch of nr, r1 and r2 in turn, so one assemble,
-    one certificate and one solve; r1 fills the intermediates layout with
-    its intermediate coupling at 0, and nothing drives those decoupled
-    modes, so its battery amplitudes are r1's own.  Their decay, Gamma / 2,
-    can still fail the gate where r1 passes, so when it refuses an r1 point
-    r1 is solved again in its own layout, whose verdicts are r1's.  Power
-    (``_power_points`` at ``targets``): nr and r2 share one batch of twice
-    the points, r1 keeps its own, smaller layout to propagate."""
+    while nr, r1 and r2 fit one dense stack (below ``_BAND_MIN_MODES``
+    modes, where the fixed cost of a batch dominates), one
+    ``_steady_points`` batch of the three in turn, so one assemble, one
+    certificate and one solve; r1 fills the intermediates layout with its
+    intermediate coupling at 0, and nothing drives those decoupled modes,
+    so its battery amplitudes are r1's own.  Their decay, Gamma / 2, can
+    still fail the gate where r1 passes, so when it refuses an r1 point r1
+    is solved again in its own layout, whose verdicts are r1's.  Longer
+    networks, and power (``_gain_powers``), solve nr and r2 as one batch of
+    twice the points and r1 alone in its own, smaller layout."""
     points = len(next(iter(columns.values()))) if columns else 1
-    if targets is None:
-        thrice = {f: np.concatenate((v, v, v)) for f, v in columns.items()}
-        stacked = _steady_points(params, **thrice,
-                                 variant=sum(([v] * points for v in GAIN_VARIANTS), []))
-        solved = {v: stacked.part(k * points, (k + 1) * points)
-                  for k, v in enumerate(GAIN_VARIANTS)}
-        if solved["r1"].errors:
-            solved["r1"] = _steady_points(params, **columns, variant=["r1"] * points)
-        return solved
+    if targets is not None:
+        return _gain_powers(params, targets, points, columns)
+    variants = GAIN_VARIANTS if 2 * params.n + 1 < _BAND_MIN_MODES else ("nr", "r2")
+    repeated = {f: np.concatenate((v,) * len(variants)) for f, v in columns.items()}
+    stacked = _steady_points(params, **repeated,
+                             variant=sum(([v] * points for v in variants), []))
+    solved = {v: stacked.part(k * points, (k + 1) * points) for k, v in enumerate(variants)}
+    if "r1" not in solved or solved["r1"].errors:
+        solved["r1"] = _steady_points(params, **columns, variant=["r1"] * points)
+    return solved
+
+
+@_FLAGGED_LATER
+def _gain_powers(params: TopologyParams, targets, points, columns) -> dict:
+    """``_gain_points``' power route, whose overflowing peaks ``_etas``
+    flags: nr and r2 as one batch of twice the ``points``, r1 alone."""
     both = {f: np.concatenate((v, v)) for f, v in columns.items()}
     links = _power_points(params, targets, **both, variant=["nr"] * points + ["r2"] * points)
     return {"nr": links.part(0, points),
@@ -335,7 +346,6 @@ def _peak_powers(matrices, alpha_ss, abscissas, rows, scale) -> tuple:
     return peaks, errors
 
 
-@_FLAGGED_LATER
 def _power_points(params: TopologyParams, targets, **columns) -> Batch:
     """``_steady_points`` plus ``peaks`` from vacuum at ``targets`` and
     their ``peak_errors``.  One batched ``eigvals`` gives every horizon
@@ -433,11 +443,11 @@ def gain_report(params_base: TopologyParams, include_power: bool = False) -> Gai
     Cascaded scenarios report the terminal battery; parallel ones
     report each battery.  ``include_power`` adds maximum-power triples
     and the corresponding eta ratios.  Without it the three variants are
-    one batch (``_gain_points``): one assemble, one certificate and one
-    solve, ``r1`` with its intermediates decoupled.  With it ``nr`` and
-    ``r2`` are one batch and ``r1`` another, and every battery's peak
-    comes off one octave scan and one lockstep Newton search per batch
-    (``_power_points``).
+    one batch below 24 batteries (``_gain_points``): one assemble, one
+    certificate and one solve, ``r1`` with its intermediates decoupled.
+    With it ``nr`` and ``r2`` are one batch and ``r1`` another, and every
+    battery's peak comes off one octave scan and one lockstep Newton
+    search per batch (``_power_points``).
     """
     targets = _report_targets(params_base)
     solved = _gain_points(params_base, targets if include_power else None)

@@ -17,9 +17,10 @@ import qbnet
 
 from qbnet import (NoSteadyStateError, ScanEdgeError, TopologyParams,
                    UnstableSystemError, ValidationError, assemble,
-                   build_network, drive_relocation_energies, figure_table,
-                   gain_report, max_power, parse_run_config, run_sweep,
-                   steady_energy, steady_state)
+                   build_network, drive_relocation_energies,
+                   effective_steady_energy, figure_table, gain_report,
+                   max_power, parse_run_config, run_sweep, steady_energy,
+                   steady_state)
 from qbnet.config import topology_to_dict
 from qbnet.dynamics import assemble_points, layout, steady_states
 from qbnet.network import (FAMILIES, VARIANTS, WITH_INTERMEDIATES,
@@ -467,12 +468,12 @@ class TestCounters:
 
     def test_long_networks_factor_one_band_per_batch(self, linalg_calls):
         # 201 modes: one band factorisation, no dense solve; a gain report
-        # stacks nr, r1 and r2 into one block diagonal
+        # stacks nr and r2 into one block diagonal, r1 (101 modes) alone
         params = TopologyParams("cascaded", "nr", 100, 0.01, 0.1, 0.1, 0.1, 1.0)
         steady_energy(params)
         assert linalg_calls["zgbtrf"] == [200] and linalg_calls["solve"] == []
         gain_report(params)
-        assert linalg_calls["zgbtrf"] == [200, 600]
+        assert linalg_calls["zgbtrf"] == [200, 400, 100]
         assert linalg_calls["solve"] == []
 
     def test_unproven_long_chain_takes_the_dense_route(self, linalg_calls):
@@ -611,13 +612,17 @@ def test_tables_equal_the_loop(batch):
 def test_joint_r1_is_its_own_layout(seed):
     # a steady gain batch solves r1 in the intermediates layout with its
     # intermediate coupling at 0: every verdict is r1's own, every battery
-    # energy within 1e-14 relative of r1 solved in its own layout (both
-    # dense LU below 48 modes), and nr and r2 are their own solves, bit
-    # for bit
+    # energy within 1e-14 relative of r1 solved in its own layout up to 8
+    # batteries, and nr and r2 are their own solves, bit for bit.  The joint
+    # stack is taken below 24 batteries, where it and r1's own stack both
+    # take the dense LU (below 48 modes); from 9 batteries a parallel
+    # star's dense LU is itself up to 3e-14 off the closed route in either
+    # layout, and the two differ by up to 3.3e-14 (seeds 22-25): 1e-13
+    # there.  test_long_gain_batch_solves_r1_alone covers 24 <= n < 48
     rng = np.random.default_rng(seed)
     compared = 0
     for k in range(120):
-        family, n, points = FAMILIES[k % 2], int(rng.integers(1, 9)), int(rng.integers(1, 8))
+        family, n, points = FAMILIES[k % 2], int(rng.integers(1, 24)), int(rng.integers(1, 8))
         gamma = 10.0 ** rng.uniform(-3.0, 0.0)
         columns = {"g_b": gamma * 10.0 ** rng.uniform(-3.0, 0.5, points),
                    "Gamma": gamma * 10.0 ** rng.uniform(-1.0, 2.0, points),
@@ -634,9 +639,43 @@ def test_joint_r1_is_its_own_layout(seed):
                 assert joint.tobytes() == alone.tobytes()
                 continue
             assert np.isfinite(alone).all() and (alone > 0).all()
-            assert (np.abs(joint - alone) <= 1e-14 * alone).all()
+            bound = 1e-14 if n <= 8 else 1e-13
+            assert (np.abs(joint - alone) <= bound * alone).all()
             compared += alone.size
     assert compared > 1000
+
+
+@pytest.mark.parametrize("seed", [22, 23])
+def test_long_gain_batch_solves_r1_alone(seed):
+    # from 24 batteries the joint stack (2n + 1 modes) would take the band
+    # LU and r1 alone the dense LU, and the padded r1 costs more than the
+    # batch it saves (ROADMAP item 8): r1 is solved in its own layout, bit
+    # for bit, and within 1e-13 relative of the closed route, the effective
+    # model's continued fraction (3.5e-14 worst on seeds 22-24, parallel
+    # n = 35)
+    rng = np.random.default_rng(seed)
+    compared = 0
+    for k in range(8):
+        family, n, points = FAMILIES[k % 2], int(rng.integers(24, 48)), int(rng.integers(1, 4))
+        gamma = 10.0 ** rng.uniform(-3.0, 0.0)
+        columns = {"g_b": gamma * 10.0 ** rng.uniform(-1.0, 0.5, points),
+                   "Gamma": gamma * 10.0 ** rng.uniform(-1.0, 2.0, points),
+                   "gamma_b": gamma * 10.0 ** rng.uniform(-0.5, 0.5, (points, n))}
+        base = TopologyParams(family, "r1", n, float(columns["g_b"][0]), gamma,
+                              tuple(columns["gamma_b"][0]), float(columns["Gamma"][0]), 1.0)
+        targets = [f"b_{i}" for i in range(1, n + 1)]
+        batch, own = _gain_points(base, **columns)["r1"], _steady_points(base, **columns)
+        assert not batch.errors and not own.errors
+        energies = batch.energies(*targets)
+        assert energies.tobytes() == own.energies(*targets).tobytes()
+        for p in range(points):
+            point = TopologyParams(family, "r1", n, float(columns["g_b"][p]), gamma,
+                                   tuple(columns["gamma_b"][p]), float(columns["Gamma"][p]), 1.0)
+            closed = np.array([effective_steady_energy(point, b) for b in range(1, n + 1)])
+            assert np.isfinite(closed).all() and (closed > 0).all()
+            assert (np.abs(energies[p] - closed) <= 1e-13 * closed).all()
+            compared += n
+    assert compared > 200
 
 
 #: tiny and huge Gamma for cascaded and parallel n = 2, g_b / gamma = 1e-3,

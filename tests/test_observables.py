@@ -196,3 +196,14 @@ def test_extreme_inputs_raise_no_numpy_warning():
     assert report.flags == ("G1[b_2]", "G2[b_2]", "eta1[b_2]", "eta2[b_2]")
     assert math.isnan(report.eta1[0]) and math.isnan(report.eta2[0])
     assert report.p_max_nr == report.p_max_r1 == report.p_max_r2 == (math.inf,)
+
+
+def test_unflagged_overflow_still_warns():
+    # max_power flags nothing, so its overflowing p_max warns; the gain
+    # report's errstate is left behind by none of the calls
+    state = np.geterr()
+    gain_report(params(n=2, xi=1e160), include_power=True)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        t_star, p_max = max_power(params(n=2, xi=1e160))
+    assert math.isfinite(t_star) and p_max == math.inf
+    assert np.geterr() == state
