@@ -43,9 +43,11 @@ exponential carries the drive integral (Van Loan, IEEE TAC 23(3), 1978),
 so a small early amplitude never cancels against ``alpha_ss``.  Runs of
 equal steps on a decaying network are the exception: they are stepped
 around the steady state, ``alpha_ss + e^{M h} (alpha - alpha_ss)``, a
-contraction.  The isolated points of a decaying network (every point of
-a log grid) are grouped into decade windows ``[t0, 10 t0]``, and each
-window, whatever its size, is one contour sum: the Bromwich integral of
+contraction, each run's values read off one product of the powers
+``e^{2^b M h}`` of one ``_doublings`` call (``_step``).  The isolated
+points of a decaying network (every point of a log grid) are grouped
+into decade windows ``[t0, 10 t0]``, and each window, whatever its
+size, is one contour sum: the Bromwich integral of
 the resolvent on a hyperbola (Talbot 1979; Weideman & Trefethen 2007),
 97 batched solves shared by every point of the window.  ``evolve``
 serves a window by the contour only when one ``eig`` of M, with a
@@ -54,11 +56,15 @@ for a network ``steady_state`` refuses, each point is one ``expm``.
 
 ``expm`` is scaling and squaring with a Pade approximant over the whole
 stack, degree and scaling chosen per slice (Al-Mohy & Higham 2009), in
-numpy.  scipy loads only when a run needs a band solve: ``zgbtrf`` and
-``zgbtrs`` start as stand-ins that import scipy's function on their first
-call and bind it in their place, so ``import qbnet``, every propagation
-and every steady solve below ``_BAND_MIN_MODES`` modes load no scipy
-module.
+numpy: the first of the doublings ``e^{2^k A}``, k < K, that
+``_doublings`` returns, each equal bit for bit to a fresh ``expm`` of
+``2^k A`` while the K share one set of powers, structure and Pades.
+The peak scan of ``observables.max_power`` takes its octave steps
+``e^{2^k M h_0}`` from one such call (``_octave_scan``).  scipy loads
+only when a run needs a band solve: ``zgbtrf`` and ``zgbtrs`` start as
+stand-ins that import scipy's function on their first call and bind it
+in their place, so ``import qbnet``, every propagation and every steady
+solve below ``_BAND_MIN_MODES`` modes load no scipy module.
 """
 
 from __future__ import annotations
@@ -109,12 +115,13 @@ CONDITION_LIMIT = 1e12
 #: time, of every grid point it serves
 STEP_RTOL = 1e-12
 
-#: equal steps are applied this many points at a time, by ``E_h^B``
+#: a run of equal steps is read off as ``E^(B q + r)``, r < B: this many
+#: left rows ``E^r`` times one right column ``E^(B q) x`` each (``_step``)
 STEP_BLOCK = 16
 
-#: isolated grid points are exponentiated, and contour resolvents
-#: solved, in stacks of at most this many matrix entries (4 MiB of
-#: complex128; ``expm`` works in up to 16 such stacks)
+#: isolated grid points are exponentiated, contour resolvents solved and
+#: doublings formed in stacks of at most this many matrix entries (4 MiB
+#: of complex128; ``expm`` works in up to 16 such stacks)
 _EXPM_STACK_ENTRIES = 2 ** 18
 
 #: ``expm`` prescales a slice whose 1-norm exceeds this, so that A^10 stays
@@ -479,26 +486,6 @@ def _runs(times: np.ndarray):
             yield start, stop
 
 
-def _step(e_h: np.ndarray, x: np.ndarray, rows: np.ndarray) -> None:
-    """Fill ``rows[..., m, :] = E_h^(m+1) x`` for a stack of ``E_h``
-    (``x`` and ``rows`` carry the same leading axis).
-
-    The first ``STEP_BLOCK`` rows are single steps; every later block
-    is the block before it times ``E_h^STEP_BLOCK``, one matrix product
-    per block.
-    """
-    count = rows.shape[-2]
-    block = min(STEP_BLOCK, count)
-    for m in range(block):
-        x = (e_h @ x[..., None])[..., 0]
-        rows[..., m, :] = x
-    if count > block:
-        jump = np.linalg.matrix_power(e_h, block).swapaxes(-1, -2)
-        for m in range(block, count, block):
-            rows[..., m:m + block, :] = (
-                rows[..., m - block:m, :] @ jump)[..., :count - m, :]
-
-
 def _left_of_contour(eigenvalues: np.ndarray, margin: float, mu: float) -> bool:
     """Whether every disc of radius ``margin`` about ``eigenvalues`` lies
     left of the hyperbola ``z(u) = mu (1 + sin(i u - a))``,
@@ -597,6 +584,12 @@ _PADE = {3: (120.0, 60.0, 12.0, 1.0),
               33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)}
 
 
+#: the exponents of ``_powers``
+_POWERS = np.array([1, 2, 4, 6, 8, 10])
+#: the exponents k of the ell chain ``1^T |2^-s A|^k``
+_CHAIN = np.array([1, 3, 7, 11, 15, 19, 27])
+
+
 def _powers(matrices: np.ndarray) -> np.ndarray:
     """A, A^2, A^4, ..., A^10 of each slice of a (P, n, n) stack: (6, P, n, n)."""
     powers = np.empty((6,) + matrices.shape, dtype=complex)
@@ -608,9 +601,10 @@ def _powers(matrices: np.ndarray) -> np.ndarray:
     return powers
 
 
-def _pade_structure(powers: np.ndarray) -> tuple:
-    """``(degree, squarings)`` of each slice of A from its ``_powers``:
-    Al-Mohy & Higham 2009, Algorithm 5.1, with exact 1-norms.
+def _pade_structure(powers: np.ndarray, exponents: np.ndarray) -> tuple:
+    """``(degree, squarings)``, each (K, P), of ``2^e A`` for each e of the
+    (K, P) integer ``exponents`` and each slice of A, from the ``_powers``
+    of A: Al-Mohy & Higham 2009, Algorithm 5.1, with exact 1-norms.
 
     The degree is the least m whose theta_m exceeds eta, the bound on
     ||A^k||^(1/k) that m needs, and whose ell_m is 0; else 13, with the
@@ -620,26 +614,34 @@ def _pade_structure(powers: np.ndarray) -> tuple:
     || |2^-s A|^(2m+1) ||_1 is read off one chain of row vectors
     ``1^T |2^-s A|^k``.  A slice that can take a degree below 13 has
     s = 0, so the one chain serves every degree.
+
+    The powers, column sums and chain of ``2^e A`` are those of A scaled by
+    exact powers of two, so one set of column sums and one chain, formed at
+    each slice's largest ``e - s``, serve every e: each (m, s) is the one
+    that the powers of ``2^e A`` itself give.
     """
     moduli = np.abs(powers)
     columns = np.einsum("...ij->...j", moduli)  # column sums: 1-norms are their maxima
-    d = columns[2:].max(axis=-1) ** (1.0 / np.array([[4.0], [6.0], [8.0], [10.0]]))
-    eta = np.maximum(d[:-1], d[1:])  # eta_1 (= eta_2), eta_3, eta_4
-    s = np.ceil(np.log2(np.maximum(np.minimum(eta[1], eta[2]) / _THETA[4], 1.0)))
-    scale = np.exp2(-s)[:, None]
+    norms = columns.max(axis=-1) * np.exp2(_POWERS[:, None] * exponents[:, None])
+    d = norms[:, 2:] ** (1.0 / _POWERS[2:, None])
+    eta = np.maximum(d[:, :-1], d[:, 1:])  # eta_1 (= eta_2), eta_3, eta_4
+    s = np.ceil(np.log2(np.maximum(np.minimum(eta[:, 1], eta[:, 2]) / _THETA[4], 1.0)))
+    shift = exponents - s  # each chain is that of |2^shift A|
+    top = shift.max(axis=0)
+    scale = np.exp2(top)[:, None]
     b = moduli[0] * scale[..., None]
     b2 = b @ b
     b4 = b2 @ b2
-    chain = np.empty((7,) + b.shape[:1] + (1, b.shape[-1]))  # k = 1, 3, 7, 11, 15, 19, 27
+    chain = np.empty((7,) + b.shape[:1] + (1, b.shape[-1]))  # k = _CHAIN
     chain[0, :, 0] = columns[0] * scale
     for k, step in enumerate((b2, b4, b4, b4, b4, b4 @ b4), 1):
         np.matmul(chain[k - 1], step, out=chain[k])
-    norm_b = chain[:, :, 0].max(axis=-1)
-    alpha = norm_b[2:] * _C_OVER_U[:, None] / np.maximum(norm_b[0], _TINY)  # alpha_m / u
+    norm_b = chain[:, :, 0].max(axis=-1) * np.exp2(_CHAIN[:, None] * (shift - top)[:, None])
+    alpha = norm_b[:, 2:] * _C_OVER_U[:, None] / np.maximum(norm_b[:, :1], _TINY)  # alpha_m / u
     ell = np.ceil(np.log2(np.maximum(alpha, 1.0)) / (2 * _DEGREES[:, None]))
-    fits = (eta[[0, 0, 1, 1]] < _THETA[:4, None]) & (ell[:4] == 0)
-    degree = np.where(fits.any(axis=0), _DEGREES[fits.argmax(axis=0)], 13)
-    return degree, np.where(degree == 13, s + ell[4], 0).astype(int)
+    fits = (eta[:, [0, 0, 1, 1]] < _THETA[:4, None]) & (ell[:, :4] == 0)
+    degree = np.where(fits.any(axis=1), _DEGREES[fits.argmax(axis=1)], 13)
+    return degree, np.where(degree == 13, s + ell[:, 4], 0).astype(int)
 
 
 def _plus_identity(stack: np.ndarray, c: float) -> np.ndarray:
@@ -673,75 +675,179 @@ def _pade(m: int, powers) -> np.ndarray:
     return _plus_identity(np.linalg.solve(v - u, 2.0 * u), 1.0)
 
 
-def _squared(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Each slice of a stack squared ``counts`` times, in place, the slices
-    ordered by ``counts``, largest first, so that each squaring applies to
-    the leading slices that still need it."""
-    for k in range(counts.max(initial=0)):
-        count = np.count_nonzero(counts > k)
-        x[:count] = x[:count] @ x[:count]
-    return x
+def _prescale(moduli: np.ndarray, count: int) -> np.ndarray | None:
+    """Per doubling k < ``count`` (rows) and slice of A (columns), from the
+    moduli |A|, the least p with ``||2^(k - p) A||_1 <= _EXPM_NORM_MAX``, or
+    None when p = 0 on every one, as one check of the largest modulus (n
+    times it bounds every 1-norm) shows for every stack of a power pass."""
+    scale = np.exp2(np.arange(count))[:, None]
+    if not moduli.shape[-1] * moduli.max(initial=0.0) * scale[-1, 0] > _EXPM_NORM_MAX:
+        return None
+    norms = moduli.sum(axis=-2).max(axis=-1) * scale
+    prescale = np.ceil(np.log2(np.maximum(norms / _EXPM_NORM_MAX, 1.0))).astype(int)
+    return prescale if prescale.any() else None
 
 
-def expm(matrices: np.ndarray) -> np.ndarray:
-    """``e^A`` of each slice of a (P, n, n) stack: scaling and squaring with
-    a Pade approximant r_m, ``e^A = r_m(2^-s A)^(2^s)``, m and s chosen per
-    slice by ``_pade_structure`` (Al-Mohy & Higham 2009, scipy's algorithm).
+def _doublings(matrices: np.ndarray, count: int) -> np.ndarray:
+    """``e^{2^k A}`` for k < ``count`` of each slice of a (P, n, n) stack:
+    (count, P, n, n), each bit-identical to ``expm`` of ``2^k A``.
 
-    The slices of each degree are evaluated together, those of degree 13
-    ordered by s so that each squaring applies to the leading slices that
-    still need it.  Every step is per slice, so no slice's result depends
-    on the others in its stack.  Its workspace peaks at 16 stacks the
-    size of ``matrices``.  A slice whose 1-norm exceeds ``_EXPM_NORM_MAX``,
-    so that its A^10 could overflow, is first scaled by the least power of
-    two 2^-p that brings it under, and p is added to its s.
+    Scaling and squaring with a Pade approximant r_m,
+    ``e^A = r_m(2^-s A)^(2^s)``, m and s chosen per slice and doubling by
+    ``_pade_structure`` (Al-Mohy & Higham 2009, scipy's algorithm).  The
+    powers of ``2^k A`` are exact power-of-two scalings of A, A^2, ..., A^10,
+    formed once per slice, and so are every doubling's column sums and ell
+    chain.  Each doubling of degree below 13 is one Pade of its scaled
+    powers; the degree-13 doublings of a slice that share ``k - s`` share one
+    Pade, ``r_13(2^(k - s) A)``, and one chain of squarings, each doubling
+    read off it after its own s.  The Pades of each degree are evaluated
+    together, and a squaring applies only to the leading chains that still
+    need it, so no slice's result depends on the others in its stack.
+
+    A doubling whose 1-norm exceeds ``_EXPM_NORM_MAX``, so that its A^10
+    could overflow, is first scaled by the least power of two 2^-p that
+    brings it under, and p is added to its s.  The slices are taken in
+    chunks whose results hold at most ``_EXPM_STACK_ENTRIES`` entries; the
+    workspace peaks at about 16 times a chunk's results.
     """
-    prescale = _prescale(matrices)
-    if prescale is not None:
-        order = np.argsort(-prescale, kind="stable")
-        out = np.empty_like(matrices)
-        out[order] = _squared(expm(matrices[order] * np.exp2(-prescale[order])[:, None, None]),
-                              prescale[order])
+    points, n = matrices.shape[:2]
+    chunk = max(1, _EXPM_STACK_ENTRIES // (count * n * n))
+    out = np.empty((count,) + matrices.shape, dtype=complex)
+    if points > chunk:
+        for at in range(0, points, chunk):
+            out[:, at:at + chunk] = _doublings(matrices[at:at + chunk], count)
         return out
+    prescale = _prescale(np.abs(matrices), count)
+    if prescale is None:
+        prescale = np.zeros((count, points), dtype=int)
+    elif prescale[0].any():
+        matrices = matrices * np.exp2(-prescale[0])[:, None, None]
+    # doubling k is 2^(k - p) B squared p more times, B = 2^-p0 A
+    exponents = np.arange(count)[:, None] - prescale + prescale[0]
     powers = _powers(matrices)
-    degree, squarings = _pade_structure(powers)
-    out = np.empty_like(powers[0])
-    for m in sorted(set(degree.tolist())):
-        picked = (degree == m).nonzero()[0]
-        if m < 13:
-            rows = slice(None) if len(picked) == len(degree) else picked
-            out[picked] = _pade(m, powers[:m // 2 + 1, rows])
-            continue
-        picked = picked[np.argsort(-squarings[picked], kind="stable")]
-        s = squarings[picked]
-        scaled = powers[:4, picked]
-        scaled *= np.exp2(np.multiply.outer([-1, -2, -4, -6], s))[..., None, None]
-        out[picked] = _squared(_pade(13, scaled), s)
+    degree, squarings = _pade_structure(powers, exponents)
+    # r_m(2^shift B) squared ``squarings`` times; one Pade per distinct (m, shift, slice)
+    shift, squarings = exponents - squarings, (squarings + prescale).ravel()
+    low = shift.min(initial=0)
+    span = shift.max(initial=0) - low + 1
+    pades, which = np.unique(((degree * span + shift - low) * points
+                              + np.arange(points)).ravel(), return_inverse=True)
+    picked, shifts = pades % points, (pades // points) % span + low
+    x = np.empty((len(pades), n, n), dtype=complex)
+    bounds = np.searchsorted(pades // (points * span), _DEGREES, side="right").tolist()
+    for m, lo, hi in zip(_DEGREES.tolist(), [0] + bounds, bounds):
+        if lo < hi:
+            scaled = powers[:m // 2 + 1 if m < 13 else 4, picked[lo:hi]]
+            scaled *= np.exp2(np.multiply.outer(_POWERS[:len(scaled)],
+                                                shifts[lo:hi]))[..., None, None]
+            x[lo:hi] = _pade(m, scaled)
+    # the chains of squarings, longest first, each doubling read off after its own count
+    top = np.zeros(len(pades), dtype=int)
+    np.maximum.at(top, which, squarings)
+    order = np.argsort(-top, kind="stable")
+    x, top, which = x[order], top[order], np.argsort(order)[which]
+    by_count = np.argsort(squarings, kind="stable")
+    ends = np.searchsorted(squarings[by_count], np.arange(top.max(initial=0) + 2)).tolist()
+    flat = out.reshape(count * points, n, n)
+    for t in range(len(ends) - 1):
+        if t:
+            lead = np.count_nonzero(top >= t)
+            x[:lead] = x[:lead] @ x[:lead]
+        if ends[t] < ends[t + 1]:
+            done = by_count[ends[t]:ends[t + 1]]
+            flat[done] = x[which[done]]
     return out
 
 
-def _prescale(matrices: np.ndarray) -> np.ndarray | None:
-    """Per slice, the least p with ``||2^-p A||_1 <= _EXPM_NORM_MAX``, or
-    None when p = 0 on every slice, as one check of the largest modulus
-    (n times it bounds every 1-norm) shows for every stack of a power pass."""
-    moduli = np.abs(matrices)
-    if not matrices.shape[-1] * moduli.max(initial=0.0) > _EXPM_NORM_MAX:
-        return None
-    norms = moduli.sum(axis=-2).max(axis=-1)
-    prescale = np.ceil(np.log2(np.maximum(norms / _EXPM_NORM_MAX, 1.0))).astype(int)
-    return prescale if prescale.any() else None
+def expm(matrices: np.ndarray) -> np.ndarray:
+    """``e^A`` of each slice of a (P, n, n) stack: ``_doublings`` with
+    ``count = 1``."""
+    return _doublings(matrices, 1)[0]
+
+
+def _step(powers, x: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
+    """``(E^j x)[rows]`` for j = 1 .. ``count``: (..., count, len(rows)),
+    from x (..., n) and ``powers[b] = E^(2^b)`` (..., n, n) for
+    b < ``count.bit_length()``.
+
+    Each j is ``B q + r`` with r < B, B the least of ``STEP_BLOCK`` and
+    ``2^count.bit_length()``, and its value is one left row
+    ``e_rows^T E^r`` times one right column ``E^(B q) x``.  The left rows
+    are built by doubling their set with E, E^2, ..., E^(B/2), the right
+    columns likewise with E^B, E^(2B), ..., so each value is at most
+    ``count.bit_length()`` products away from the given powers, and one
+    product of all right columns with all left rows gives every value.
+    """
+    levels = count.bit_length()
+    depth = min(levels, STEP_BLOCK.bit_length() - 1)
+    width, n = len(rows), x.shape[-1]
+    left = np.empty(x.shape[:-1] + (width << depth, n), dtype=complex)
+    left[..., :width, :] = np.eye(n)[rows]
+    for b in range(depth):
+        half = width << b
+        np.matmul(left[..., :half, :], powers[b], out=left[..., half:2 * half, :])
+    columns = (count >> depth) + 1
+    right = np.empty(x.shape[:-1] + (columns, n), dtype=complex)  # one column a row
+    right[..., 0, :] = x
+    for b in range(depth, levels):
+        half = 1 << (b - depth)
+        take = min(half, columns - half)
+        np.matmul(right[..., :take, :], powers[b].swapaxes(-1, -2),
+                  out=right[..., half:half + take, :])
+    values = right @ left.swapaxes(-1, -2)  # (..., q, r and row)
+    return values.reshape(x.shape[:-1] + (-1, width))[..., 1:count + 1, :]
+
+
+def _octave_scan(matrices: np.ndarray, x0: np.ndarray, t_lo: np.ndarray, octaves: int,
+                 steps: int, rows: np.ndarray) -> np.ndarray:
+    """``(e^{M t} x0)[rows]`` of each slice of a (P, n, n) stack at its
+    ``t_lo`` and at the ``steps`` equal steps ``h_k = 2^k t_lo / steps`` of
+    each octave ``[2^k t_lo, 2^(k+1) t_lo]``, k < ``octaves``:
+    (P, 1 + octaves steps, len(rows)).
+
+    x(t_lo) is one ``expm``.  The steps share one ``_doublings`` call on
+    ``M h_0``, whose doubling k is ``E_k = e^{M h_k}`` and whose doubling
+    k + b is ``E_k^(2^b)``, each a fresh exponential.  The octave starts are
+    chained by the binary digits of ``steps``, ``x_(k+1) = E_k^steps x_k``
+    (145: ``E_k E_(k+4) E_(k+7) x_k``), and ``_step`` reads the values of
+    every octave off one product, in chunks of slices whose values hold at
+    most 1/16 of ``_EXPM_STACK_ENTRIES`` entries.
+    """
+    points, width = len(x0), len(rows)
+    levels = steps.bit_length()
+    x = (expm(matrices * t_lo[:, None, None]) @ x0[..., None])[..., 0]
+    powers = _doublings(matrices * (t_lo / steps)[:, None, None], octaves + levels - 1)
+    digits = [b for b in reversed(range(levels)) if steps >> b & 1]
+    starts = np.empty((octaves,) + x.shape, dtype=complex)
+    out = np.empty((points, 1 + octaves * steps, width), dtype=complex)
+    out[:, 0] = x[:, rows]
+    for k in range(octaves):
+        starts[k] = x
+        if k + 1 < octaves:
+            for b in digits:
+                x = (powers[k + b] @ x[..., None])[..., 0]
+    chunk = max(1, _EXPM_STACK_ENTRIES // (16 * octaves * steps * width))
+    for at in range(0, points, chunk):
+        picked = slice(at, at + chunk)
+        values = _step([powers[b:b + octaves, picked] for b in range(levels)], starts[:, picked],
+                       rows, steps)
+        out[picked, 1:] = values.swapaxes(0, 1).reshape(-1, octaves * steps, width)
+    return out
 
 
 def _propagate_expm(matrices: np.ndarray, x0: np.ndarray, times: np.ndarray,
                     runs, rows=slice(None), windows=(), steady=None) -> np.ndarray:
     """``x(t) = e^{K t} x0`` of each slice of a stack, the one place qbnet
-    exponentiates: (P, n, n) ``matrices``, (P, n) ``x0`` and (P, T)
-    ``times`` give the entries ``rows`` of x as (P, T, len(rows)).
+    exponentiates besides the peak scan (``_octave_scan``): (P, n, n)
+    ``matrices``, (P, n) ``x0`` and (P, T) ``times`` give the entries
+    ``rows`` of x as (P, T, len(rows)).
 
     ``runs`` are the ``(start, stop)`` runs of equal steps that every
-    slice's grid shares (``_runs``).  Along a longer run x is stepped,
-    ``x <- expm(K h) x``, ``h`` being the run's first time minus the one
-    before it (the origin for ``start = 0``): one ``expm`` per run.  A
+    slice's grid shares (``_runs``).  Along a longer run of c steps x is
+    stepped, ``x <- E x`` with ``E = e^{K h}``, ``h`` being the run's first
+    time minus the one before it (the origin for ``start = 0``): one
+    ``_doublings`` call per run gives ``E^(2^b)``, ``2^b <= c``, and
+    ``_step`` reads the run's values off their products.  A
     one-point run at ``t != 0`` (every point of a log grid) is
     ``e^{K t} x0``: the points of each of ``windows`` (lists of such
     runs' starts, see ``_contour_windows``) by one contour sum
@@ -788,9 +894,9 @@ def _propagate_expm(matrices: np.ndarray, x0: np.ndarray, times: np.ndarray,
         x = x0[:, :n] - steady
     for start, stop in runs:
         if stop - start > 1:
-            step = times[:, start] - (times[:, start - 1] if start else 0.0)
-            full = np.empty((points, stop - start, n), dtype=complex)
-            _step(expm(matrices * step[:, None, None]), x, full)
+            step, count = times[:, start] - (times[:, start - 1] if start else 0.0), stop - start
+            full = _step(_doublings(matrices * step[:, None, None], count.bit_length()), x,
+                         np.arange(n), count)
             out[:, start:stop] = (full if steady is None
                                   else full + steady[:, None])[..., rows]
             x = full[:, -1]

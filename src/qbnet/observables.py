@@ -18,8 +18,9 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .dynamics import (_BAND_MIN_MODES, LinearSystem, _abscissas, _propagate_expm,
-                       _row, assemble_points, evolve, steady_states, vacuum)
+from .dynamics import (_BAND_MIN_MODES, LinearSystem, _abscissas, _octave_scan,
+                       _propagate_expm, _row, assemble_points, evolve, steady_states,
+                       vacuum)
 from .errors import ScanEdgeError
 from .network import TopologyParams
 
@@ -44,11 +45,11 @@ _NEWTON_STEPS = 64
 POWER_STEPS_PER_OCTAVE = 145
 
 #: an energy or a peak power that overflows to inf, and its gain of
-#: inf / inf, are flagged: ``_gains``, ``_gain_powers`` and ``_etas`` raise
-#: no numpy warning for them (one decorator, not a fresh ``np.errstate``
-#: per call).  Only these callers, whose results are flagged, carry it,
-#: and none of them calls another: ``max_power`` still warns of an
-#: overflowing ``p_max``
+#: inf / inf, are flagged: ``_gains``, ``_gain_powers``, ``_etas`` and a
+#: sweep's ``_peak_columns`` raise no numpy warning for them (one
+#: decorator, not a fresh ``np.errstate`` per call).  Only these callers,
+#: whose results are flagged, carry it, and none of them calls another:
+#: ``max_power`` still warns of an overflowing ``p_max``
 _FLAGGED_LATER = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -309,9 +310,10 @@ def _peak_powers(matrices, alpha_ss, abscissas, rows, scale) -> tuple:
     ``p_max`` is multiplied by its ``scale``, ``|xi|^2``.
 
     The scan propagates the offsets ``alpha0 - alpha_ss`` over each
-    slice's octave grid to ``t_hi = 50 / |abscissa|``, one stacked
-    ``expm`` for the first point and one per octave, keeping only the
-    target rows; the peak of each (slice, target) pair is refined by
+    slice's octave grid to ``t_hi = 50 / |abscissa|`` (``_octave_scan``):
+    one stacked ``expm`` for the first point and one ``_doublings`` call
+    whose doublings are every octave's step and its powers, keeping only
+    the target rows; the peak of each (slice, target) pair is refined by
     ``_newton`` between the scan argmax's grid neighbours, and the
     better of the refined point and the scan point is kept.
     """
@@ -319,9 +321,8 @@ def _peak_powers(matrices, alpha_ss, abscissas, rows, scale) -> tuple:
     grid = _octave_grid(t_hi / POWER_SCAN_SPAN, POWER_SCAN_SPAN)
     offsets = -alpha_ss
     alpha_rows = alpha_ss[:, rows]
-    octaves = range(1, grid.shape[1], POWER_STEPS_PER_OCTAVE)
-    x = _propagate_expm(matrices, offsets, grid, [(0, 1)] + [
-        (start, start + POWER_STEPS_PER_OCTAVE) for start in octaves], rows)
+    x = _octave_scan(matrices, offsets, grid[:, 0], grid.shape[1] // POWER_STEPS_PER_OCTAVE,
+                     POWER_STEPS_PER_OCTAVE, rows)
     x += alpha_rows[:, None]
     power = np.abs(x) ** 2 / grid[..., None]
     argmax = power.argmax(axis=1)
@@ -379,7 +380,9 @@ def max_power(params: TopologyParams, target: str | None = None):
 
     A scan locates the peak over six decades of charging time, from
     ``t_hi / 1e6`` to ``t_hi = 50 / |spectral abscissa|``: 20 octaves of
-    145 equal steps each, one ``expm`` per octave.  A safeguarded Newton
+    145 equal steps each, read off one ``expm`` of the first point and one
+    doubling call whose doublings ``e^{2^k M h_0}`` are every octave's
+    step and its powers (``dynamics._octave_scan``).  A safeguarded Newton
     search for the root of dP/dt between the argmax's grid neighbours
     then polishes t until its step is below 1e-8 relative, one
     ``expm`` per step.  A scan peaking on an end of its grid raises
@@ -434,6 +437,19 @@ def _gain_columns(params: TopologyParams, target, solved) -> tuple:
     by default the last battery."""
     energies, gains, flags, errors = _gains(solved, (target or _default_target(params),))
     return np.hstack([*energies, *gains]), errors, flags
+
+
+@_FLAGGED_LATER
+def _peak_columns(params: TopologyParams, target, solved) -> tuple:
+    """``([t_star, p_max] (P, 2), errors, flags)`` of the power batch
+    ``solved(params.variant)`` at its one target: each point's peak error,
+    else an overflowing ``p_max`` as an ``OverflowError`` naming it."""
+    batch = solved(params.variant)
+    peaks, errors = batch.peaks[:, 0], dict(batch.peak_errors)
+    for i in np.isinf(peaks[:, 1]).nonzero()[0].tolist():
+        errors.setdefault(i, OverflowError(
+            f"p_max overflows to inf at {target} (t_star {peaks[i, 0]:.6g})"))
+    return peaks, errors, {}
 
 
 def gain_report(params_base: TopologyParams, include_power: bool = False) -> GainReport:

@@ -7,8 +7,9 @@ in one batch (one per value when ``n`` is swept): ``steady_energy`` and
 the ``nr`` energy of ``gains`` read the same solve, and so do the steady
 columns and ``max_power`` of the topology's own variant.  Points that
 fail numerically (singular or unstable systems, a maximum outside the
-scanned range, an undefined gain ratio) are recorded in the table's
-error list and skipped; the surviving rows keep grid order.
+scanned range, a peak power that overflows, an undefined gain ratio) are
+recorded in the table's error list and skipped; the surviving rows keep
+grid order.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .config import RunConfig, resize_topology, run_config_to_dict
 from .export import SweepTable
 from .network import WITH_FREE_PHASES, TopologyParams
-from .observables import (_default_target, _gain_columns, _power_points,
+from .observables import (_default_target, _gain_columns, _peak_columns, _power_points,
                           _steady_points)
 
 
@@ -73,8 +74,7 @@ _OBSERVABLES = {
     "steady_energy": (("steady_energy",), lambda params, target, solved: (
         solved(params.variant).energies(target), solved(params.variant).errors, {})),
     "gains": (("E_nr", "E_r1", "E_r2", "G1", "G2"), _gain_columns),
-    "max_power": (("t_star", "p_max"), lambda params, target, solved: (
-        solved(params.variant).peaks[:, 0], solved(params.variant).peak_errors, {})),
+    "max_power": (("t_star", "p_max"), _peak_columns),
 }
 
 

@@ -334,9 +334,9 @@ def test_refused_slice_does_not_abort_the_batch():
 def linalg_calls(monkeypatch):
     """Per numpy.linalg kernel, the leading stack size of every call
     (1 for a single matrix), the Pade solves made inside
-    ``qbnet.dynamics.expm`` apart, under "expm solve"; per band
-    factorisation (``zgbtrf``), the order of the stacked block diagonal
-    it factors."""
+    ``qbnet.dynamics.expm`` or its doubling entry ``_doublings`` apart,
+    under "expm solve"; per band factorisation (``zgbtrf``), the order of
+    the stacked block diagonal it factors."""
     calls = {"solve": [], "eigvals": [], "cond": []}
     within = calls["expm solve"] = []
     inside = []
@@ -349,16 +349,17 @@ def linalg_calls(monkeypatch):
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    exponentiate = qbnet.dynamics.expm
+    for name in ("expm", "_doublings"):
+        exponentiate = getattr(qbnet.dynamics, name)
 
-    def marked(matrices):
-        inside.append(True)
-        try:
-            return exponentiate(matrices)
-        finally:
-            inside.pop()
+        def marked(matrices, *args, _exponentiate=exponentiate):
+            inside.append(True)
+            try:
+                return _exponentiate(matrices, *args)
+            finally:
+                inside.pop()
 
-    monkeypatch.setattr(qbnet.dynamics, "expm", marked)
+        monkeypatch.setattr(qbnet.dynamics, name, marked)
     band = calls["zgbtrf"] = []
     factor = qbnet.dynamics.zgbtrf
     monkeypatch.setattr(qbnet.dynamics, "zgbtrf",

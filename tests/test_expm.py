@@ -1,9 +1,11 @@
 """The batched Pade ``expm`` against scipy's and 34-digit mpmath.
 
 ``qbnet.dynamics.expm`` is Al-Mohy & Higham's 2009 scaling and squaring,
-scipy's own algorithm, written over a (P, n, n) stack.  scipy's ``expm``,
+scipy's own algorithm, written over a (P, n, n) stack, as the first of
+the doublings ``e^{2^k A}`` that ``_doublings`` returns.  scipy's ``expm``,
 its choice of degree and scaling where scipy exposes it, and mpmath's
-``expm`` at 34 digits are the oracles.
+``expm`` at 34 digits are the oracles; each doubling must equal ``expm``
+of ``2^k A`` bit for bit.
 """
 
 import numpy as np
@@ -12,8 +14,8 @@ from scipy.linalg import expm as scipy_expm
 
 import qbnet.dynamics as dynamics
 from qbnet import TopologyParams, figure_table, gain_report, steady_state
-from qbnet.dynamics import (_augmented, _pade_structure, _powers, _prescale, assemble_points,
-                            expm)
+from qbnet.dynamics import (_augmented, _doublings, _pade_structure, _powers, _prescale,
+                            assemble_points, expm)
 from qbnet.observables import _system
 
 mp = pytest.importorskip("mpmath")
@@ -40,6 +42,14 @@ def near_ep_stack(exponents) -> np.ndarray:
     return matrix * np.exp2(np.asarray(exponents, dtype=float))[:, None, None]
 
 
+def structure(stack, count=1) -> tuple:
+    """``(degree, squarings)`` of ``2^k A``, k < ``count``, per slice of A:
+    (count, P) each, or (P,) each for ``count = 1``."""
+    exponents = np.zeros((count, len(stack)), dtype=int) + np.arange(count)[:, None]
+    found = _pade_structure(_powers(stack), exponents)
+    return found if count > 1 else tuple(v[0] for v in found)
+
+
 class TestStack:
     def test_slices_are_single_calls(self):
         # every degree and s = 0 .. 20, in a seeded order, with three
@@ -49,7 +59,7 @@ class TestStack:
         noise = rng.normal(size=(3, 9, 9, 2)) @ [1.0, 1j]
         stack = np.concatenate((near_ep_stack(np.arange(-8, 24)), noise))
         stack = stack[rng.permutation(len(stack))]
-        degree, scale = _pade_structure(_powers(stack))
+        degree, scale = structure(stack)
         assert set(degree.tolist()) == {3, 5, 7, 9, 13}
         assert set(range(21)) <= set(scale.tolist())
         stacked = expm(stack)
@@ -89,26 +99,29 @@ class TestAgainstMpmath:
             assert relative(slice_, want) <= bound
 
 
+#: a fig4-regime ``gains --power`` network
+GAINS_POWER = TopologyParams("parallel", "nr", 3, 5e-6, 5e-4, (5e-4, 7.5e-4, 3.5e-4), 1.0, 1.0)
+
+
 @pytest.fixture(scope="module")
 def power_stacks():
-    """Every stack ``expm`` exponentiates for fig4c, fig4d and a
-    fig4-regime ``gain_report(include_power=True)``."""
+    """Every stack exponentiated for fig4c, fig4d and a fig4-regime
+    ``gain_report(include_power=True)``: each ``expm`` stack, and each
+    doubling ``2^k A`` of a ``_doublings`` call (``expm`` is one of those)."""
     stacks = []
+    original = dynamics._doublings
 
-    def recorded(matrices):
-        stacks.append(matrices.copy())
-        return expm(matrices)
+    def recorded(matrices, count):
+        stacks.extend(matrices * 2.0 ** k for k in range(count))
+        return original(matrices, count)
 
-    original, dynamics.expm = dynamics.expm, recorded
+    dynamics._doublings = recorded
     try:
         figure_table("fig4c")
         figure_table("fig4d")
-        gamma = 5e-4
-        gain_report(TopologyParams("parallel", "nr", 3, gamma * 0.01, gamma,
-                                   (gamma, 1.5 * gamma, 0.7 * gamma), 1.0, 1.0),
-                    include_power=True)
+        gain_report(GAINS_POWER, include_power=True)
     finally:
-        dynamics.expm = original
+        dynamics._doublings = original
     return stacks
 
 
@@ -133,7 +146,7 @@ class TestPowerStacks:
         if not hasattr(matfuncs, "pick_pade_structure"):
             pytest.skip("scipy does not expose its Pade structure")
         for stack in power_stacks:
-            degree, scale = _pade_structure(_powers(stack))
+            degree, scale = structure(stack)
             for matrix, m, s in zip(stack, degree.tolist(), scale.tolist()):
                 work = np.empty((5,) + matrix.shape, dtype=complex)
                 work[0] = matrix
@@ -149,7 +162,7 @@ DECAYING = TopologyParams("cascaded", "nr", 2, 0.01, 0.1, 0.1, 0.1, 1.0)
 class TestPrescale:
     def test_power_stacks_are_not_prescaled(self, power_stacks):
         # p = 0 on every slice of a power pass: the panels keep their bits
-        assert all(_prescale(stack) is None for stack in power_stacks)
+        assert all(_prescale(np.abs(stack), 1) is None for stack in power_stacks)
 
     def test_nilpotent_is_exact(self):
         # 1-norm 2^80, scaled by 2^-16: r_3 of the scaled A is I + A
@@ -173,3 +186,54 @@ class TestPrescale:
         stacked = expm(stack)
         for i in range(len(stack)):
             assert np.array_equal(stacked[i], expm(stack[i:i + 1])[0])
+
+
+class TestDoublings:
+    """``_doublings``: ``e^{2^k A}`` for k < K, each doubling bit-identical
+    to a fresh ``expm`` of ``2^k A``, and ``expm`` its K = 1 case."""
+
+    COUNT = 27
+
+    @staticmethod
+    def stack() -> np.ndarray:
+        # seeded dissipative networks (cascaded, every variant in one
+        # layout) at times over ten decades; the first slice is prescaled
+        # from its first doubling on (1-norm 2^70), the second from its
+        # 22nd (1-norm 2^44)
+        rng = np.random.default_rng(11)
+        points = 12
+        matrices, _, _ = assemble_points(
+            NEAR_EP, g_b=10.0 ** rng.uniform(-4, 0, points),
+            Gamma=10.0 ** rng.uniform(-3, 1, points),
+            variant=rng.choice(["nr", "r1", "r2"], points).tolist())
+        times = 10.0 ** rng.uniform(-6, 4, points)
+        times[:2] = 2.0 ** np.array([70, 44]) / np.abs(matrices[:2]).sum(axis=1).max(axis=1)
+        return matrices * times[:, None, None]
+
+    def test_stack_needs_every_degree_scaling_and_prescale(self):
+        stack = self.stack()
+        prescale = _prescale(np.abs(stack), self.COUNT)
+        assert prescale[:, 0].all() and prescale[:, 1].tolist() == [0] * 21 + [1, 2, 3, 4, 5, 6]
+        degree, squarings = structure(stack, self.COUNT)
+        plain = prescale == 0
+        assert set(degree[plain].tolist()) == {3, 5, 7, 9, 13}
+        assert set(range(21)) <= set(squarings[plain].tolist())
+
+    def test_every_doubling_is_a_fresh_expm(self):
+        stack = self.stack()
+        doubled = _doublings(stack, self.COUNT)
+        assert doubled.shape == (self.COUNT,) + stack.shape
+        for k in range(self.COUNT):
+            assert np.array_equal(doubled[k], expm(stack * 2.0 ** k)), k
+
+    def test_expm_is_the_first_doubling(self):
+        stack = self.stack()
+        assert np.array_equal(expm(stack), _doublings(stack, 1)[0])
+        assert np.array_equal(expm(stack), _doublings(stack, self.COUNT)[0])
+
+    def test_chunks_are_single_calls(self, monkeypatch):
+        # a stack taken in chunks of one slice gives the same bits
+        stack = self.stack()
+        whole = _doublings(stack, 8)
+        monkeypatch.setattr(dynamics, "_EXPM_STACK_ENTRIES", 1)
+        assert np.array_equal(_doublings(stack, 8), whole)

@@ -147,6 +147,19 @@ class TestRunSweep:
         assert [row[0] for row in table.rows] == [1.0]
         assert table.errors == [(1, 1e160, "undefined ratio: G1[b_2]; G2[b_2]")]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("observables", [["max_power"], ["gains", "max_power"],
+                                             ["max_power", "gains"]])
+    def test_overflowing_peak_goes_to_sidecar(self, observables):
+        # at xi = 1e160 p_max overflows to inf: whatever the order of the
+        # observables, the point is refused naming p_max, and nothing warns
+        doc = config_doc(observables=observables)
+        doc["sweep"] = {"variable": "xi", "values": [1.0, 1e160]}
+        table = run_sweep(parse_run_config(doc))
+        assert [row[0] for row in table.rows] == [1.0]
+        [(i, value, message)] = table.errors
+        assert (i, value) == (1, 1e160) and message.startswith("p_max overflows")
+
     def test_theta_sweep(self):
         doc = config_doc()
         doc["topology"]["variant"] = "custom"

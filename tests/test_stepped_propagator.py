@@ -12,7 +12,6 @@ import dataclasses
 import functools
 import json
 import pathlib
-import sys
 
 import numpy as np
 import pytest
@@ -26,6 +25,7 @@ from qbnet import (DriveSpec, ModeSpec, NetworkSpec, ScanEdgeError,
 from qbnet.cli import EXIT_NUMERIC, cli_main
 from qbnet.dynamics import _propagate_expm, _runs, assemble_points
 from qbnet.figures import GAMMA_INTERMEDIATE_POWER, GAMMA_POWER, POWER_SWEEP
+from qbnet.observables import POWER_SCAN_SPAN, _octave_grid
 
 from oracles import mp_vacuum_amplitudes, scan_refine_max
 
@@ -270,6 +270,64 @@ class TestStackedPropagator:
                               stacked[..., rows])
 
 
+class TestOctaveScan:
+    """The scan's target-row amplitudes against 34-digit mpmath.
+
+    Each value is ``alpha_ss + e^{M t} (-alpha_ss)`` at a target row, the
+    scan's own inputs (M and ``alpha_ss``, at unit drive) taken exactly.
+    Octave k starts at ``t_lo + 145 h_0 (2^k - 1)`` and steps by
+    ``2^k h_0``, ``h_0 = t_lo / 145`` as rounded."""
+
+    @pytest.fixture(scope="class")
+    def scans(self):
+        recorded = []
+        original = qbnet.observables._octave_scan
+
+        def recording(matrices, x0, t_lo, octaves, steps, rows):
+            x = original(matrices, x0, t_lo, octaves, steps, rows)
+            recorded.append((matrices, x0, t_lo, steps, rows, x.copy()))
+            return x
+
+        qbnet.observables._octave_scan = recording
+        try:
+            figure_table("fig4c")
+            qbnet.gain_report(TopologyParams("parallel", "nr", 3, 5e-6, 5e-4,
+                                             (5e-4, 7.5e-4, 3.5e-4), 1.0, 1.0),
+                              include_power=True)
+        finally:
+            qbnet.observables._octave_scan = original
+        return recorded
+
+    @staticmethod
+    def mp_amplitude(matrix, x0, row, t_lo, steps, i):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(34):
+            k, j = divmod(i - 1, steps)
+            h0 = mp.mpf(float(t_lo / steps))
+            t = mp.mpf(float(t_lo)) + (h0 * (steps * (2 ** k - 1) + (j + 1) * 2 ** k)
+                                       if i else 0)
+            m = mp.matrix([[mp.mpc(complex(v)) for v in r] for r in matrix])
+            x = mp.matrix([mp.mpc(complex(v)) for v in x0])
+            return complex(-x[int(row)] + (mp.expm(m * t) * x)[int(row)])
+
+    def test_sampled_points_match_mpmath(self, scans):
+        # per stack, three seeded slices: each target's scan argmax and one
+        # seeded grid point, within 1e-12 of the slice's peak |a|
+        rng = np.random.default_rng(23)
+        worst = 0.0
+        for matrices, x0, t_lo, steps, rows, x in scans:
+            a = x - x0[:, None, rows]
+            grid = _octave_grid(t_lo, POWER_SCAN_SPAN)
+            for s in rng.choice(len(matrices), min(3, len(matrices)), replace=False):
+                for r, row in enumerate(rows):
+                    power = np.abs(a[s, :, r]) ** 2 / grid[s]
+                    for i in (int(power.argmax()), int(rng.integers(power.size))):
+                        want = self.mp_amplitude(matrices[s], x0[s], row, t_lo[s], steps, i)
+                        error = abs(a[s, i, r] - want) / np.abs(a[s, :, r]).max()
+                        worst = max(worst, error)
+        assert worst <= 1e-12
+
+
 def test_only_dynamics_binds_expm():
     # the propagator is the one place a dynamics matrix is exponentiated
     def binds(node):
@@ -285,15 +343,20 @@ def test_only_dynamics_binds_expm():
 class TestExpmCount:
     @pytest.fixture
     def expm_calls(self, monkeypatch):
-        calls = []
+        """The stack shape of every call of ``expm`` or of its doubling
+        entry ``_doublings`` that is not made inside another."""
+        calls, inside = [], []
+        for name in ("expm", "_doublings"):
+            def counted(a, *args, _original=getattr(qbnet.dynamics, name)):
+                if not inside:
+                    calls.append(a.shape)
+                inside.append(True)
+                try:
+                    return _original(a, *args)
+                finally:
+                    inside.pop()
 
-        def counted(a):
-            calls.append(a.shape)
-            return expm(a)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("qbnet") and hasattr(module, "expm"):
-                monkeypatch.setattr(module, "expm", counted)
+            monkeypatch.setattr(qbnet.dynamics, name, counted)
         return calls
 
     def test_max_power_fig4_regime(self, expm_calls):
@@ -305,29 +368,31 @@ class TestExpmCount:
                                       GAMMA_INTERMEDIATE_POWER, 1.0)):
             expm_calls.clear()
             max_power(params, "b_4")
-            # 21 for the scan, the rest Newton steps
+            # 2 for the scan, the rest Newton steps
             assert 0 < len(expm_calls) <= 30
 
     def test_eta_panel_is_two_stacks(self, expm_calls):
-        # nr with r2, then r1: 21 points each, scanned and refined together
+        # nr with r2, then r1: 21 points each, scanned and refined together;
+        # the first call is the scan's first point
         figure_table("fig4c")
         assert 0 < len(expm_calls) <= 60
         assert expm_calls[0] == (42, 9, 9)
 
     @pytest.mark.parametrize("panel, calls", [("fig4a", 0), ("fig4b", 0),
-                                              ("fig4c", 50), ("fig4d", 50)])
+                                              ("fig4c", 12), ("fig4d", 12)])
     def test_panel_counts(self, expm_calls, panel, calls):
         # the log-grid curves are contour sums; an eta panel is two stacked
-        # scans (21 calls each) and their Newton steps
+        # scans (a first-point expm and one doubling call each) and their
+        # Newton steps
         figure_table(panel)
         assert len(expm_calls) == calls
 
     def test_max_power_count(self, expm_calls):
-        # 21 for the scan, 4 Newton steps
+        # 2 for the scan, 4 Newton steps
         max_power(TopologyParams("cascaded", "nr", 4, 0.01 * GAMMA_POWER,
                                  GAMMA_POWER, GAMMA_POWER,
                                  GAMMA_INTERMEDIATE_POWER, 1.0), "b_4")
-        assert len(expm_calls) == 25
+        assert len(expm_calls) == 6
 
     def test_uniform_energy_curve(self, expm_calls):
         params = TopologyParams("parallel", "nr", 4, 0.001, 0.1, 0.1, 0.1, 1.0)
