@@ -37,9 +37,10 @@ returns that layout.  Without mode 0, the charger, both families are banded
 (``M[1:, 1:]`` of bandwidth 2 at most): a stack of at least ``_BAND_MIN_MODES``
 modes solves its certified slices by a bordered band LU, the rest by dense LU.
 
-``evolve`` is exact on every network.  Each point is read off
-``[alpha0; 1]`` under the augmented matrix ``[[M, d], [0, 0]]``, whose
-exponential carries the drive integral (Van Loan, IEEE TAC 23(3), 1978),
+``evolve`` is exact on every network.  It propagates one matrix
+(``_propagate``): each point is read off ``[alpha0; 1]`` under the
+augmented matrix ``[[M, d], [0, 0]]``, whose exponential carries the
+drive integral (Van Loan, IEEE TAC 23(3), 1978),
 so a small early amplitude never cancels against ``alpha_ss``.  Runs of
 equal steps on a decaying network are the exception: they are stepped
 around the steady state, ``alpha_ss + e^{M h} (alpha - alpha_ss)``, a
@@ -60,11 +61,13 @@ numpy: the first of the doublings ``e^{2^k A}``, k < K, that
 ``_doublings`` returns, each equal bit for bit to a fresh ``expm`` of
 ``2^k A`` while the K share one set of powers, structure and Pades.
 The peak scan of ``observables.max_power`` takes its octave steps
-``e^{2^k M h_0}`` from one such call (``_octave_scan``).  scipy loads
-only when a run needs a band solve: ``zgbtrf`` and ``zgbtrs`` start as
-stand-ins that import scipy's function on their first call and bind it
-in their place, so ``import qbnet``, every propagation and every steady
-solve below ``_BAND_MIN_MODES`` modes load no scipy module.
+``e^{2^k M h_0}`` from one such call (``_octave_scan``), and each step of
+its Newton search (``_newton``) is one ``expm`` of the peaks still
+searched.  scipy loads only when a run needs a band solve: ``zgbtrf``
+and ``zgbtrs`` start as stand-ins that import scipy's function on their
+first call and bind it in their place, so ``import qbnet``, every
+propagation and every steady solve below ``_BAND_MIN_MODES`` modes load
+no scipy module.
 """
 
 from __future__ import annotations
@@ -118,6 +121,9 @@ STEP_RTOL = 1e-12
 #: a run of equal steps is read off as ``E^(B q + r)``, r < B: this many
 #: left rows ``E^r`` times one right column ``E^(B q) x`` each (``_step``)
 STEP_BLOCK = 16
+
+#: the Newton search of a power peak stops after this many steps
+_NEWTON_STEPS = 64
 
 #: isolated grid points are exponentiated, contour resolvents solved and
 #: doublings formed in stacks of at most this many matrix entries (4 MiB
@@ -530,35 +536,31 @@ def _contour_windows(matrix: np.ndarray, times: np.ndarray, runs) -> list:
             if _left_of_contour(spectrum, margin, _CONTOUR_MU / times[w[0]])]
 
 
-def _contour_sum(matrices, x0, times) -> np.ndarray:
-    """``x(t) = sum_k w_k e^{z_k t} (z_k I - K)^{-1} x0`` of each slice at
-    (P, T) ``times`` of one window, the nodes scaled to its first time:
-    (P, T, n).  The resolvents are solved in stacks of at most
-    ``_EXPM_STACK_ENTRIES`` entries, the exponential weights formed in
-    blocks of at most as many."""
-    points, n = x0.shape
-    scale = 1.0 / times[:, :1]
+def _contour_sum(matrix, x0, times) -> np.ndarray:
+    """``x(t) = sum_k w_k e^{z_k t} (z_k I - K)^{-1} x0`` at the (T,)
+    ``times`` of one window, the nodes scaled to its first time: (T, n).
+    The resolvents are solved in stacks of at most ``_EXPM_STACK_ENTRIES``
+    entries, the exponential weights formed in blocks of at most as many."""
+    n = len(x0)
+    scale = 1.0 / times[0]
     z = _CONTOUR_Z * scale
-    nodes = z.shape[1]
-    slices = np.repeat(np.arange(points), nodes)
-    resolvents = np.empty((points * nodes, n), dtype=complex)
+    nodes = len(z)
+    resolvents = np.empty((nodes, n), dtype=complex)
     chunk = max(1, _EXPM_STACK_ENTRIES // (n * n))
-    for at in range(0, points * nodes, chunk):
-        picked = slices[at:at + chunk]
-        shifted = -matrices[picked]
-        shifted.reshape(len(picked), n * n)[:, ::n + 1] += z.reshape(-1)[at:at + chunk, None]
-        resolvents[at:at + chunk] = np.linalg.solve(shifted, x0[picked][..., None])[..., 0]
-    resolvents = resolvents.reshape(points, nodes, n)
+    for at in range(0, nodes, chunk):
+        shifts = z[at:at + chunk]
+        shifted = np.repeat(-matrix[None], len(shifts), axis=0)
+        shifted.reshape(len(shifts), n * n)[:, ::n + 1] += shifts[:, None]
+        resolvents[at:at + chunk] = np.linalg.solve(shifted, x0[:, None])[..., 0]
     # z_{-k} and w_{-k} are the conjugates of z_k and w_k, so the
     # weights of the nodes k < 0 are those of k > 0 conjugated
-    weights = (_CONTOUR_W[_CONTOUR_N:] * scale)[:, None, :]
-    z = z[:, None, _CONTOUR_N:]
-    out = np.empty(times.shape + (n,), dtype=complex)
+    weights = _CONTOUR_W[_CONTOUR_N:] * scale
+    z = z[_CONTOUR_N:]
+    out = np.empty((len(times), n), dtype=complex)
     block = max(1, _EXPM_STACK_ENTRIES // nodes)
-    for at in range(0, times.shape[1], block):
-        span = slice(at, at + block)
-        half = weights * np.exp(times[:, span, None] * z)
-        out[:, span] = np.concatenate((half[..., :0:-1].conj(), half), axis=-1) @ resolvents
+    for at in range(0, len(times), block):
+        half = weights * np.exp(times[at:at + block, None] * z)
+        out[at:at + block] = np.concatenate((half[:, :0:-1].conj(), half), axis=-1) @ resolvents
     return out
 
 
@@ -835,73 +837,110 @@ def _octave_scan(matrices: np.ndarray, x0: np.ndarray, t_lo: np.ndarray, octaves
     return out
 
 
-def _propagate_expm(matrices: np.ndarray, x0: np.ndarray, times: np.ndarray,
-                    runs, rows=slice(None), windows=(), steady=None) -> np.ndarray:
-    """``x(t) = e^{K t} x0`` of each slice of a stack, the one place qbnet
-    exponentiates besides the peak scan (``_octave_scan``): (P, n, n)
-    ``matrices``, (P, n) ``x0`` and (P, T) ``times`` give the entries
-    ``rows`` of x as (P, T, len(rows)).
+def _newton(matrices, offsets, alpha, rows, t, lo, hi) -> tuple:
+    """``(t, P(t))`` per pair at the root of ``dP/dt = N(t) / t^2`` in
+    ``[lo, hi]``, starting from ``t``; all pairs in lockstep, each step one
+    ``expm(M t) x`` on the stack of the pairs still active.
 
-    ``runs`` are the ``(start, stop)`` runs of equal steps that every
-    slice's grid shares (``_runs``).  Along a longer run of c steps x is
-    stepped, ``x <- E x`` with ``E = e^{K h}``, ``h`` being the run's first
-    time minus the one before it (the origin for ``start = 0``): one
-    ``_doublings`` call per run gives ``E^(2^b)``, ``2^b <= c``, and
-    ``_step`` reads the run's values off their products.  A
-    one-point run at ``t != 0`` (every point of a log grid) is
-    ``e^{K t} x0``: the points of each of ``windows`` (lists of such
-    runs' starts, see ``_contour_windows``) by one contour sum
-    (``_contour_sum``), the rest of all slices exponentiated together,
+    ``N(t) = 2t Re(conj(a) a') - |a|^2`` of the target amplitude ``a``,
+    with ``a' = (M x)_row``, ``a'' = (M a')_row`` and
+    ``x = e^{Mt}(alpha0 - alpha_ss)``, so one exponential gives N and
+    ``N' = 2t (|a'|^2 + Re(conj(a) a''))``.  ``N > 0`` moves ``lo`` up
+    to t, else ``hi`` down; a Newton step that leaves the bracket is a
+    bisection.  Once a step is below ``rel_tol * t`` its end is
+    evaluated once more and returned; after ``_NEWTON_STEPS`` the
+    last point evaluated is.
+    """
+    rel_tol = 1e-8  # the step's end is returned, so t_star is far closer
+    t, lo, hi = t.copy(), lo.copy(), hi.copy()
+    found_t, found_p = t.copy(), np.empty_like(t)
+    final = np.zeros(t.shape, dtype=bool)
+    active = np.arange(t.size)
+    for _ in range(_NEWTON_STEPS):
+        m, at = matrices[active], t[active]
+        x = expm(m * at[:, None, None]) @ offsets[active][..., None]
+        slope = m @ x
+        curve = m @ slope
+        pick = (np.arange(active.size), rows[active], 0)
+        a = x[pick] + alpha[active]
+        a1, a2 = slope[pick], curve[pick]
+        energy = np.abs(a) ** 2
+        found_t[active], found_p[active] = at, energy / at
+        todo = ~final[active]
+        active, at, a, a1, a2, energy = (
+            v[todo] for v in (active, at, a, a1, a2, energy))
+        if not active.size:
+            break
+        n = 2.0 * at * (a.conjugate() * a1).real - energy
+        dn = 2.0 * at * (np.abs(a1) ** 2 + (a.conjugate() * a2).real)
+        lo[active] = np.where(n > 0.0, at, lo[active])
+        hi[active] = np.where(n > 0.0, hi[active], at)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = at - n / dn
+        inside = (new > lo[active]) & (new < hi[active])
+        new = np.where(inside, new, 0.5 * (lo[active] + hi[active]))
+        final[active] = np.abs(new - at) <= rel_tol * at
+        t[active] = new
+    return found_t, found_p
+
+
+def _propagate(matrix: np.ndarray, x0: np.ndarray, times: np.ndarray,
+               runs, windows=(), steady=None) -> np.ndarray:
+    """``x(t) = e^{K t} x0`` of one (n, n) ``matrix`` K from an (n,) ``x0``
+    at (T,) ``times``: the state (T, n).
+
+    ``runs`` are the ``(start, stop)`` runs of equal steps of the grid
+    (``_runs``).  Along a longer run of c steps x is stepped,
+    ``x <- E x`` with ``E = e^{K h}``, ``h`` being the run's first time
+    minus the one before it (the origin for ``start = 0``), from the
+    point before the run, read back from the output: one ``_doublings``
+    call per run gives ``E^(2^b)``, ``2^b <= c``, and ``_step`` reads the
+    run's values off their products.  A one-point run at ``t != 0``
+    (every point of a log grid) is ``e^{K t} x0``: the points of each of
+    ``windows`` (lists of such runs' starts, see ``_contour_windows``) by
+    one contour sum (``_contour_sum``), the rest exponentiated together,
     one ``expm`` call per ``_EXPM_STACK_ENTRIES`` entries.  ``expm``
     (scaling and squaring, Pade) assumes no diagonalisability of K.
 
-    ``steady``, (P, n - 1), is given when each K is the augmented matrix
+    ``steady``, (n - 1,), is given when K is the augmented matrix
     ``[[M, d], [0, 0]]`` of a decaying network and x0 is ``[alpha0; 1]``:
-    it holds the steady states ``alpha_ss``.  The one-point runs then
-    read alpha straight off ``e^{K t} x0``, while the runs step the
-    offset ``alpha - alpha_ss`` under M alone: ``M + M^dagger`` is
-    negative semidefinite, so a step is a 2-norm contraction and does
-    not amplify rounding.
+    it is the steady state ``alpha_ss``.  The one-point runs then read
+    alpha straight off ``e^{K t} x0``, while the runs step the offset
+    ``alpha - alpha_ss`` under M alone (their last entry is 1):
+    ``M + M^dagger`` is negative semidefinite, so a step is a 2-norm
+    contraction and does not amplify rounding.  A run that follows
+    another goes on from its last offset, not from its stored sum.
     """
-    points, n = x0.shape
-    out = np.empty(times.shape + x0[0, rows].shape, dtype=complex)
+    n = len(x0)
+    out = np.empty((len(times), n), dtype=complex)
+    out[times == 0] = x0
     served = {i for window in windows for i in window}
-    alone = [start for start, stop in runs if stop - start == 1 and start not in served]
-    away = times[:, alone].any(axis=0).tolist()
-    out[:, [i for i, a in zip(alone, away) if not a]] = x0[:, None, rows]
-    alone = [i for i, a in zip(alone, away) if a]
-    # the states a longer run starts from
-    needed = {start - 1 for start, stop in runs if stop - start > 1}
-    chunk = max(1, _EXPM_STACK_ENTRIES // matrices.size)
-    states = {}
-
-    def keep(picked, x):
-        out[:, picked] = x[..., rows]
-        states.update((i, x[:, j]) for j, i in enumerate(picked) if i in needed)
-
+    alone = [start for start, stop in runs
+             if stop - start == 1 and times[start] and start not in served]
     for window in windows:
-        keep(window, _contour_sum(matrices, x0, times[:, window]))
+        out[window] = _contour_sum(matrix, x0, times[window])
+    chunk = max(1, _EXPM_STACK_ENTRIES // matrix.size)
     for at in range(0, len(alone), chunk):
         picked = alone[at:at + chunk]
-        exps = expm((matrices[:, None] * times[:, picked, None, None])
-                    .reshape(-1, n, n)).reshape(points, len(picked), n, n)
-        keep(picked, (exps @ x0[:, None, :, None])[..., 0])
-    x = x0
-    if steady is not None:  # runs step the offset under M alone
-        n -= 1
-        matrices = matrices[:, :n, :n]
-        states = {i: state[:, :n] - steady for i, state in states.items()}
-        x = x0[:, :n] - steady
+        out[picked] = (expm(matrix * times[picked, None, None]) @ x0[:, None])[..., 0]
+
+    def offset(x):  # the state a run steps
+        return x if steady is None else x[:-1] - steady
+
+    stepped = matrix if steady is None else matrix[:-1, :-1]
+    x, end = offset(x0), 0
     for start, stop in runs:
         if stop - start > 1:
-            step, count = times[:, start] - (times[:, start - 1] if start else 0.0), stop - start
-            full = _step(_doublings(matrices * step[:, None, None], count.bit_length()), x,
-                         np.arange(n), count)
-            out[:, start:stop] = (full if steady is None
-                                  else full + steady[:, None])[..., rows]
-            x = full[:, -1]
-        elif start in states:
-            x = states[start]
+            if start != end:
+                x = offset(out[start - 1])
+            step, count = times[start] - (times[start - 1] if start else 0.0), stop - start
+            full = _step(_doublings((stepped * step)[None], count.bit_length())[:, 0], x,
+                         np.arange(len(x)), count)
+            if steady is None:
+                out[start:stop] = full
+            else:
+                out[start:stop, :-1], out[start:stop, -1] = full + steady, 1.0
+            x, end = full[-1], stop
     return out
 
 
@@ -948,19 +987,16 @@ def evolve(sys: LinearSystem, initial, times) -> Trajectory:
         raise ValueError("initial amplitudes must be finite")
 
     runs = list(_runs(times))
-    augmented, x0 = _augmented(sys)[None], np.append(initial, 1.0)[None]
-    rows = slice(sys.n)
     try:
         alpha_ss = steady_state(sys).amplitudes
+        windows = _contour_windows(sys.matrix, times, runs)
     except (UnstableSystemError, NoSteadyStateError):
-        amps = _propagate_expm(augmented, x0, times[None], runs, rows)[0]
-        return Trajectory(times, amps, dict(sys.index), "augmented")
-    windows = _contour_windows(sys.matrix, times, runs)
-    amps = _propagate_expm(augmented, x0, times[None], runs, rows, windows,
-                           alpha_ss[None])[0]
+        alpha_ss, windows = None, []
+    amps = _propagate(_augmented(sys), np.append(initial, 1.0), times, runs, windows,
+                      alpha_ss)[:, :sys.n]
     served = sum(map(len, windows))
     rest = np.count_nonzero(times) - served
-    method = ("contour+expm" if served and rest else
+    method = ("augmented" if alpha_ss is None else "contour+expm" if served and rest else
               "contour" if served else "expm")
     return Trajectory(times, amps, dict(sys.index), method)
 

@@ -18,9 +18,8 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .dynamics import (_BAND_MIN_MODES, LinearSystem, _abscissas, _octave_scan,
-                       _propagate_expm, _row, assemble_points, evolve, steady_states,
-                       vacuum)
+from .dynamics import (_BAND_MIN_MODES, LinearSystem, _abscissas, _newton, _octave_scan,
+                       _row, assemble_points, evolve, steady_states, vacuum)
 from .errors import ScanEdgeError
 from .network import TopologyParams
 
@@ -37,19 +36,17 @@ POWER_SCAN_SPAN = 1e6
 #: the variants a gain report compares, in the order they are solved
 GAIN_VARIANTS = ("nr", "r1", "r2")
 
-#: the Newton search of a power peak stops after this many steps
-_NEWTON_STEPS = 64
-
 #: equal scan steps per octave [a, 2a]: spacing a/145 is at most 0.69%
 #: of t, finer than a 2,000-point log grid over the same six decades
 POWER_STEPS_PER_OCTAVE = 145
 
 #: an energy or a peak power that overflows to inf, and its gain of
 #: inf / inf, are flagged: ``_gains``, ``_gain_powers``, ``_etas`` and a
-#: sweep's ``_peak_columns`` raise no numpy warning for them (one
-#: decorator, not a fresh ``np.errstate`` per call).  Only these callers,
-#: whose results are flagged, carry it, and none of them calls another:
-#: ``max_power`` still warns of an overflowing ``p_max``
+#: sweep's ``_energy_columns`` and ``_peak_columns`` raise no numpy warning
+#: for them (one decorator, not a fresh ``np.errstate`` per call).  Only
+#: these callers, whose results are flagged, carry it, and none of them
+#: calls another: ``steady_energy`` and ``max_power`` still warn of an
+#: overflow
 _FLAGGED_LATER = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -254,54 +251,6 @@ def _octave_grid(t_lo: np.ndarray, span: float) -> np.ndarray:
     return grid
 
 
-def _newton(matrices, offsets, alpha, rows, t, lo, hi) -> tuple:
-    """``(t, P(t))`` per pair at the root of ``dP/dt = N(t) / t^2`` in
-    ``[lo, hi]``, starting from ``t``; all pairs in lockstep, one
-    stacked ``_propagate_expm`` per step.
-
-    ``N(t) = 2t Re(conj(a) a') - |a|^2`` of the target amplitude ``a``,
-    with ``a' = (M x)_row``, ``a'' = (M a')_row`` and
-    ``x = e^{Mt}(alpha0 - alpha_ss)``, so one exponential gives N and
-    ``N' = 2t (|a'|^2 + Re(conj(a) a''))``.  ``N > 0`` moves ``lo`` up
-    to t, else ``hi`` down; a Newton step that leaves the bracket is a
-    bisection.  Once a step is below ``rel_tol * t`` its end is
-    evaluated once more and returned; after ``_NEWTON_STEPS`` the
-    last point evaluated is.
-    """
-    rel_tol = 1e-8  # the step's end is returned, so t_star is far closer
-    t, lo, hi = t.copy(), lo.copy(), hi.copy()
-    found_t, found_p = t.copy(), np.empty_like(t)
-    final = np.zeros(t.shape, dtype=bool)
-    active = np.arange(t.size)
-    for _ in range(_NEWTON_STEPS):
-        m, at = matrices[active], t[active]
-        x = _propagate_expm(m, offsets[active], at[:, None],
-                            [(0, 1)]).swapaxes(1, 2)
-        slope = m @ x
-        curve = m @ slope
-        pick = (np.arange(active.size), rows[active], 0)
-        a = x[pick] + alpha[active]
-        a1, a2 = slope[pick], curve[pick]
-        energy = np.abs(a) ** 2
-        found_t[active], found_p[active] = at, energy / at
-        todo = ~final[active]
-        active, at, a, a1, a2, energy = (
-            v[todo] for v in (active, at, a, a1, a2, energy))
-        if not active.size:
-            break
-        n = 2.0 * at * (a.conjugate() * a1).real - energy
-        dn = 2.0 * at * (np.abs(a1) ** 2 + (a.conjugate() * a2).real)
-        lo[active] = np.where(n > 0.0, at, lo[active])
-        hi[active] = np.where(n > 0.0, hi[active], at)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            new = at - n / dn
-        inside = (new > lo[active]) & (new < hi[active])
-        new = np.where(inside, new, 0.5 * (lo[active] + hi[active]))
-        final[active] = np.abs(new - at) <= rel_tol * at
-        t[active] = new
-    return found_t, found_p
-
-
 def _peak_powers(matrices, alpha_ss, abscissas, rows, scale) -> tuple:
     """Per slice of a stack of decaying networks, from vacuum, the
     ``(t_star, p_max)`` (S, T, 2) of each target row, NaN where the scan
@@ -437,6 +386,18 @@ def _gain_columns(params: TopologyParams, target, solved) -> tuple:
     by default the last battery."""
     energies, gains, flags, errors = _gains(solved, (target or _default_target(params),))
     return np.hstack([*energies, *gains]), errors, flags
+
+
+@_FLAGGED_LATER
+def _energy_columns(params: TopologyParams, target, solved) -> tuple:
+    """``([steady_energy] (P, 1), errors, flags)`` of the batch
+    ``solved(params.variant)`` at its one target: each point's refusal,
+    else an overflowing energy as an ``OverflowError`` naming it."""
+    batch = solved(params.variant)
+    energies, errors = batch.energies(target), dict(batch.errors)
+    for i in np.isinf(energies[:, 0]).nonzero()[0].tolist():
+        errors.setdefault(i, OverflowError(f"steady_energy overflows to inf at {target}"))
+    return energies, errors, {}
 
 
 @_FLAGGED_LATER

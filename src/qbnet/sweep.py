@@ -7,9 +7,9 @@ in one batch (one per value when ``n`` is swept): ``steady_energy`` and
 the ``nr`` energy of ``gains`` read the same solve, and so do the steady
 columns and ``max_power`` of the topology's own variant.  Points that
 fail numerically (singular or unstable systems, a maximum outside the
-scanned range, a peak power that overflows, an undefined gain ratio) are
-recorded in the table's error list and skipped; the surviving rows keep
-grid order.
+scanned range, an energy or a peak power that overflows, an undefined
+gain ratio) are recorded in the table's error list and skipped; the
+surviving rows keep grid order.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import numpy as np
 from .config import RunConfig, resize_topology, run_config_to_dict
 from .export import SweepTable
 from .network import WITH_FREE_PHASES, TopologyParams
-from .observables import (_default_target, _gain_columns, _peak_columns, _power_points,
-                          _steady_points)
+from .observables import (_default_target, _energy_columns, _gain_columns, _peak_columns,
+                          _power_points, _steady_points)
 
 
 def _resized(topology: TopologyParams, value) -> TopologyParams:
@@ -71,8 +71,7 @@ def _batches(topology: TopologyParams, variable: str, values, index) -> list:
 #: observable name -> (table columns, ``(values (P, k), errors, flags)``
 #: of a batch at ``(params, target, solved(variant))``)
 _OBSERVABLES = {
-    "steady_energy": (("steady_energy",), lambda params, target, solved: (
-        solved(params.variant).energies(target), solved(params.variant).errors, {})),
+    "steady_energy": (("steady_energy",), _energy_columns),
     "gains": (("E_nr", "E_r1", "E_r2", "G1", "G2"), _gain_columns),
     "max_power": (("t_star", "p_max"), _peak_columns),
 }

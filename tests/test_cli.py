@@ -63,6 +63,19 @@ class TestExitCodes:
     def test_unknown_command(self, capsys):
         assert run(capsys, "explode")[0] == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--t-max", "0"), "--t-max must be > 0, got 0.0"),
+        (("--points", "1"), "--points must be >= 2, got 1"),
+        (("--xi", "1+"), "not a complex number: '1+'"),
+        (("--theta", "0,x"), "not a comma-separated angle list: '0,x'")],
+        ids=["t-max", "points", "xi", "theta"])
+    def test_bad_grid_or_flag(self, capsys, flags, message):
+        code, _, err = run(capsys, "evolve", "--family", "cascaded", "--variant", "nr",
+                           "--n", "2", "--gb", "0.01", "--gamma", "0.1",
+                           "--t-max", "10", *flags)
+        assert code == 2
+        assert message in err
+
     def test_numeric_failure(self, capsys):
         # undamped direct chain: solvable algebraically but not decaying
         code, _, err = run(capsys, "steady", "--family", "cascaded",

@@ -18,8 +18,7 @@ from scipy.linalg import expm
 from qbnet import (TopologyParams, assemble, build_network, energy_curve, evolve,
                    figure_table, vacuum)
 from qbnet.cli import cli_main
-from qbnet.dynamics import (_augmented, _contour_sum, _contour_windows, _runs,
-                            assemble_points)
+from qbnet.dynamics import _augmented, _contour_windows, _runs
 from qbnet.figures import _DYNAMICS_CURVE, POWER_TIMES, _POWER_CURVE, _params
 
 from oracles import mp_vacuum_amplitudes
@@ -134,20 +133,6 @@ class TestMethod:
         assert _contour_windows(jordan, times, list(_runs(times))) == []
         assert len(_contour_windows(-np.eye(2, dtype=complex), times,
                                     list(_runs(times)))) == 2
-
-
-def test_stacked_contour_is_per_slice():
-    # each slice's nodes scale with its own window start
-    matrices, _, _ = assemble_points(CASCADED_NR, g_b=[5e-5, 5e-4, 5e-3])
-    x0 = np.zeros(matrices.shape[:2], dtype=complex)
-    x0[:, 0] = 1.0
-    times = np.geomspace(1.0, 10.0, 15) * np.array([[1.0], [3.0], [0.5]])
-    stacked = _contour_sum(matrices, x0, times)
-    for s in range(3):
-        single = _contour_sum(matrices[s:s + 1], x0[s:s + 1], times[s:s + 1])
-        assert np.array_equal(stacked[s], single[0])
-        want = np.array([expm(matrices[s] * t) @ x0[s] for t in times[s]])
-        assert np.abs(stacked[s] - want).max() <= 1e-12
 
 
 @st.composite

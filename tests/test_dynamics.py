@@ -178,14 +178,22 @@ class TestEvolve:
             return expm(matrix)
 
         monkeypatch.setattr("qbnet.dynamics.expm", counted)
-        times = np.linspace(0.0, 2000.0, 2001)
-        traj = evolve(sys, vacuum(sys), times)
-        assert traj.method == "augmented"
-        assert len(calls) <= 2
-        exact_c = -1j * xi * np.sin(g * times) / g
-        exact_b = -xi * (1.0 - np.cos(g * times)) / g
-        assert np.abs(traj.mode("c") - exact_c).max() <= 1e-11
-        assert np.abs(traj.mode("b") - exact_b).max() <= 1e-11
+        # a linear grid is one run from t = 0; on the uneven grid, runs
+        # start after expm-served points: the geometric points, t = 50,
+        # 2017 and 2030 are one expm call, the runs from t = 100 and 2040
+        # step on from t = 50 and 2030
+        for times, exponentiated in [
+                (np.linspace(0.0, 2000.0, 2001), []),
+                (np.concatenate([np.geomspace(0.5, 40.0, 9), np.linspace(50.0, 2000.0, 40),
+                                 [2017.0], np.linspace(2030.0, 2400.0, 38)]), [(12, 3, 3)])]:
+            calls.clear()
+            traj = evolve(sys, vacuum(sys), times)
+            assert traj.method == "augmented"
+            assert calls == exponentiated
+            exact_c = -1j * xi * np.sin(g * times) / g
+            exact_b = -xi * (1.0 - np.cos(g * times)) / g
+            assert np.abs(traj.mode("c") - exact_c).max() <= 1e-11
+            assert np.abs(traj.mode("b") - exact_b).max() <= 1e-11
 
     def test_input_validation(self):
         sys = assemble(single_mode())

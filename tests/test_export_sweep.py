@@ -140,12 +140,26 @@ class TestRunSweep:
     def test_infinite_gain_goes_to_sidecar(self):
         # at xi = 1e160 the energies overflow to inf and inf / inf is NaN:
         # the point is refused, not written as a row holding NaN
-        doc = config_doc(observables=["steady_energy", "gains"])
+        doc = config_doc(observables=["gains"])
         doc["sweep"] = {"variable": "xi", "values": [1.0, 1e160]}
-        with np.errstate(over="ignore", invalid="ignore"):
-            table = run_sweep(parse_run_config(doc))
+        table = run_sweep(parse_run_config(doc))
         assert [row[0] for row in table.rows] == [1.0]
         assert table.errors == [(1, 1e160, "undefined ratio: G1[b_2]; G2[b_2]")]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("observables", [
+        ["steady_energy"], ["steady_energy", "max_power"], ["steady_energy", "gains"],
+        ["max_power", "steady_energy"]])
+    def test_overflowing_energy_goes_to_sidecar(self, observables):
+        # at xi = 1e160 the energy overflows to inf: the point is refused
+        # naming the first observable that overflows, and nothing warns
+        doc = config_doc(observables=observables)
+        doc["sweep"] = {"variable": "xi", "values": [1.0, 1e160]}
+        table = run_sweep(parse_run_config(doc))
+        assert [row[0] for row in table.rows] == [1.0]
+        [(i, value, message)] = table.errors
+        first = "steady_energy" if observables[0] == "steady_energy" else "p_max"
+        assert (i, value) == (1, 1e160) and message.startswith(f"{first} overflows")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("observables", [["max_power"], ["gains", "max_power"],

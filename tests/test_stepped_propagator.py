@@ -23,7 +23,7 @@ from qbnet import (DriveSpec, ModeSpec, NetworkSpec, ScanEdgeError,
                    evolve, figure_table, is_stable, max_power,
                    parse_run_config, run_sweep, steady_state, vacuum)
 from qbnet.cli import EXIT_NUMERIC, cli_main
-from qbnet.dynamics import _propagate_expm, _runs, assemble_points
+from qbnet.dynamics import _contour_windows, _runs
 from qbnet.figures import GAMMA_INTERMEDIATE_POWER, GAMMA_POWER, POWER_SWEEP
 from qbnet.observables import POWER_SCAN_SPAN, _octave_grid
 
@@ -227,6 +227,24 @@ class TestSteppedOrbit:
         err = np.linalg.norm(got - want, axis=1).max()
         assert err <= 1e-12 * np.linalg.norm(alpha_ss)
 
+    def test_run_starts_after_expm_points(self):
+        # eigenvalues at |Im| / |Re| ~ 100: the window over [0.1, 1] is
+        # proved, the one over [1.78, 10] is not, and the run from t = 11
+        # starts from the state at t = 10 that expm served
+        params = TopologyParams("parallel", "r1", 2, 1.0, 0.01, 0.01, 0.01, 1.0)
+        sys_ = assemble(build_network(params))
+        alpha_ss = steady_state(sys_).amplitudes
+        times = np.concatenate([np.geomspace(0.1, 10.0, 9), np.linspace(11.0, 60.0, 50)])
+        runs = list(_runs(times))
+        assert runs[-2:] == [(8, 9), (9, 59)]
+        assert _contour_windows(sys_.matrix, times, runs) == [[0, 1, 2, 3, 4]]
+        traj = evolve(sys_, vacuum(sys_), times)
+        assert traj.method == "contour+expm"
+        want = np.array([alpha_ss - expm(sys_.matrix * t) @ alpha_ss
+                         for t in times])
+        err = np.linalg.norm(traj.amplitudes - want, axis=1).max()
+        assert err <= 1e-12 * np.linalg.norm(alpha_ss)
+
     def test_creeping_steps(self):
         # consecutive steps differ by 2e-13, inside the step tolerance, but
         # one reused step would drift 4e-7 from the grid by the end
@@ -241,33 +259,6 @@ class TestSteppedOrbit:
         want[0] = 0.0
         err = np.linalg.norm(got - want, axis=1).max()
         assert err <= 1e-12 * np.linalg.norm(alpha_ss)
-
-
-class TestStackedPropagator:
-    # each slice's grid is the shared grid times a power of two, so the
-    # slices share one run structure exactly
-    GRIDS = {"log": np.geomspace(1.0, 1e3, 50),
-             "from_zero": np.linspace(0.0, 200.0, 101),
-             "uneven": UNEVEN_TIMES}
-
-    @pytest.mark.parametrize("grid", GRIDS)
-    def test_slices_are_single_calls(self, grid):
-        params = TopologyParams("cascaded", "nr", 3, 0.02, 0.1, 0.1, 0.3, 1.0)
-        matrices, _, _ = assemble_points(params, g_b=[0.02, 0.05, 0.003],
-                                         Gamma=[0.3, 1.0, 0.1])
-        rng = np.random.default_rng(3)
-        x0 = rng.normal(size=matrices.shape[:2] + (2,)) @ [1.0, 1j]
-        times = self.GRIDS[grid] * np.array([[1.0], [0.5], [4.0]])
-        runs = list(_runs(times[0]))
-        assert all(list(_runs(t)) == runs for t in times[1:])
-        stacked = _propagate_expm(matrices, x0, times, runs)
-        for s in range(3):
-            single = _propagate_expm(matrices[s:s + 1], x0[s:s + 1],
-                                     times[s:s + 1], runs)
-            assert np.array_equal(stacked[s], single[0])
-        rows = np.array([4, 0])
-        assert np.array_equal(_propagate_expm(matrices, x0, times, runs, rows),
-                              stacked[..., rows])
 
 
 class TestOctaveScan:
@@ -329,7 +320,8 @@ class TestOctaveScan:
 
 
 def test_only_dynamics_binds_expm():
-    # the propagator is the one place a dynamics matrix is exponentiated
+    # dynamics is the one module that exponentiates a dynamics matrix:
+    # the propagator, the peak scan and the Newton steps of max_power
     def binds(node):
         return ((isinstance(node, (ast.alias, ast.FunctionDef)) and node.name == "expm")
                 or (isinstance(node, ast.Attribute) and node.attr == "expm"))
