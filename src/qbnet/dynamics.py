@@ -15,7 +15,7 @@ with all-positive decay is Hurwitz and has a unique steady state
 the network must decay (spectral abscissa at most ``STABILITY_FLOOR``)
 and M must be well conditioned (``cond_2(M)`` at most
 ``CONDITION_LIMIT``).  Both read the dissipation structure off the
-assembled matrix first: the certificate bounds the Hermitian part
+matrix's entries first: the certificate bounds the Hermitian part
 ``H = (M + M^dagger)/2`` by Gershgorin discs over the couplings alone
 (their ``Pattern``), in O(nnz), giving ``mu``
 with ``Re<x, M x> <= -mu |x|^2`` for every x.  When ``mu > 0`` the
@@ -26,16 +26,23 @@ certificate cannot prove its accept verdict (a zero-decay mode, a
 marginal decay, a bound near ``CONDITION_LIMIT``).  ``is_stable`` stays
 the dense reference.
 
-The gate is written once, over a (P, n, n) stack (``steady_states``):
-stacked dense checks only on slices the certificate cannot prove, one
-batched solve, and arrays back (amplitudes, residuals, conditions) with
-a map from each refused slice to its error; ``steady_state`` is its
-P = 1 case, a ``SteadyState`` or the error raised.  ``layout`` compiles each
-built-in topology once from ``network.structure``, so ``assemble_points``
-fills P points without a spec, by ``assemble``'s entry formula, and
-returns that layout.  Without mode 0, the charger, both families are banded
-(``M[1:, 1:]`` of bandwidth 2 at most): a stack of at least ``_BAND_MIN_MODES``
-modes solves its certified slices by a bordered band LU, the rest by dense LU.
+The gate is written once, over a ``Stack`` (``steady_states``): P
+matrices held as the entries ``_fill`` writes, each slice's diagonal and
+its coupling values at the positions of its ``Pattern``.  It returns
+arrays (amplitudes, residuals, conditions) with a map from each refused
+slice to its error; ``steady_state`` is its P = 1 case, its entries
+gathered from M, a ``SteadyState`` or the error raised.  ``layout``
+compiles each built-in topology once from ``network.structure``, so
+``assemble_points`` fills the entries of P points without a spec, by
+``assemble``'s entry formula, and returns that layout.  Without mode 0,
+the charger, both families are banded (``M[1:, 1:]`` of bandwidth 2 at
+most): a stack of at least ``_BAND_MIN_MODES`` modes solves its
+certified slices by a bordered band LU whose band storage, border and
+residual come straight from the entries, so a 5,000-battery chain needs
+a few MB, not a 1.6 GB slice.  What stays dense is ``_fill``'s: the dense
+LU (stacks below ``_BAND_MIN_MODES`` modes and the slices the
+certificate cannot prove), the ``eigvals`` and ``cond`` checks of
+unproven slices, and the propagators.
 
 ``evolve`` is exact on every network.  It propagates one matrix
 (``_propagate``): each point is read off ``[alpha0; 1]`` under the
@@ -63,9 +70,9 @@ numpy: the first of the doublings ``e^{2^k A}``, k < K, that
 The peak scan of ``observables.max_power`` takes its octave steps
 ``e^{2^k M h_0}`` from one such call (``_octave_scan``), and each step of
 its Newton search (``_newton``) is one ``expm`` of the peaks still
-searched.  scipy loads only when a run needs a band solve: ``zgbtrf``
-and ``zgbtrs`` start as stand-ins that import scipy's function on their
-first call and bind it in their place, so ``import qbnet``, every
+searched.  scipy loads only when a run needs a band solve: ``zgbtrf``,
+``zgbtrs`` and ``zgbmv`` start as stand-ins that import scipy's function
+on their first call and bind it in their place, so ``import qbnet``, every
 propagation and every steady solve below ``_BAND_MIN_MODES`` modes load
 no scipy module.
 """
@@ -101,12 +108,14 @@ class _OnFirstUse:
 
 
 def _load_band_lu():
+    from scipy.linalg.blas import zgbmv
     from scipy.linalg.lapack import zgbtrf, zgbtrs
-    return zgbtrf, zgbtrs
+    return zgbtrf, zgbtrs, zgbmv
 
 
 zgbtrf = _OnFirstUse("zgbtrf", lambda: _load_band_lu()[0])
 zgbtrs = _OnFirstUse("zgbtrs", lambda: _load_band_lu()[1])
+zgbmv = _OnFirstUse("zgbmv", lambda: _load_band_lu()[2])
 
 #: spectral abscissa above this is treated as non-decaying
 STABILITY_FLOOR = -1e-14
@@ -138,7 +147,11 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
 #: band-route break-even (``_solve``, one network per family and variant):
-#: a tie at 41 modes, the band wins all four at 49; also 8 per unit of width
+#: a tie at 41 modes, the band wins all four at 49; also 8 per unit of width.
+#: With the band filled from the entries and the dense LU paying its own
+#: ``_fill``, a tie at 35 and all four at 37 (median of 400, OpenBLAS on 1
+#: thread); kept at 48, which small stacks' outputs and the joint gain
+#: stack's ``2n + 1 < _BAND_MIN_MODES`` rest on
 _BAND_MIN_MODES = 48
 
 # The Bromwich contour of a decade window [t0, 10 t0] is the hyperbola
@@ -172,22 +185,81 @@ _CONTOUR_W = (_CONTOUR_H * _CONTOUR_MU / (2.0 * np.pi)) * np.cos(1j * _U - _CONT
 
 class Pattern(NamedTuple):
     """Coupling k joins rows ``ends[2k] = t``, ``ends[2k + 1] = s`` at flat positions
-    ``forward[k]`` (``M[t, s]``), ``backward[k]`` (``M[s, t]``); ``width``: ``M[1:, 1:]``'s."""
+    ``forward[k]`` (``M[t, s]``), ``backward[k]`` (``M[s, t]``); ``width``: ``M[1:, 1:]``'s.
+    ``slots``: where each entry of a ``Stack`` row lands in ``_band_solve``'s
+    workspace, the LAPACK band storage of ``M[1:, 1:]``, then column 0 and
+    row 0 of M."""
 
     forward: np.ndarray
     backward: np.ndarray
     ends: np.ndarray
     width: int
+    slots: np.ndarray
 
 
 def _pattern(t: np.ndarray, s: np.ndarray, n: int) -> Pattern:
-    return Pattern(t * n + s, s * n + t, np.stack((t, s), axis=1).ravel(),
-                   int(np.max(np.abs(t - s)[(t > 0) & (s > 0)], initial=0)))
+    width = int(np.max(np.abs(t - s)[(t > 0) & (s > 0)], initial=0))
+    rows, cols = np.concatenate((np.arange(n), t, s)), np.concatenate((np.arange(n), s, t))
+    band = (n - 1) * (3 * width + 1)  # (column - 1, 2 width + row - column), transposed
+    slots = np.where(rows == 0, band + n + cols, np.where(
+        cols == 0, band + rows, (cols - 1) * (3 * width + 1) + 2 * width + rows - cols))
+    return Pattern(t * n + s, s * n + t, np.stack((t, s), axis=1).ravel(), width, slots)
 
 
-def _certify(matrices: np.ndarray, pattern: Pattern) -> tuple:
-    """``(mu, abscissa_bound, condition_bound)`` of each slice of a
-    (P, n, n) stack, by the Gershgorin discs of ``H``: centre ``Re M[i, i]``,
+class Stack:
+    """A (P, n, n) stack of dynamics matrices held as the entries ``_fill``
+    writes, one row of ``entries`` (P, n + 2c) per slice: its ``diagonal``
+    (P, n), then its coupling values ``forward`` (``M[t, s]``) and
+    ``backward`` (``M[s, t]``), (P, c) each, at the positions of ``pattern``;
+    every other entry is 0.  The certificate and the band route read these
+    arrays, in O(nnz).  ``dense`` is the (P, n, n) stack itself, filled once
+    on first use (``_fill``) unless given; indexing the stack reads it."""
+
+    def __init__(self, entries: np.ndarray, pattern: Pattern, dense=None):
+        couplings = len(pattern.forward)
+        n = entries.shape[1] - 2 * couplings
+        self.entries, self.pattern = entries, pattern
+        self.diagonal, self.forward, self.backward = (
+            entries[:, :n], entries[:, n:n + couplings], entries[:, n + couplings:])
+        self._dense = dense
+
+    @classmethod
+    def gather(cls, matrices: np.ndarray, pattern: Pattern) -> Stack:
+        """The stack of the dense (P, n, n) ``matrices``, whose nonzero
+        off-diagonal entries all lie on ``pattern``."""
+        points, n = matrices.shape[:2]
+        at = np.concatenate((np.arange(0, n * n, n + 1), pattern.forward, pattern.backward))
+        return cls(matrices.reshape(points, n * n).take(at, axis=1), pattern, matrices)
+
+    @property
+    def dense(self) -> np.ndarray:
+        if self._dense is None:
+            self._dense = _fill(self)
+        return self._dense
+
+    @property
+    def shape(self) -> tuple:
+        points, n = self.diagonal.shape
+        return points, n, n
+
+    def __len__(self) -> int:
+        return len(self.diagonal)
+
+    def __getitem__(self, key):
+        return self.dense[key]
+
+    def take(self, rows) -> Stack:
+        """The slices ``rows``, ascending and distinct: the stack itself when
+        they are all of them, so that its dense fill is shared."""
+        if len(rows) == len(self):
+            return self
+        dense = None if self._dense is None else self._dense[rows]
+        return Stack(self.entries[rows], self.pattern, dense)
+
+
+def _certify(stack, pattern: Pattern) -> tuple:
+    """``(mu, abscissa_bound, condition_bound)`` of each slice of a ``Stack``,
+    in O(nnz), by the Gershgorin discs of ``H``: centre ``Re M[i, i]``,
     radius ``|M[t, s] + conj(M[s, t])| / 2`` summed over ``pattern`` at i.
 
     ``mu`` is a lower bound.  ``abscissa_bound``, on the abscissa as
@@ -195,27 +267,27 @@ def _certify(matrices: np.ndarray, pattern: Pattern) -> tuple:
     backward error E: every eigenvalue of ``M + E`` lies within ``||E||_2``
     of the numerical range of M.  ``condition_bound`` is ``||M||_F / mu``,
     infinite unless ``mu > 0``.  Computed moduli and row sums are within
-    ``(n + 2) eps`` relative, the squared Frobenius sum within ``n^2 eps``;
-    both are charged against the bounds.
+    ``(n + 2) eps`` relative, the squared Frobenius sum (over the stack's
+    entries, its only nonzeros) within ``n^2 eps``; both are charged
+    against the bounds.
     """
-    points, n = matrices.shape[:2]
+    points, n = stack.diagonal.shape
     slack = (n + 2) * _EPS
-    flat = matrices.reshape(points, n * n)
-    off = np.abs(flat[:, pattern.forward] + flat[:, pattern.backward].conj())
+    off = np.abs(stack.forward + stack.backward.conj())
     radius = 0.0  # what every assembled network gives: M + M^dagger is diagonal
     if off.any():
         radius = np.bincount((pattern.ends + n * np.arange(points)[:, None]).ravel(),
                              off.repeat(2, axis=1).ravel(), points * n).reshape(points, n)
-    mu = -np.maximum.reduce(flat[:, ::n + 1].real * (1.0 - slack)
+    mu = -np.maximum.reduce(stack.diagonal.real * (1.0 - slack)
                             + radius * (0.5 * (1.0 + slack)), axis=1)
-    norm = _norms(flat) * (1.0 + n * slack)
+    norm = _norms(stack.entries) * (1.0 + n * slack)
     bound = np.divide(norm, mu, out=np.full(points, np.inf), where=mu > 0.0)
     return mu, slack * norm - mu, bound
 
 
 def _norms(vectors: np.ndarray) -> np.ndarray:
-    """2-norm of each row of a (P, m) array."""
-    flat = np.ascontiguousarray(vectors).view(float)
+    """2-norm of each row of a (P, m) array with contiguous rows."""
+    flat = vectors.view(float)
     return np.sqrt(np.einsum("pi,pi->p", flat, flat))
 
 
@@ -289,18 +361,29 @@ class Trajectory:
         return self.amplitudes[:, _row(self.index, mode_id)]
 
 
-def _fill(rotation, decay, pattern, strength, phase) -> np.ndarray:
-    """The (P, n, n) matrices for ``rotation = -i detuning`` and per-point
-    ``decay`` (P, n), coupling ``strength`` and ``phase`` (P, couplings),
-    at the distinct positions of ``pattern``, as if added to zero
+def _entries(rotation, decay, pattern, strength, phase) -> Stack:
+    """The ``Stack`` for ``rotation = -i detuning`` and per-point ``decay``
+    (P, n), coupling ``strength`` and ``phase`` (P, couplings) at the
+    distinct positions of ``pattern``, each entry as if added to zero
     (``+ 0.0``): the one place the entry formula above is written."""
-    points, n = decay.shape
+    (points, n), couplings = decay.shape, strength.shape[1]
+    entries = np.empty((points, n + 2 * couplings), dtype=complex)
+    entries[:, :n] = rotation - decay / 2.0
+    coupling = entries[:, n:n + couplings]
+    coupling[...] = -1j * strength * np.exp(1j * phase) + 0.0
+    entries[:, n + couplings:] = -coupling.conj() + 0.0
+    return Stack(entries, pattern)
+
+
+def _fill(stack: Stack) -> np.ndarray:
+    """The dense (P, n, n) matrices of a ``Stack``: the one densifier, run
+    only for the dense LU, the dense checks and the propagators."""
+    points, n = stack.diagonal.shape
     matrices = np.zeros((points, n, n), dtype=complex)
     flat = matrices.reshape(points, n * n)
-    flat[:, ::n + 1] = rotation - decay / 2.0
-    coupling = -1j * strength * np.exp(1j * phase) + 0.0
-    flat[:, pattern.forward] = coupling
-    flat[:, pattern.backward] = -coupling.conj() + 0.0
+    flat[:, ::n + 1] = stack.diagonal
+    flat[:, stack.pattern.forward] = stack.forward
+    flat[:, stack.pattern.backward] = stack.backward
     return matrices
 
 
@@ -316,10 +399,10 @@ def assemble(spec: NetworkSpec) -> LinearSystem:
     drive = np.zeros(len(index), dtype=complex)
     for d in spec.drives:
         drive[index[d.mode]] += -1j * complex(d.amplitude)
-    matrix = _fill(-1j * np.array([m.detuning for m in spec.modes], dtype=float),
-                   np.array([[m.decay_rate for m in spec.modes]], dtype=float),
-                   _pattern(t.astype(np.intp), s.astype(np.intp), len(index)),
-                   strength[None], phase[None])[0]
+    matrix = _fill(_entries(-1j * np.array([m.detuning for m in spec.modes], dtype=float),
+                            np.array([[m.decay_rate for m in spec.modes]], dtype=float),
+                            _pattern(t.astype(np.intp), s.astype(np.intp), len(index)),
+                            strength[None], phase[None]))[0]
     return LinearSystem(matrix, drive, index)
 
 
@@ -336,94 +419,116 @@ def layout(family: str, intermediates: bool, n: int) -> tuple:
         [(index[s], index[t], g, p) for s, t, g, p in couplings]).T
     arrays = (np.array([r for *_, r in modes]), strength, phase)
     pattern = _pattern(t, s, len(index))
-    for array in arrays + pattern[:3]:
+    for array in arrays + pattern[:3] + pattern[4:]:
         array.setflags(write=False)  # shared by every caller
     return (MappingProxyType(index),) + arrays + (pattern,)
 
 
 def assemble_points(params: TopologyParams, **columns) -> tuple:
-    """``(matrices, drives, layout)`` of P points of a built-in topology,
-    ``columns`` as in ``network.parameter_tables``; no spec is built.  The
-    layout has intermediates when any variant of the points has them (an
-    ``r1`` point then fills it with decoupled intermediates)."""
+    """``(stack, drives, layout)`` of P points of a built-in topology: their
+    ``Stack`` and (P, n) drives, ``columns`` as in ``network.parameter_tables``;
+    no spec and no dense matrix is built.  The layout has intermediates when
+    any variant of the points has them (an ``r1`` point then fills it with
+    decoupled intermediates)."""
     variants = columns.get("variant", (params.variant,))
     compiled = layout(params.family, not set(WITH_INTERMEDIATES).isdisjoint(variants),
                       params.n)
     _, decay, strength, phase, pattern = compiled
     rates, strengths, phases, xi = parameter_tables(params, **columns)
-    matrices = _fill(-1j * 0.0, rates[:, decay], pattern, strengths[:, strength],
+    stack = _entries(-1j * 0.0, rates[:, decay], pattern, strengths[:, strength],
                      phases[:, phase])  # assemble's -1j * detuning; a plain 0.0 flips signed zeros
-    drives = np.zeros(matrices.shape[:2], dtype=complex)
+    drives = np.zeros(stack.diagonal.shape, dtype=complex)
     drives[:, 0] += -1j * xi  # the charger
-    return matrices, drives, compiled
+    return stack, drives, compiled
 
 
-def _band_solve(matrices, rhs, width):
-    """x of ``M x = rhs`` per slice: one LAPACK ``zgbtrf``/``zgbtrs`` of the stacked
-    block diagonal of the ``M[1:, 1:]`` (bandwidth ``width``), then the scalar Schur
-    complement S of mode 0.  With ``mu > 0`` every principal block is dissipative:
-    ``|S| >= mu``, and no pivot need cross the border."""
-    points, m, w = len(matrices), matrices.shape[1] - 1, width
-    band = np.zeros((points, m, 3 * w + 1), dtype=complex)  # LAPACK band storage, transposed
-    for d in range(-w, w + 1):
-        band[:, max(d, 0):m + min(d, 0), 2 * w - d] = np.diagonal(matrices[:, 1:, 1:], d, 1, 2)
-    lu, pivots, _ = zgbtrf(band.reshape(points * m, -1).T, w, w, overwrite_ab=True)
-    pair = np.stack((matrices[:, 1:, 0], rhs[:, 1:])).reshape(2, -1).T
-    border, rest = zgbtrs(lu, w, w, pair, pivots)[0].T.reshape(2, points, m)
-    via_border, via_rest = np.einsum("pi,kpi->kp", matrices[:, 0, 1:], (border, rest))
-    head = (rhs[:, 0] - via_rest) / (matrices[:, 0, 0] - via_border)
-    return np.concatenate((head[:, None], rest - border * head[:, None]), axis=1)
+def _band_solve(stack: Stack, drives, width) -> tuple:
+    """``_solve`` by one LAPACK ``zgbtrf``/``zgbtrs`` of the stacked block diagonal
+    of the ``M[1:, 1:]`` (bandwidth ``width``), then the scalar Schur complement S
+    of mode 0.  With ``mu > 0`` every principal block is dissipative: ``|S| >= mu``,
+    and no pivot need cross the border.  The band storage and the border (column
+    and row 0 of M) are filled straight from the stack's entries, one scatter to
+    ``pattern.slots``, and the residual is the banded product ``zgbmv`` of the
+    band storage with alpha plus the border's (Golub & Van Loan, Matrix
+    Computations, 4.3)."""
+    points, n = drives.shape
+    m, w = n - 1, width
+    size = m * (3 * w + 1)
+    work = np.zeros((points, size + 2 * n), dtype=complex)
+    work[:, stack.pattern.slots] = stack.entries
+    band = work[:, :size].reshape(points * m, -1).T  # LAPACK band storage
+    column, row = work[:, size:].reshape(points, 2, n).transpose(1, 0, 2)
+    lu, pivots, _ = zgbtrf(band, w, w)
+    rhs = -drives
+    pair = np.stack((column[:, 1:], rhs[:, 1:])).reshape(2, -1).T
+    via, rest = zgbtrs(lu, w, w, pair, pivots)[0].T.reshape(2, points, m)
+    to_via, to_rest = np.einsum("pi,kpi->kp", row[:, 1:], (via, rest))
+    head = (rhs[:, 0] - to_rest) / (row[:, 0] - to_via)
+    alpha = np.concatenate((head[:, None], rest - via * head[:, None]), axis=1)
+    product = column * head[:, None]
+    product[:, 0] = np.einsum("pi,pi->p", row, alpha)
+    product[:, 1:] += zgbmv(points * m, points * m, w, 2 * w, 1.0, band,
+                            alpha[:, 1:].ravel()).reshape(points, m)
+    return alpha, _norms(product + drives)
 
 
-def _solve(matrices, drives, width=None) -> tuple:
-    """``(alpha, residual norm)`` of ``M alpha = -d`` per slice, by dense LU or,
-    given the bandwidth of the ``M[1:, 1:]``, by ``_band_solve``."""
-    alpha = (_band_solve(matrices, -drives, width) if width is not None
-             else np.linalg.solve(matrices, -drives[..., None])[..., 0])
+def _solve(stack: Stack, drives, width=None) -> tuple:
+    """``(alpha, residual norm)`` of ``M alpha = -d`` per slice of a ``Stack``, by
+    dense LU of its fill or, given the bandwidth of the ``M[1:, 1:]``, by
+    ``_band_solve``."""
+    if width is not None:
+        return _band_solve(stack, drives, width)
+    matrices = stack.dense
+    alpha = np.linalg.solve(matrices, -drives[..., None])[..., 0]
     return alpha, _norms((matrices @ alpha[..., None])[..., 0] + drives)
 
 
-def steady_states(matrices: np.ndarray, drives: np.ndarray, pattern: Pattern,
+def steady_states(stack: Stack, drives: np.ndarray, pattern: Pattern,
                   abscissas: np.ndarray | None = None) -> tuple:
-    """``steady_state`` of each slice of a (P, n, n) stack with its (P, n)
-    drives and coupling ``pattern`` (a ``layout``'s), in one batched solve:
+    """``steady_state`` of each slice of a ``Stack`` with its (P, n) drives and
+    coupling ``pattern`` (the stack's, a ``layout``'s), in one batched solve:
     ``(amplitudes, residuals, conditions, errors)``, ``errors`` mapping a
     refused slice (amplitudes NaN) to the error ``steady_state`` raises.
-    Dense checks run, stacked, only on the slices the certificate cannot
-    prove; ``abscissas``, the dense abscissa of every slice when the
-    caller has computed them, stand in for the gate's own ``eigvals``."""
-    mu, abscissa_bound, condition_bound = _certify(matrices, pattern)
+    The certificate reads the stack's entries; the dense checks run,
+    stacked, only on the slices it cannot prove, and only those slices and
+    the dense LU's are filled (``Stack.dense``); ``abscissas``, the dense
+    abscissa of every slice when the caller has computed them, stand in
+    for the gate's own ``eigvals``."""
+    mu, abscissa_bound, condition_bound = _certify(stack, pattern)
     errors, conditions, width = {}, condition_bound, pattern.width
     if not abscissa_bound.max() <= STABILITY_FLOOR:
         slices = (~(abscissa_bound <= STABILITY_FLOOR)).nonzero()[0]
-        dense = _abscissas(matrices[slices]) if abscissas is None else abscissas[slices]
+        dense = (_abscissas(stack.take(slices).dense) if abscissas is None
+                 else abscissas[slices])
         for i, abscissa in zip(slices.tolist(), dense.tolist()):
             if not abscissa <= STABILITY_FLOOR:
                 errors[i] = UnstableSystemError(
                     f"network is not strictly decaying (spectral abscissa "
-                    f"{abscissa:.3e})", spectral_abscissa=abscissa)
+                    f"{abscissa:.3e}, above the floor {STABILITY_FLOOR:g})",
+                    spectral_abscissa=abscissa)
     slices = [] if condition_bound.max() <= CONDITION_LIMIT else [
         i for i in (~(condition_bound <= CONDITION_LIMIT)).nonzero()[0].tolist()
         if i not in errors]
     if slices:
         conditions = condition_bound.copy()
-        conditions[slices] = np.linalg.cond(matrices[slices])
+        conditions[slices] = np.linalg.cond(stack.take(slices).dense)
         for i, cond in zip(slices, conditions[slices]):
             if not cond <= CONDITION_LIMIT:
                 errors[i] = NoSteadyStateError(
                     f"no unique steady state: condition estimate {cond:.3e} "
                     f"exceeds {CONDITION_LIMIT:.0e}", condition=cond)
-    banded = mu > 0.0 if matrices.shape[1] >= max(_BAND_MIN_MODES, 8 * width) else None
+    banded = mu > 0.0 if drives.shape[1] >= max(_BAND_MIN_MODES, 8 * width) else None
     if not errors and (banded is None or banded.all()):
         route = None if banded is None else width
-        return (*_solve(matrices, drives, route), conditions, errors)
-    keep = np.ones(len(matrices), dtype=bool)
+        return (*_solve(stack, drives, route), conditions, errors)
+    keep = np.ones(len(drives), dtype=bool)
     keep[list(errors)] = False
     banded = keep & (False if banded is None else banded)
     amplitudes, residuals = np.full(drives.shape, np.nan, complex), np.full(len(drives), np.nan)
     for rows, route in ((keep & ~banded, None), (banded, width)):
         if rows.any():
-            amplitudes[rows], residuals[rows] = _solve(matrices[rows], drives[rows], route)
+            amplitudes[rows], residuals[rows] = _solve(stack.take(rows.nonzero()[0]),
+                                                       drives[rows], route)
     return amplitudes, residuals, conditions, errors
 
 
@@ -434,10 +539,11 @@ def steady_state(sys: LinearSystem) -> SteadyState:
     condition rule (``NoSteadyStateError``), each proven by the
     certificate or decided by its dense check (see the module doc).
     ``SteadyState.residual`` is the norm of ``M alpha + d``.  This is
-    ``steady_states`` on a stack of one.
+    ``steady_states`` on a stack of one, its entries gathered from M at
+    ``sys.pattern``.
     """
     amplitudes, residuals, conditions, errors = steady_states(
-        sys.matrix[None], sys.drive[None], sys.pattern)
+        Stack.gather(sys.matrix[None], sys.pattern), sys.drive[None], sys.pattern)
     if errors:
         raise errors[0]
     return SteadyState(amplitudes[0], float(residuals[0]), float(conditions[0]))

@@ -109,8 +109,8 @@ def _report_targets(params: TopologyParams) -> tuple:
 
 
 def _system(params: TopologyParams) -> LinearSystem:
-    matrices, drives, (index, *_) = assemble_points(params)
-    return LinearSystem(matrices[0], drives[0], dict(index))
+    stack, drives, (index, *_) = assemble_points(params)
+    return LinearSystem(stack.dense[0], drives[0], dict(index))
 
 
 class Batch(NamedTuple):
@@ -151,8 +151,8 @@ def _energies(batches, targets) -> np.ndarray:
 def _steady_points(params: TopologyParams, **columns) -> Batch:
     """A solved ``Batch`` (``columns`` as in ``assemble_points``),
     ``errors`` as in ``steady_states``."""
-    matrices, drives, (index, *_, pattern) = assemble_points(params, **columns)
-    amplitudes, _, _, errors = steady_states(matrices, drives, pattern)
+    stack, drives, (index, *_, pattern) = assemble_points(params, **columns)
+    amplitudes, _, _, errors = steady_states(stack, drives, pattern)
     return Batch(amplitudes, errors, index)
 
 
@@ -304,10 +304,11 @@ def _power_points(params: TopologyParams, targets, **columns) -> Batch:
     Every amplitude is linear in the drive ``xi``, so the peaks are
     searched at unit drive: ``t_star`` does not depend on ``xi`` and
     ``p_max`` scales with ``|xi|^2`` (0 for an undriven network)."""
-    matrices, drives, (index, *_, pattern) = assemble_points(params, **columns)
+    stack, drives, (index, *_, pattern) = assemble_points(params, **columns)
     rows = np.array([_row(index, t) for t in targets], dtype=np.intp)
+    matrices = stack.dense  # the propagators' stack, shared with the gate's dense LU
     abscissas = _abscissas(matrices)
-    amplitudes, _, _, errors = steady_states(matrices, drives, pattern, abscissas)
+    amplitudes, _, _, errors = steady_states(stack, drives, pattern, abscissas)
     points = len(matrices)
     kept = np.setdiff1d(np.arange(points), list(errors))
     peaks, peak_errors = np.full((points, len(rows), 2), np.nan), dict(errors)
@@ -317,7 +318,7 @@ def _power_points(params: TopologyParams, targets, **columns) -> Batch:
         if np.any(xi != 1.0):
             unit_drives = np.zeros_like(drives)
             unit_drives[:, 0] += -1j  # as ``assemble_points`` writes xi = 1
-            unit = steady_states(matrices, unit_drives, pattern, abscissas)[0]
+            unit = steady_states(stack, unit_drives, pattern, abscissas)[0]
         peaks[kept], edges = _peak_powers(matrices[kept], unit[kept], abscissas[kept],
                                           rows, np.abs(xi) ** 2)
         peak_errors.update((int(kept[s]), e) for s, e in edges.items())

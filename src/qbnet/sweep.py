@@ -9,7 +9,8 @@ columns and ``max_power`` of the topology's own variant.  Points that
 fail numerically (singular or unstable systems, a maximum outside the
 scanned range, an energy or a peak power that overflows, an undefined
 gain ratio) are recorded in the table's error list and skipped; the
-surviving rows keep grid order.
+surviving rows keep grid order.  The metadata line ``refused = k of P``
+counts them, so a table shows its dropped points with or without a sidecar.
 """
 
 from __future__ import annotations
@@ -79,7 +80,8 @@ _OBSERVABLES = {
 
 def run_sweep(cfg: RunConfig) -> SweepTable:
     """Evaluate the configured sweep; failed points go to the sidecar,
-    each with the error of the first observable that fails there."""
+    each with the error of the first observable that fails there, and
+    their count to the ``refused`` metadata."""
     if cfg.sweep is None:
         raise ValueError("config has no sweep section")
     try:
@@ -112,5 +114,6 @@ def run_sweep(cfg: RunConfig) -> SweepTable:
     rows = [[value, *row] for i, (value, row) in enumerate(zip(values, table.tolist()))
             if i not in failures]
     errors = [(i, values[i], failures[i]) for i in sorted(failures)]
-    metadata = {"config": json.dumps(run_config_to_dict(cfg), sort_keys=True)}
+    metadata = {"config": json.dumps(run_config_to_dict(cfg), sort_keys=True),
+                "refused": f"{len(errors)} of {len(values)}"}
     return SweepTable(f"sweep_{label}", columns, rows, metadata, errors)

@@ -224,5 +224,6 @@ def reference_sweep(cfg) -> SweepTable:
     rows = [[value, *row] for i, (value, row) in enumerate(zip(values, table.tolist()))
             if i not in failures]
     errors = [(i, values[i], failures[i]) for i in sorted(failures)]
-    metadata = {"config": json.dumps(run_config_to_dict(cfg), sort_keys=True)}
+    metadata = {"config": json.dumps(run_config_to_dict(cfg), sort_keys=True),
+                "refused": f"{len(errors)} of {len(values)}"}
     return SweepTable(f"sweep_{label}", columns, rows, metadata, errors)

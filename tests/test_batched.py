@@ -210,7 +210,8 @@ def test_edge_batch_has_an_edge():
 #: ``nr`` peaks on the scan edge at both batteries; ``r1`` (no
 #: intermediates, undamped batteries) has a dark mode and is refused
 DARK_R1 = TopologyParams("parallel", "nr", 2, 100.0, 0.001, 0.0, 1.0, 1.0)
-UNSTABLE = "network is not strictly decaying (spectral abscissa 0.000e+00)"
+UNSTABLE = ("network is not strictly decaying (spectral abscissa 0.000e+00, "
+            "above the floor -1e-14)")
 EDGE = ("scan maximum 0.00410921 at the grid edge x = 0.0236922; the maximum "
         "may lie outside [0.0236922, 24843.1]")
 
@@ -369,6 +370,16 @@ def linalg_calls(monkeypatch):
 
 
 @pytest.fixture
+def fills(monkeypatch):
+    """The slice count of every dense stack ``dynamics._fill`` builds."""
+    sizes = []
+    fill = qbnet.dynamics._fill
+    monkeypatch.setattr(qbnet.dynamics, "_fill",
+                        lambda stack: sizes.append(len(stack)) or fill(stack))
+    return sizes
+
+
+@pytest.fixture
 def numpy_calls(monkeypatch):
     """The name of every call that ``qbnet.network``, ``qbnet.dynamics``
     and ``qbnet.observables`` make through their ``np`` module: numpy
@@ -490,6 +501,20 @@ class TestCounters:
         dense = np.linalg.solve(matrices[0], -drives[0])
         assert energy == pytest.approx(abs(dense[index["b_101"]]) ** 2, rel=1e-12)
         assert energy == pytest.approx(400.0, rel=1e-12)
+
+    def test_band_route_builds_no_dense_slice(self, fills):
+        # a proven long network is filled into band storage straight from
+        # its entries: no (P, n, n) stack, for one point or a batch
+        params = TopologyParams("cascaded", "nr", 100, 0.01, 0.1, 0.1, 0.1, 1.0)
+        steady_energy(params)
+        batch = _steady_points(params, g_b=[0.01, 0.02])
+        assert not batch.errors and fills == []
+
+    def test_unproven_long_chain_builds_one_dense_slice(self, fills):
+        # the certificate cannot prove it, so one dense slice serves the
+        # eigvals check, the cond check and the LU
+        steady_energy(TopologyParams("cascaded", "r1", 101, 0.05, 0.1, 0.0, 0.1, 1.0))
+        assert fills == [1]
 
     def test_max_power_runs_eigvals_once(self, linalg_calls):
         # charger and batteries undamped, decay only through the

@@ -50,6 +50,16 @@ class TestSteady:
         assert float(out.strip().split("=")[1]) == qbnet.steady_energy(
             qbnet.TopologyParams("cascaded", "r1", 1, 0.05, 0.3, 0.1, 0.1, 1.0))
 
+    def test_5000_batteries(self, capsys):
+        # 10,001 modes by the band route: the closed route's energy
+        code, out, _ = run(capsys, "steady", "--family", "parallel", "--variant", "nr",
+                           "--n", "5000", "--gb", "0.1", "--gamma", "0.1",
+                           "--target", "b_5000")
+        assert code == 0
+        closed = qbnet.effective_steady_energy(
+            qbnet.TopologyParams("parallel", "nr", 5000, 0.1, 0.1, 0.1, 0.1, 1.0), 5000)
+        assert float(out.strip().split("=")[1]) == pytest.approx(closed, rel=1e-12)
+
     def test_missing_parameters(self, capsys):
         code, _, err = run(capsys, "steady", "--family", "cascaded")
         assert code == 2

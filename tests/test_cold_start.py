@@ -1,8 +1,8 @@
 """scipy stays off the import path until a run needs a band solve.
 
 ``qbnet.dynamics.expm`` is numpy's own, so no propagation loads scipy;
-``zgbtrf`` and ``zgbtrs`` are stand-ins that import scipy's function on
-first use and bind it in their place.  Each check runs in a fresh
+``zgbtrf``, ``zgbtrs`` and ``zgbmv`` are stand-ins that import scipy's
+function on first use and bind it in their place.  Each check runs in a fresh
 interpreter, where the first use is really the first.
 """
 
@@ -73,12 +73,13 @@ def test_first_use_binds_scipys_own_functions():
 import qbnet.dynamics as dynamics
 from qbnet import TopologyParams, steady_energy
 steady_energy(TopologyParams("cascaded", "nr", 50, 0.01, 0.1, 0.1, 0.1, 1.0))
-import scipy.linalg.lapack
+import scipy.linalg.blas, scipy.linalg.lapack
 print(json.dumps([dynamics.zgbtrf is scipy.linalg.lapack.zgbtrf,
-                  dynamics.zgbtrs is scipy.linalg.lapack.zgbtrs]))
+                  dynamics.zgbtrs is scipy.linalg.lapack.zgbtrs,
+                  dynamics.zgbmv is scipy.linalg.blas.zgbmv]))
 """
-    # 101 modes: the band route's first solve binds both routines
-    assert fresh(code) == [True, True]
+    # 101 modes: the band route's first solve binds the three routines
+    assert fresh(code) == [True, True, True]
 
 
 def test_counter_patched_before_first_use_counts_every_call():

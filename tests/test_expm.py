@@ -202,10 +202,10 @@ class TestDoublings:
         # 22nd (1-norm 2^44)
         rng = np.random.default_rng(11)
         points = 12
-        matrices, _, _ = assemble_points(
+        matrices = assemble_points(
             NEAR_EP, g_b=10.0 ** rng.uniform(-4, 0, points),
             Gamma=10.0 ** rng.uniform(-3, 1, points),
-            variant=rng.choice(["nr", "r1", "r2"], points).tolist())
+            variant=rng.choice(["nr", "r1", "r2"], points).tolist())[0].dense
         times = 10.0 ** rng.uniform(-6, 4, points)
         times[:2] = 2.0 ** np.array([70, 44]) / np.abs(matrices[:2]).sum(axis=1).max(axis=1)
         return matrices * times[:, None, None]

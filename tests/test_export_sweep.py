@@ -122,6 +122,19 @@ class TestRunSweep:
         assert table.errors[0][0] == 0
         assert not any(math.isnan(v) for row in table.rows for v in row)
 
+    @pytest.mark.parametrize("values, refused", [([0.1, 0.0, 0.2], "1 of 3"),
+                                                 ([0.1, 0.05, 0.2], "0 of 3")])
+    def test_refused_count_is_metadata(self, values, refused, tmp_path):
+        # the main CSV says how many points were dropped, even when no
+        # sidecar is written
+        doc = config_doc(observables=["steady_energy", "gains"])
+        doc["sweep"] = {"variable": "gamma", "values": values}
+        table = run_sweep(parse_run_config(doc))
+        assert table.metadata["refused"] == refused
+        paths = write_table(table, str(tmp_path), deterministic=True)
+        assert len(paths) == (2 if table.errors else 1)
+        assert f"# refused = {refused}\n" in (tmp_path / f"{table.name}.csv").read_text()
+
     def test_gains_observable(self):
         doc = config_doc(observables=["gains"])
         table = run_sweep(parse_run_config(doc))

@@ -6,7 +6,7 @@ import pytest
 from qbnet import (TopologyParams, UnstableSystemError, cascaded_nr_energy,
                    energy_curve, evolve, gain_report, max_power, power_curve,
                    steady_energy, vacuum)
-from qbnet.dynamics import _augmented, expm
+from qbnet.dynamics import STABILITY_FLOOR, _augmented, expm
 from qbnet.observables import _ratios, _system
 
 # independently derived single-driven-mode optimum: maximise
@@ -125,11 +125,12 @@ class TestMaxPower:
     def test_marginal_rejected_like_steady_energy(self):
         # spectral abscissa in [STABILITY_FLOOR, 0): negative, but too
         # close to zero for a steady state; both observables refuse it
+        # (the message names the floor, so a negative abscissa reads as refused)
         p = TopologyParams("cascaded", "r1", 1, 0.01, 1e-14, 1e-14, 0.1, 1.0)
-        with pytest.raises(UnstableSystemError):
-            steady_energy(p)
-        with pytest.raises(UnstableSystemError):
-            max_power(p)
+        for observable in (steady_energy, max_power):
+            with pytest.raises(UnstableSystemError) as err:
+                observable(p)
+            assert f"above the floor {STABILITY_FLOOR:g})" in str(err.value)
 
 
 class TestGainReport:
