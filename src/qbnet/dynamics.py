@@ -17,7 +17,8 @@ and M must be well conditioned (``cond_2(M)`` at most
 ``CONDITION_LIMIT``).  Both read the dissipation structure off the
 matrix's entries first: the certificate bounds the Hermitian part
 ``H = (M + M^dagger)/2`` by Gershgorin discs over the couplings alone
-(their ``Pattern``), in O(nnz), giving ``mu``
+(their ``Pattern``), in O(nnz), radii 0 and not formed for a stack whose
+couplings ``_entries`` wrote as above (``Stack.skew``), giving ``mu``
 with ``Re<x, M x> <= -mu |x|^2`` for every x.  When ``mu > 0`` the
 numerical range proves ``spectral abscissa <= -mu``,
 ``sigma_min(M) >= mu`` and ``cond_2(M) <= ||M||_F / mu``.  A rule runs
@@ -27,8 +28,8 @@ marginal decay, a bound near ``CONDITION_LIMIT``).  ``is_stable`` stays
 the dense reference.
 
 The gate is written once, over a ``Stack`` (``steady_states``): P
-matrices held as the entries ``_fill`` writes, each slice's diagonal and
-its coupling values at the positions of its ``Pattern``.  It returns
+matrices held as the entries ``_fill`` scatters to ``Pattern.positions``,
+each slice's diagonal and then its coupling values.  It returns
 arrays (amplitudes, residuals, conditions) with a map from each refused
 slice to its error; ``steady_state`` is its P = 1 case, its entries
 gathered from M, a ``SteadyState`` or the error raised.  ``layout``
@@ -184,41 +185,42 @@ _CONTOUR_W = (_CONTOUR_H * _CONTOUR_MU / (2.0 * np.pi)) * np.cos(1j * _U - _CONT
 
 
 class Pattern(NamedTuple):
-    """Coupling k joins rows ``ends[2k] = t``, ``ends[2k + 1] = s`` at flat positions
-    ``forward[k]`` (``M[t, s]``), ``backward[k]`` (``M[s, t]``); ``width``: ``M[1:, 1:]``'s.
-    ``slots``: where each entry of a ``Stack`` row lands in ``_band_solve``'s
-    workspace, the LAPACK band storage of ``M[1:, 1:]``, then column 0 and
-    row 0 of M."""
+    """Coupling k joins rows ``ends[2k] = t``, ``ends[2k + 1] = s``; ``positions``: the flat
+    position in M of each entry of a ``Stack`` row, its diagonal, then each coupling's
+    ``M[t, s]``, then each one's ``M[s, t]``; ``width``: ``M[1:, 1:]``'s.  ``slots``: where
+    each such entry lands in ``_band_solve``'s workspace, the LAPACK band storage of
+    ``M[1:, 1:]``, then column 0 and row 0 of M; None for a pattern that never takes the
+    band route."""
 
-    forward: np.ndarray
-    backward: np.ndarray
+    positions: np.ndarray
     ends: np.ndarray
     width: int
-    slots: np.ndarray
+    slots: np.ndarray | None
 
 
-def _pattern(t: np.ndarray, s: np.ndarray, n: int) -> Pattern:
+def _pattern(t: np.ndarray, s: np.ndarray, n: int, banded: bool) -> Pattern:
     width = int(np.max(np.abs(t - s)[(t > 0) & (s > 0)], initial=0))
     rows, cols = np.concatenate((np.arange(n), t, s)), np.concatenate((np.arange(n), s, t))
     band = (n - 1) * (3 * width + 1)  # (column - 1, 2 width + row - column), transposed
-    slots = np.where(rows == 0, band + n + cols, np.where(
+    slots = None if not banded else np.where(rows == 0, band + n + cols, np.where(
         cols == 0, band + rows, (cols - 1) * (3 * width + 1) + 2 * width + rows - cols))
-    return Pattern(t * n + s, s * n + t, np.stack((t, s), axis=1).ravel(), width, slots)
+    return Pattern(rows * n + cols, np.stack((t, s), axis=1).ravel(), width, slots)
 
 
 class Stack:
     """A (P, n, n) stack of dynamics matrices held as the entries ``_fill``
     writes, one row of ``entries`` (P, n + 2c) per slice: its ``diagonal``
     (P, n), then its coupling values ``forward`` (``M[t, s]``) and
-    ``backward`` (``M[s, t]``), (P, c) each, at the positions of ``pattern``;
-    every other entry is 0.  The certificate and the band route read these
-    arrays, in O(nnz).  ``dense`` is the (P, n, n) stack itself, filled once
-    on first use (``_fill``) unless given; indexing the stack reads it."""
+    ``backward`` (``M[s, t]``), (P, c) each, at ``pattern.positions``;
+    every other entry is 0.  ``skew``: each backward value is known to be
+    ``-conj`` of its forward one, as ``_entries`` writes them, so that
+    ``M + M^dagger`` is diagonal.  The certificate and the band route read
+    these arrays, in O(nnz).  ``dense`` is the (P, n, n) stack itself, filled
+    once on first use (``_fill``) unless given; indexing the stack reads it."""
 
-    def __init__(self, entries: np.ndarray, pattern: Pattern, dense=None):
-        couplings = len(pattern.forward)
-        n = entries.shape[1] - 2 * couplings
-        self.entries, self.pattern = entries, pattern
+    def __init__(self, entries: np.ndarray, pattern: Pattern, dense=None, skew=False):
+        n, couplings = entries.shape[1] - len(pattern.ends), len(pattern.ends) // 2
+        self.entries, self.pattern, self.skew = entries, pattern, skew
         self.diagonal, self.forward, self.backward = (
             entries[:, :n], entries[:, n:n + couplings], entries[:, n + couplings:])
         self._dense = dense
@@ -228,8 +230,8 @@ class Stack:
         """The stack of the dense (P, n, n) ``matrices``, whose nonzero
         off-diagonal entries all lie on ``pattern``."""
         points, n = matrices.shape[:2]
-        at = np.concatenate((np.arange(0, n * n, n + 1), pattern.forward, pattern.backward))
-        return cls(matrices.reshape(points, n * n).take(at, axis=1), pattern, matrices)
+        return cls(matrices.reshape(points, n * n).take(pattern.positions, axis=1), pattern,
+                   matrices)
 
     @property
     def dense(self) -> np.ndarray:
@@ -254,13 +256,16 @@ class Stack:
         if len(rows) == len(self):
             return self
         dense = None if self._dense is None else self._dense[rows]
-        return Stack(self.entries[rows], self.pattern, dense)
+        return Stack(self.entries[rows], self.pattern, dense, self.skew)
 
 
-def _certify(stack, pattern: Pattern) -> tuple:
+def _certify(stack: Stack) -> tuple:
     """``(mu, abscissa_bound, condition_bound)`` of each slice of a ``Stack``,
     in O(nnz), by the Gershgorin discs of ``H``: centre ``Re M[i, i]``,
-    radius ``|M[t, s] + conj(M[s, t])| / 2`` summed over ``pattern`` at i.
+    radius ``|M[t, s] + conj(M[s, t])| / 2`` summed over the couplings at i.
+    A ``skew`` stack's radii are 0 by construction and are not formed (nor
+    a gathered stack's that all read 0): ``mu`` is then the largest centre
+    times ``slack - 1``, a positive scale that commutes with the max.
 
     ``mu`` is a lower bound.  ``abscissa_bound``, on the abscissa as
     ``eigvals`` computes it, adds ``(n + 2) eps ||M||_F`` to ``-mu`` for its
@@ -273,15 +278,18 @@ def _certify(stack, pattern: Pattern) -> tuple:
     """
     points, n = stack.diagonal.shape
     slack = (n + 2) * _EPS
-    off = np.abs(stack.forward + stack.backward.conj())
-    radius = 0.0  # what every assembled network gives: M + M^dagger is diagonal
-    if off.any():
-        radius = np.bincount((pattern.ends + n * np.arange(points)[:, None]).ravel(),
+    off = None if stack.skew else np.abs(stack.forward + stack.backward.conj())
+    if off is not None and np.count_nonzero(off):
+        radius = np.bincount((stack.pattern.ends + n * np.arange(points)[:, None]).ravel(),
                              off.repeat(2, axis=1).ravel(), points * n).reshape(points, n)
-    mu = -np.maximum.reduce(stack.diagonal.real * (1.0 - slack)
-                            + radius * (0.5 * (1.0 + slack)), axis=1)
+        mu = -np.maximum.reduce(stack.diagonal.real * (1.0 - slack)
+                                + radius * (0.5 * (1.0 + slack)), axis=1)
+    else:
+        mu = np.maximum.reduce(stack.diagonal.real, axis=1) * (slack - 1.0)
     norm = _norms(stack.entries) * (1.0 + n * slack)
-    bound = np.divide(norm, mu, out=np.full(points, np.inf), where=mu > 0.0)
+    bound = np.empty(points)
+    bound.fill(np.inf)
+    np.divide(norm, mu, out=bound, where=mu > 0.0)
     return mu, slack * norm - mu, bound
 
 
@@ -321,7 +329,8 @@ class LinearSystem:
     @cached_property
     def pattern(self) -> Pattern:
         """The coupling positions, found once from the nonzero entries of M."""
-        return _pattern(*np.tril(abs(self.matrix) + abs(self.matrix.T), -1).nonzero(), self.n)
+        return _pattern(*np.tril(abs(self.matrix) + abs(self.matrix.T), -1).nonzero(), self.n,
+                        self.n >= _BAND_MIN_MODES)
 
     def row(self, mode_id: str) -> int:
         return _row(self.index, mode_id)
@@ -369,21 +378,20 @@ def _entries(rotation, decay, pattern, strength, phase) -> Stack:
     (points, n), couplings = decay.shape, strength.shape[1]
     entries = np.empty((points, n + 2 * couplings), dtype=complex)
     entries[:, :n] = rotation - decay / 2.0
-    coupling = entries[:, n:n + couplings]
-    coupling[...] = -1j * strength * np.exp(1j * phase) + 0.0
-    entries[:, n + couplings:] = -coupling.conj() + 0.0
-    return Stack(entries, pattern)
+    forward = entries[:, n:n + couplings]
+    forward[...] = -1j * strength * np.exp(1j * phase)
+    forward += 0.0
+    entries[:, n + couplings:] = 0.0 - forward.conj()  # -conj(forward) + 0.0
+    return Stack(entries, pattern, skew=True)
 
 
 def _fill(stack: Stack) -> np.ndarray:
-    """The dense (P, n, n) matrices of a ``Stack``: the one densifier, run
-    only for the dense LU, the dense checks and the propagators."""
+    """The dense (P, n, n) matrices of a ``Stack``, one scatter to
+    ``pattern.positions``: the one densifier, run only for the dense LU,
+    the dense checks and the propagators."""
     points, n = stack.diagonal.shape
     matrices = np.zeros((points, n, n), dtype=complex)
-    flat = matrices.reshape(points, n * n)
-    flat[:, ::n + 1] = stack.diagonal
-    flat[:, stack.pattern.forward] = stack.forward
-    flat[:, stack.pattern.backward] = stack.backward
+    matrices.reshape(points, n * n)[:, stack.pattern.positions] = stack.entries
     return matrices
 
 
@@ -401,7 +409,7 @@ def assemble(spec: NetworkSpec) -> LinearSystem:
         drive[index[d.mode]] += -1j * complex(d.amplitude)
     matrix = _fill(_entries(-1j * np.array([m.detuning for m in spec.modes], dtype=float),
                             np.array([[m.decay_rate for m in spec.modes]], dtype=float),
-                            _pattern(t.astype(np.intp), s.astype(np.intp), len(index)),
+                            _pattern(t.astype(np.intp), s.astype(np.intp), len(index), False),
                             strength[None], phase[None]))[0]
     return LinearSystem(matrix, drive, index)
 
@@ -418,8 +426,8 @@ def layout(family: str, intermediates: bool, n: int) -> tuple:
     s, t, strength, phase = np.array(
         [(index[s], index[t], g, p) for s, t, g, p in couplings]).T
     arrays = (np.array([r for *_, r in modes]), strength, phase)
-    pattern = _pattern(t, s, len(index))
-    for array in arrays + pattern[:3] + pattern[4:]:
+    pattern = _pattern(t, s, len(index), True)
+    for array in arrays + (pattern.positions, pattern.ends, pattern.slots):
         array.setflags(write=False)  # shared by every caller
     return (MappingProxyType(index),) + arrays + (pattern,)
 
@@ -435,8 +443,9 @@ def assemble_points(params: TopologyParams, **columns) -> tuple:
                       params.n)
     _, decay, strength, phase, pattern = compiled
     rates, strengths, phases, xi = parameter_tables(params, **columns)
-    stack = _entries(-1j * 0.0, rates[:, decay], pattern, strengths[:, strength],
-                     phases[:, phase])  # assemble's -1j * detuning; a plain 0.0 flips signed zeros
+    stack = _entries(-1j * 0.0, rates.take(decay, axis=1), pattern,
+                     strengths.take(strength, axis=1), phases.take(phase, axis=1))
+    # assemble's -1j * detuning above: a plain 0.0 flips signed zeros
     drives = np.zeros(stack.diagonal.shape, dtype=complex)
     drives[:, 0] += -1j * xi  # the charger
     return stack, drives, compiled
@@ -483,19 +492,18 @@ def _solve(stack: Stack, drives, width=None) -> tuple:
     return alpha, _norms((matrices @ alpha[..., None])[..., 0] + drives)
 
 
-def steady_states(stack: Stack, drives: np.ndarray, pattern: Pattern,
+def steady_states(stack: Stack, drives: np.ndarray,
                   abscissas: np.ndarray | None = None) -> tuple:
-    """``steady_state`` of each slice of a ``Stack`` with its (P, n) drives and
-    coupling ``pattern`` (the stack's, a ``layout``'s), in one batched solve:
-    ``(amplitudes, residuals, conditions, errors)``, ``errors`` mapping a
-    refused slice (amplitudes NaN) to the error ``steady_state`` raises.
-    The certificate reads the stack's entries; the dense checks run,
-    stacked, only on the slices it cannot prove, and only those slices and
-    the dense LU's are filled (``Stack.dense``); ``abscissas``, the dense
-    abscissa of every slice when the caller has computed them, stand in
-    for the gate's own ``eigvals``."""
-    mu, abscissa_bound, condition_bound = _certify(stack, pattern)
-    errors, conditions, width = {}, condition_bound, pattern.width
+    """``steady_state`` of each slice of a ``Stack`` with its (P, n) drives,
+    in one batched solve: ``(amplitudes, residuals, conditions, errors)``,
+    ``errors`` mapping a refused slice (amplitudes NaN) to the error
+    ``steady_state`` raises.  The certificate reads the stack's entries; the
+    dense checks run, stacked, only on the slices it cannot prove, and only
+    those slices and the dense LU's are filled (``Stack.dense``);
+    ``abscissas``, the dense abscissa of every slice when the caller has
+    computed them, stand in for the gate's own ``eigvals``."""
+    mu, abscissa_bound, condition_bound = _certify(stack)
+    errors, conditions, width = {}, condition_bound, stack.pattern.width
     if not abscissa_bound.max() <= STABILITY_FLOOR:
         slices = (~(abscissa_bound <= STABILITY_FLOOR)).nonzero()[0]
         dense = (_abscissas(stack.take(slices).dense) if abscissas is None
@@ -543,7 +551,7 @@ def steady_state(sys: LinearSystem) -> SteadyState:
     ``sys.pattern``.
     """
     amplitudes, residuals, conditions, errors = steady_states(
-        Stack.gather(sys.matrix[None], sys.pattern), sys.drive[None], sys.pattern)
+        Stack.gather(sys.matrix[None], sys.pattern), sys.drive[None])
     if errors:
         raise errors[0]
     return SteadyState(amplitudes[0], float(residuals[0]), float(conditions[0]))

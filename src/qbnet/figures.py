@@ -17,7 +17,7 @@ from .closed_forms import g_opt_odd, logfit_ratio
 from .export import SweepTable, write_table
 from .network import TopologyParams
 from .nonreciprocity import _landscape_table, phase_landscape
-from .observables import (GAIN_VARIANTS, _etas, _gain_columns, _gain_points,
+from .observables import (GAIN_VARIANTS, _etas, _gain_batches, _gain_columns, _gain_points,
                           _raise_first, energy_curve, power_curve)
 
 #: fig2/fig3 regime
@@ -129,8 +129,7 @@ def _curve_panel(name, family, g_b, gamma, Gamma, times, times_label, power):
 def _eta_panel(name, family):
     base = _params(family, "nr", 4, GAMMA_POWER, GAMMA_POWER,
                    GAMMA_INTERMEDIATE_POWER)
-    solved = _gain_points(base, ("b_4",), g_b=POWER_SWEEP * GAMMA_POWER)
-    _, etas, _ = _etas(solved.get, ("b_4",))
+    _, etas, _ = _etas(_gain_batches(base, ("b_4",), g_b=POWER_SWEEP * GAMMA_POWER), ("b_4",))
     rows = np.column_stack((POWER_SWEEP, *etas)).tolist()
     md = _base_metadata(family, 4, GAMMA_POWER, GAMMA_INTERMEDIATE_POWER,
                         {"sweep": "gb_over_gamma log 21 points on [0.001, 0.1]",

@@ -259,7 +259,7 @@ def _variant_rows(variants) -> list:
     values."""
     runs, start = [], 0
     for variant, run in itertools.groupby(variants):
-        count = sum(1 for _ in run)
+        count = len(list(run))
         runs.append((variant, slice(start, start + count)))
         start += count
     return runs
@@ -281,7 +281,7 @@ def parameter_tables(params: TopologyParams, **columns) -> tuple:
               else [(params.variant, slice(None))])
     derived = "g_b" not in columns and "Gamma" not in columns
     rates = np.empty((points, params.n + 2))
-    strengths = np.empty((points, 2))
+    strengths = np.zeros((points, 2))  # g_i stays 0 without intermediates
     phases = np.zeros((points, params.n + 1))
     rates[:] = (params.gamma_c, params.Gamma, *params.gamma_b)
     strengths[:, 0] = params.g_b
@@ -298,12 +298,10 @@ def parameter_tables(params: TopologyParams, **columns) -> tuple:
             _intermediate_coupling(columns["variant"][i] if "variant" in columns
                                    else params.variant, 0.0, float(rates[i, 1]))
     for variant, rows in groups:
-        if variant not in WITH_INTERMEDIATES:
-            strengths[rows, 1] = 0.0
-        elif derived:
-            strengths[rows, 1] = _intermediate_coupling(variant, params.g_b, params.Gamma)
-        else:
-            strengths[rows, 1] = np.sqrt(strengths[rows, 0] * rates[rows, 1] / 2.0)
+        if variant in WITH_INTERMEDIATES:
+            strengths[rows, 1] = (
+                _intermediate_coupling(variant, params.g_b, params.Gamma) if derived
+                else np.sqrt(strengths[rows, 0] * rates[rows, 1] / 2.0))
         if "thetas" in columns and variant in WITH_FREE_PHASES:
             thetas = np.asarray(columns["thetas"], dtype=float)[rows]
             bits, inverse = np.unique(thetas.view(np.int64), return_inverse=True)

@@ -92,11 +92,11 @@ def drive_relocation_energies(theta: float, g_b: float, Gamma: float,
     the link exactly.
     """
     _check_phase(theta)
-    stack, drives, (index, *_, pattern) = assemble_points(TopologyParams(
+    stack, drives, (index, *_) = assemble_points(TopologyParams(
         "cascaded", "custom", 1, g_b, gamma, gamma, Gamma, xi, (theta,)), xi=[xi, 0.0])
     c, b = index["c"], index["b_1"]
     drives[1, b] = drives[0, c]
-    amplitudes, _, _, errors = steady_states(stack, drives, pattern)
+    amplitudes, _, _, errors = steady_states(stack, drives)
     _raise_first(errors)
     return float(abs(amplitudes[0, b]) ** 2), float(abs(amplitudes[1, c]) ** 2)
 

@@ -130,12 +130,16 @@ class Batch(NamedTuple):
         """``|a|^2`` (P, len(targets)) at ``targets``, by ``_energies``."""
         return _energies([self], targets)
 
-    def part(self, start: int, stop: int) -> Batch:
-        """Points ``[start, stop)``, renumbered from 0."""
-        def cut(errors):
-            return {i - start: e for i, e in errors.items() if start <= i < stop}
-        peaks = () if self.peaks is None else (self.peaks[start:stop], cut(self.peak_errors))
-        return Batch(self.amplitudes[start:stop], cut(self.errors), self.index, *peaks)
+    def parts(self, count: int) -> list:
+        """The batch cut into ``count`` runs of equal length, each renumbered from 0."""
+        size = len(self.amplitudes) // count
+
+        def cut(errors, k):
+            return {i - k * size: e for i, e in errors.items() if i // size == k}
+        return [Batch(self.amplitudes[k * size:(k + 1) * size], cut(self.errors, k), self.index,
+                      *(() if self.peaks is None else
+                        (self.peaks[k * size:(k + 1) * size], cut(self.peak_errors, k))))
+                for k in range(count)]
 
 
 def _energies(batches, targets) -> np.ndarray:
@@ -151,21 +155,23 @@ def _energies(batches, targets) -> np.ndarray:
 def _steady_points(params: TopologyParams, **columns) -> Batch:
     """A solved ``Batch`` (``columns`` as in ``assemble_points``),
     ``errors`` as in ``steady_states``."""
-    stack, drives, (index, *_, pattern) = assemble_points(params, **columns)
-    amplitudes, _, _, errors = steady_states(stack, drives, pattern)
+    stack, drives, (index, *_) = assemble_points(params, **columns)
+    amplitudes, _, _, errors = steady_states(stack, drives)
     return Batch(amplitudes, errors, index)
 
 
-def _gain_points(params: TopologyParams, targets=None, **columns) -> dict:
-    """The solved batch of each gain variant.  Steady (``targets`` None):
-    while nr, r1 and r2 fit one dense stack (below ``_BAND_MIN_MODES``
-    modes, where the fixed cost of a batch dominates), one
-    ``_steady_points`` batch of the three in turn, so one assemble, one
-    certificate and one solve; r1 fills the intermediates layout with its
-    intermediate coupling at 0, and nothing drives those decoupled modes,
-    so its battery amplitudes are r1's own.  Their decay, Gamma / 2, can
-    still fail the gate where r1 passes, so when it refuses an r1 point r1
-    is solved again in its own layout, whose verdicts are r1's.  Longer
+def _gain_batches(params: TopologyParams, targets=None, **columns) -> list:
+    """The solved points of the gain variants, variant after variant in
+    ``GAIN_VARIANTS`` order: one joint batch or one batch per variant.
+    Steady (``targets`` None): while nr, r1 and r2 fit one dense stack
+    (below ``_BAND_MIN_MODES`` modes, where the fixed cost of a batch
+    dominates), one ``_steady_points`` batch of the three in turn, so one
+    assemble, one certificate and one solve; r1 fills the intermediates
+    layout with its intermediate coupling at 0, and nothing drives those
+    decoupled modes, so its battery amplitudes are r1's own.  Their decay,
+    Gamma / 2, can still fail the gate where r1 passes, so when it refuses
+    an r1 point r1 is solved again in its own layout, whose verdicts are
+    r1's; a joint batch that refuses any point is cut by variant.  Longer
     networks, and power (``_gain_powers``), solve nr and r2 as one batch of
     twice the points and r1 alone in its own, smaller layout."""
     points = len(next(iter(columns.values()))) if columns else 1
@@ -175,21 +181,28 @@ def _gain_points(params: TopologyParams, targets=None, **columns) -> dict:
     repeated = {f: np.concatenate((v,) * len(variants)) for f, v in columns.items()}
     stacked = _steady_points(params, **repeated,
                              variant=sum(([v] * points for v in variants), []))
-    solved = {v: stacked.part(k * points, (k + 1) * points) for k, v in enumerate(variants)}
-    if "r1" not in solved or solved["r1"].errors:
-        solved["r1"] = _steady_points(params, **columns, variant=["r1"] * points)
+    if len(variants) == 3 and not stacked.errors:
+        return [stacked]
+    solved = stacked.parts(len(variants))
+    if len(variants) == 2 or solved[1].errors:
+        solved[1:-1] = [_steady_points(params, **columns, variant=["r1"] * points)]  # r1 alone
     return solved
 
 
+def _gain_points(params: TopologyParams, targets=None, **columns) -> dict:
+    """The batch of each gain variant: ``_gain_batches``, a joint batch cut."""
+    solved = _gain_batches(params, targets, **columns)
+    return dict(zip(GAIN_VARIANTS, solved[0].parts(3) if len(solved) == 1 else solved))
+
+
 @_FLAGGED_LATER
-def _gain_powers(params: TopologyParams, targets, points, columns) -> dict:
-    """``_gain_points``' power route, whose overflowing peaks ``_etas``
+def _gain_powers(params: TopologyParams, targets, points, columns) -> list:
+    """``_gain_batches``' power route, whose overflowing peaks ``_etas``
     flags: nr and r2 as one batch of twice the ``points``, r1 alone."""
     both = {f: np.concatenate((v, v)) for f, v in columns.items()}
     links = _power_points(params, targets, **both, variant=["nr"] * points + ["r2"] * points)
-    return {"nr": links.part(0, points),
-            "r1": _power_points(params, targets, **columns, variant=["r1"] * points),
-            "r2": links.part(points, 2 * points)}
+    nr, r2 = links.parts(2)
+    return [nr, _power_points(params, targets, **columns, variant=["r1"] * points), r2]
 
 
 def _raise_first(errors: dict) -> None:
@@ -304,11 +317,11 @@ def _power_points(params: TopologyParams, targets, **columns) -> Batch:
     Every amplitude is linear in the drive ``xi``, so the peaks are
     searched at unit drive: ``t_star`` does not depend on ``xi`` and
     ``p_max`` scales with ``|xi|^2`` (0 for an undriven network)."""
-    stack, drives, (index, *_, pattern) = assemble_points(params, **columns)
+    stack, drives, (index, *_) = assemble_points(params, **columns)
     rows = np.array([_row(index, t) for t in targets], dtype=np.intp)
     matrices = stack.dense  # the propagators' stack, shared with the gate's dense LU
     abscissas = _abscissas(matrices)
-    amplitudes, _, _, errors = steady_states(stack, drives, pattern, abscissas)
+    amplitudes, _, _, errors = steady_states(stack, drives, abscissas)
     points = len(matrices)
     kept = np.setdiff1d(np.arange(points), list(errors))
     peaks, peak_errors = np.full((points, len(rows), 2), np.nan), dict(errors)
@@ -318,7 +331,7 @@ def _power_points(params: TopologyParams, targets, **columns) -> Batch:
         if np.any(xi != 1.0):
             unit_drives = np.zeros_like(drives)
             unit_drives[:, 0] += -1j  # as ``assemble_points`` writes xi = 1
-            unit = steady_states(stack, unit_drives, pattern, abscissas)[0]
+            unit = steady_states(stack, unit_drives, abscissas)[0]
         peaks[kept], edges = _peak_powers(matrices[kept], unit[kept], abscissas[kept],
                                           rows, np.abs(xi) ** 2)
         peak_errors.update((int(kept[s]), e) for s, e in edges.items())
@@ -352,9 +365,11 @@ def _ratios(values: np.ndarray, name: str, targets) -> tuple:
     ``RATIO_FLOOR`` or its quotient is not finite: NaN, and named
     ``{name}1[target]`` or ``{name}2[target]`` in ``flags[p]``."""
     gains = values[0] / np.maximum(values[1:], RATIO_FLOOR)
-    undefined = (values[1:] < RATIO_FLOOR) | ~np.isfinite(gains)
+    defined = np.isfinite(gains)
+    defined &= values[1:] >= RATIO_FLOOR
     flags: dict = {}
-    if np.count_nonzero(undefined):
+    if np.count_nonzero(defined) < defined.size:
+        undefined = ~defined
         gains[undefined] = np.nan
         for k, p, t in zip(*undefined.nonzero()):
             flags.setdefault(int(p), []).append(f"{name}{k + 1}[{targets[t]}]")
@@ -362,21 +377,20 @@ def _ratios(values: np.ndarray, name: str, targets) -> tuple:
 
 
 @_FLAGGED_LATER
-def _gains(solved, targets) -> tuple:
-    """Energies (3, P, T) at ``targets`` of ``solved(v)``, v in
-    ``GAIN_VARIANTS``, read in one pass, their ``_ratios``, and each refused
-    point's error."""
-    batches = [solved(v) for v in GAIN_VARIANTS]
-    energies = _energies(batches, targets).reshape(len(batches), -1, len(targets))
-    errors = _first_errors([b.errors for b in batches])
-    return (energies, *_ratios(energies, "G", targets), errors)
+def _gains(batches, targets) -> tuple:
+    """Energies (3, P, T) at ``targets`` of the gain ``batches`` (as
+    ``_gain_batches`` returns them; an iterator is drawn here, so that the
+    solves it runs are flagged too), read in one pass, their ``_ratios``,
+    and each refused point's error."""
+    batches = list(batches)
+    energies = _energies(batches, targets).reshape(len(GAIN_VARIANTS), -1, len(targets))
+    return (energies, *_ratios(energies, "G", targets), _first_errors([b.errors for b in batches]))
 
 
 @_FLAGGED_LATER
-def _etas(solved, targets) -> tuple:
-    """Peak powers (3, P, T) at ``targets`` of the power batches ``solved(v)``,
-    v in ``GAIN_VARIANTS``, and their ``_ratios``; raises the first peak error."""
-    batches = [solved(v) for v in GAIN_VARIANTS]
+def _etas(batches, targets) -> tuple:
+    """Peak powers (3, P, T) at ``targets`` of the power ``batches`` of the gain
+    variants, and their ``_ratios``; raises the first peak error."""
     _raise_first(_first_errors([b.peak_errors for b in batches]))
     power = np.array([batch.peaks[..., 1] for batch in batches])
     return (power, *_ratios(power, "eta", targets))
@@ -385,7 +399,8 @@ def _etas(solved, targets) -> tuple:
 def _gain_columns(params: TopologyParams, target, solved) -> tuple:
     """``([E_nr, E_r1, E_r2, G1, G2] (P, 5), errors, flags)`` at ``target``,
     by default the last battery."""
-    energies, gains, flags, errors = _gains(solved, (target or _default_target(params),))
+    energies, gains, flags, errors = _gains(map(solved, GAIN_VARIANTS),
+                                            (target or _default_target(params),))
     return np.hstack([*energies, *gains]), errors, flags
 
 
@@ -421,19 +436,19 @@ def gain_report(params_base: TopologyParams, include_power: bool = False) -> Gai
     Cascaded scenarios report the terminal battery; parallel ones
     report each battery.  ``include_power`` adds maximum-power triples
     and the corresponding eta ratios.  Without it the three variants are
-    one batch below 24 batteries (``_gain_points``): one assemble, one
+    one batch below 24 batteries (``_gain_batches``): one assemble, one
     certificate and one solve, ``r1`` with its intermediates decoupled.
     With it ``nr`` and ``r2`` are one batch and ``r1`` another, and every
     battery's peak comes off one octave scan and one lockstep Newton
     search per batch (``_power_points``).
     """
     targets = _report_targets(params_base)
-    solved = _gain_points(params_base, targets if include_power else None)
-    energies, gains, flags, errors = _gains(solved.get, targets)
+    batches = _gain_batches(params_base, targets if include_power else None)
+    energies, gains, flags, errors = _gains(batches, targets)
     _raise_first(errors)
     columns = [energies, gains]
     if include_power:
-        power, etas, eta_flags = _etas(solved.get, targets)
+        power, etas, eta_flags = _etas(batches, targets)
         columns += [power, etas]
         flags.setdefault(0, []).extend(eta_flags.get(0, ()))
     return GainReport(params_base, targets,

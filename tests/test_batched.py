@@ -312,8 +312,7 @@ def test_refused_slice_does_not_abort_the_batch():
     gammas = [0.1, 0.0, 0.2, 0.0]
     matrices, drives, _ = assemble_points(
         params, gamma_c=gammas, gamma_b=[(g,) * 3 for g in gammas])
-    amplitudes, residuals, conditions, errors = steady_states(
-        matrices, drives, layout("cascaded", False, 3)[-1])
+    amplitudes, residuals, conditions, errors = steady_states(matrices, drives)
     assert sorted(errors) == [1, 3]
     for i, g in enumerate(gammas):
         sys = assemble(build_network(TopologyParams(
@@ -434,16 +433,17 @@ class TestCounters:
         figure_table("fig2b")
         assert built == []
 
-    @pytest.mark.parametrize("call, before", [(steady_energy, 24),
-                                              (gain_report, 24)])
-    def test_single_call_numpy_budget(self, call, before, numpy_calls):
-        # the fixed cost of one small call: no more numpy calls than the
-        # per-point tables made (``before``, counted the same way)
+    @pytest.mark.parametrize("call, budget", [(steady_energy, 18),
+                                              (gain_report, 21)])
+    def test_single_call_numpy_budget(self, call, budget, numpy_calls):
+        # the fixed cost of one small call: no more numpy calls than it
+        # makes with a skew stack, which forms no Gershgorin radii, and a
+        # gain report that reads its joint batch whole
         params = TopologyParams("cascaded", "nr", 1, 0.01, 0.1, 0.1, 0.1, 1.0)
         call(params)  # compiles the layout
         numpy_calls.clear()
         call(params)
-        assert 0 < len(numpy_calls) <= before
+        assert 0 < len(numpy_calls) <= budget
 
     def test_fig2c_solves_in_batches(self, linalg_calls):
         # nr, r1 and r2 share the intermediates layout: one batch of 903

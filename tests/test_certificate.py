@@ -69,7 +69,7 @@ def networks(draw, families=FAMILIES, variants=VARIANTS,
 def certificate(sys_):
     """``(mu, abscissa_bound, condition_bound)`` of one system."""
     stack = Stack.gather(sys_.matrix[None], sys_.pattern)
-    return tuple(float(v[0]) for v in _certify(stack, sys_.pattern))
+    return tuple(float(v[0]) for v in _certify(stack))
 
 
 def assert_dense_oracle_agrees(sys_):
@@ -116,8 +116,8 @@ def assert_routes_agree(params, k):
     # about eps * cond * ||alpha||, spread over every mode.  One batch
     # solve (the spec path's, bit for bit) keeps 5,000 batteries off a
     # dense 10,001-mode matrix
-    stack, drives, (index, *_, pattern) = assemble_points(params)
-    amplitudes, _, conditions, errors = steady_states(stack, drives, pattern)
+    stack, drives, (index, *_) = assemble_points(params)
+    amplitudes, _, conditions, errors = steady_states(stack, drives)
     if errors:
         return
     dense = abs(amplitudes[0, index[f"b_{k}"]]) ** 2
@@ -198,8 +198,8 @@ def test_route_agreement_campaign():
         params = TopologyParams(family, variant, n, gamma * 10.0 ** rng.uniform(-6.0, 3.0),
                                 *decays, gamma * 10.0 ** rng.uniform(-3.0, 3.0),
                                 complex(*rng.normal(size=2)), thetas)
-        stack, drives, (index, *_, pattern) = assemble_points(params)
-        amplitudes, _, conditions, errors = steady_states(stack, drives, pattern)
+        stack, drives, (index, *_) = assemble_points(params)
+        amplitudes, _, conditions, errors = steady_states(stack, drives)
         assert not errors
         rows = [index[f"b_{b}"] for b in range(1, n + 1)]
         dense = np.abs(amplitudes[0, rows]) ** 2
@@ -220,7 +220,7 @@ def test_band_route_agrees_with_dense_lu(params, spread):
     # _BAND_MIN_MODES; each route's error is about eps * cond * |alpha|
     matrices, drives, (*_, pattern) = assemble_points(
         params, g_b=[params.g_b * 10.0 ** (spread * k) for k in range(3)])
-    mu, _, condition = _certify(matrices, pattern)
+    mu, _, condition = _certify(matrices)
     assume(matrices.shape[1] > 2 and (mu > 0.0).all())
     band, _ = _solve(matrices, drives, pattern.width)
     dense, _ = _solve(matrices, drives)
@@ -235,9 +235,9 @@ def test_spec_path_takes_the_batch_route(family, variant):
     # paths of a long network take the band route, to the same bits
     params = TopologyParams(family, variant, 60, 0.02, 0.1, 0.15, 0.3,
                             1.0 - 0.5j, tuple(0.1 * k for k in range(60)))
-    matrices, drives, (*_, pattern) = assemble_points(params)
+    matrices, drives, _ = assemble_points(params)
     assert matrices.shape[1] >= _BAND_MIN_MODES
-    amplitudes, residuals, conditions, _ = steady_states(matrices, drives, pattern)
+    amplitudes, residuals, conditions, _ = steady_states(matrices, drives)
     ss = steady_state(system(params))
     assert amplitudes[0].tobytes() == ss.amplitudes.tobytes()
     assert (residuals[0], conditions[0]) == (ss.residual, ss.condition)
