@@ -156,11 +156,12 @@ def _cmd_steady(args) -> int:
     batch = _steady_points(params)
     _raise_first(batch.errors)
     rows = list(zip(targets, batch.energies(*targets)[0].tolist()))
-    if args.out or args.format == "json":
+    if args.out or args.format:
+        metadata = {"topology": json.dumps(topology_to_dict(params), sort_keys=True)}
+        if args.target:
+            metadata["target"] = args.target
         table = SweepTable("steady", ("battery", "E_over_omega"),
-                           [[_battery_number(t), e] for t, e in rows],
-                           {"topology": json.dumps(topology_to_dict(params),
-                                                   sort_keys=True)})
+                           [[_battery_number(t), e] for t, e in rows], metadata)
         _emit(table, args)
     else:
         for target, energy in rows:

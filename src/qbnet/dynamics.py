@@ -68,14 +68,14 @@ stack, degree and scaling chosen per slice (Al-Mohy & Higham 2009), in
 numpy: the first of the doublings ``e^{2^k A}``, k < K, that
 ``_doublings`` returns, each equal bit for bit to a fresh ``expm`` of
 ``2^k A`` while the K share one set of powers, structure and Pades.
-The peak scan of ``observables.max_power`` takes its octave steps
-``e^{2^k M h_0}`` from one such call (``_octave_scan``), and each step of
-its Newton search (``_newton``) is one ``expm`` of the peaks still
-searched.  scipy loads only when a run needs a band solve: ``zgbtrf``,
-``zgbtrs`` and ``zgbmv`` start as stand-ins that import scipy's function
-on their first call and bind it in their place, so ``import qbnet``, every
-propagation and every steady solve below ``_BAND_MIN_MODES`` modes load
-no scipy module.
+The peak scan of ``observables.max_power`` takes its first point and its
+octave steps ``e^{2^k M h_0}`` from one such call (``_octave_scan``); its
+ladder (``_ladder``) descends to every peak on the same powers and ends in
+one ``expm`` of all the peaks.  scipy loads only when a run needs a band
+solve: ``zgbtrf``, ``zgbtrs`` and ``zgbmv`` start as stand-ins that import
+scipy's function on their first call and bind it in their place, so
+``import qbnet``, every propagation and every steady solve below
+``_BAND_MIN_MODES`` modes load no scipy module.
 """
 
 from __future__ import annotations
@@ -131,9 +131,6 @@ STEP_RTOL = 1e-12
 #: a run of equal steps is read off as ``E^(B q + r)``, r < B: this many
 #: left rows ``E^r`` times one right column ``E^(B q) x`` each (``_step``)
 STEP_BLOCK = 16
-
-#: the Newton search of a power peak stops after this many steps
-_NEWTON_STEPS = 64
 
 #: isolated grid points are exponentiated, contour resolvents solved and
 #: doublings formed in stacks of at most this many matrix entries (4 MiB
@@ -914,88 +911,108 @@ def _step(powers, x: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
     return values.reshape(x.shape[:-1] + (-1, width))[..., 1:count + 1, :]
 
 
-def _octave_scan(matrices: np.ndarray, x0: np.ndarray, t_lo: np.ndarray, octaves: int,
-                 steps: int, rows: np.ndarray) -> np.ndarray:
-    """``(e^{M t} x0)[rows]`` of each slice of a (P, n, n) stack at its
-    ``t_lo`` and at the ``steps`` equal steps ``h_k = 2^k t_lo / steps`` of
-    each octave ``[2^k t_lo, 2^(k+1) t_lo]``, k < ``octaves``:
-    (P, 1 + octaves steps, len(rows)).
+def _scan_point(i, steps: int) -> tuple:
+    """``(k, j)`` of scan point i of ``_octave_scan``: j steps of ``2^k h_0``
+    past the start of octave k, so it lies at ``(steps + j) 2^k h_0``."""
+    return np.divmod(i, steps)
 
-    x(t_lo) is one ``expm``.  The steps share one ``_doublings`` call on
-    ``M h_0``, whose doubling k is ``E_k = e^{M h_k}`` and whose doubling
-    k + b is ``E_k^(2^b)``, each a fresh exponential.  The octave starts are
-    chained by the binary digits of ``steps``, ``x_(k+1) = E_k^steps x_k``
-    (145: ``E_k E_(k+4) E_(k+7) x_k``), and ``_step`` reads the values of
-    every octave off one product, in chunks of slices whose values hold at
-    most 1/16 of ``_EXPM_STACK_ENTRIES`` entries.
+
+def _scan_times(h_0: np.ndarray, octaves: int, steps: int) -> np.ndarray:
+    """The (P, 1 + octaves steps) times of ``_octave_scan``'s points, each
+    an integer multiple of its slice's ``h_0``."""
+    k, j = _scan_point(np.arange(1 + octaves * steps), steps)
+    return h_0[:, None] * ((steps + j) << k)
+
+
+def _octave_scan(matrices: np.ndarray, x0: np.ndarray, h_0: np.ndarray, octaves: int,
+                 steps: int, rows: np.ndarray) -> tuple:
+    """``(values, powers, starts)``: ``(e^{M t} x0)[rows]`` of each slice of
+    a (P, n, n) stack at ``t_lo = steps h_0`` and at the ``steps`` equal
+    steps ``h_k = 2^k h_0`` of each octave ``[2^k t_lo, 2^(k+1) t_lo]``,
+    k < ``octaves`` (``_scan_times``), (P, 1 + octaves steps, len(rows));
+    the powers ``E_0^(2^b) = e^{2^b M h_0}``, b < ``octaves`` plus the bit
+    length of ``steps`` minus 1; and the full state at each octave start
+    k <= ``octaves``, so that scan point (k, j) is ``E_k^j starts[k]``.
+
+    The powers are one ``_doublings`` call on ``M h_0``: doubling k is
+    ``E_k = e^{M h_k}`` and doubling k + b is ``E_k^(2^b)``, each a fresh
+    exponential.  The octave starts are chained by the binary digits of
+    ``steps``, ``x_0 = E_0^steps x0`` and ``x_(k+1) = E_k^steps x_k`` (145:
+    ``E_k E_(k+4) E_(k+7) x_k``), and ``_step`` reads the values of every
+    octave off one product, in chunks of slices whose values hold at most
+    1/16 of ``_EXPM_STACK_ENTRIES`` entries.
     """
     points, width = len(x0), len(rows)
     levels = steps.bit_length()
-    x = (expm(matrices * t_lo[:, None, None]) @ x0[..., None])[..., 0]
-    powers = _doublings(matrices * (t_lo / steps)[:, None, None], octaves + levels - 1)
+    powers = _doublings(matrices * h_0[:, None, None], octaves + levels - 1)
     digits = [b for b in reversed(range(levels)) if steps >> b & 1]
-    starts = np.empty((octaves,) + x.shape, dtype=complex)
-    out = np.empty((points, 1 + octaves * steps, width), dtype=complex)
-    out[:, 0] = x[:, rows]
-    for k in range(octaves):
+    starts = np.empty((octaves + 1,) + x0.shape, dtype=complex)
+    x = x0
+    for k in range(octaves + 1):
+        for b in digits:
+            x = (powers[max(k - 1, 0) + b] @ x[..., None])[..., 0]
         starts[k] = x
-        if k + 1 < octaves:
-            for b in digits:
-                x = (powers[k + b] @ x[..., None])[..., 0]
+    out = np.empty((points, 1 + octaves * steps, width), dtype=complex)
+    out[:, 0] = starts[0][:, rows]
     chunk = max(1, _EXPM_STACK_ENTRIES // (16 * octaves * steps * width))
     for at in range(0, points, chunk):
         picked = slice(at, at + chunk)
-        values = _step([powers[b:b + octaves, picked] for b in range(levels)], starts[:, picked],
-                       rows, steps)
+        values = _step([powers[b:b + octaves, picked] for b in range(levels)],
+                       starts[:-1, picked], rows, steps)
         out[picked, 1:] = values.swapaxes(0, 1).reshape(-1, octaves * steps, width)
-    return out
+    return out, powers, starts
 
 
-def _newton(matrices, offsets, alpha, rows, t, lo, hi) -> tuple:
-    """``(t, P(t))`` per pair at the root of ``dP/dt = N(t) / t^2`` in
-    ``[lo, hi]``, starting from ``t``; all pairs in lockstep, each step one
-    ``expm(M t) x`` on the stack of the pairs still active.
+def _ladder(matrices, x0, alpha, rows, h_0, powers, starts, slices, argmax,
+            steps: int) -> tuple:
+    """``(t, P(t))`` per pair at the peak of ``P = |a|^2 / t``,
+    ``a = alpha + (e^{M t} x0)[row]``, next to its scan ``argmax``, off the
+    ``powers`` and ``starts`` of ``_octave_scan``; ``slices`` picks each
+    pair's slice of them, of the ``matrices`` and of x0.
 
-    ``N(t) = 2t Re(conj(a) a') - |a|^2`` of the target amplitude ``a``,
-    with ``a' = (M x)_row``, ``a'' = (M a')_row`` and
-    ``x = e^{Mt}(alpha0 - alpha_ss)``, so one exponential gives N and
-    ``N' = 2t (|a'|^2 + Re(conj(a) a''))``.  ``N > 0`` moves ``lo`` up
-    to t, else ``hi`` down; a Newton step that leaves the bracket is a
-    bisection.  Once a step is below ``rel_tol * t`` its end is
-    evaluated once more and returned; after ``_NEWTON_STEPS`` the
-    last point evaluated is.
+    P peaks where ``N(t) = 2t Re(conj(a) a') - |a|^2`` falls through 0.  The
+    full state at ``argmax - 1``, point (k, j), is its octave start times
+    ``E_k^(2^b)`` for each binary digit b of j.  A binary descent with
+    ``powers[b] = E_0^(2^b)`` then finds the last multiple of h_0 before
+    ``argmax + 1`` where ``N > 0``, and a secant of N over that h_0 step
+    gives t.  One stacked ``expm(M t)`` gives P(t), N and
+    ``N' = 2t (|a'|^2 + Re(conj(a) a''))``; the Newton step ``t - N / N'``
+    is taken when it stays inside that h_0 step.
     """
-    rel_tol = 1e-8  # the step's end is returned, so t_star is far closer
-    t, lo, hi = t.copy(), lo.copy(), hi.copy()
-    found_t, found_p = t.copy(), np.empty_like(t)
-    final = np.zeros(t.shape, dtype=bool)
-    active = np.arange(t.size)
-    for _ in range(_NEWTON_STEPS):
-        m, at = matrices[active], t[active]
-        x = expm(m * at[:, None, None]) @ offsets[active][..., None]
-        slope = m @ x
-        curve = m @ slope
-        pick = (np.arange(active.size), rows[active], 0)
-        a = x[pick] + alpha[active]
-        a1, a2 = slope[pick], curve[pick]
-        energy = np.abs(a) ** 2
-        found_t[active], found_p[active] = at, energy / at
-        todo = ~final[active]
-        active, at, a, a1, a2, energy = (
-            v[todo] for v in (active, at, a, a1, a2, energy))
-        if not active.size:
-            break
-        n = 2.0 * at * (a.conjugate() * a1).real - energy
-        dn = 2.0 * at * (np.abs(a1) ** 2 + (a.conjugate() * a2).real)
-        lo[active] = np.where(n > 0.0, at, lo[active])
-        hi[active] = np.where(n > 0.0, hi[active], at)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            new = at - n / dn
-        inside = (new > lo[active]) & (new < hi[active])
-        new = np.where(inside, new, 0.5 * (lo[active] + hi[active]))
-        final[active] = np.abs(new - at) <= rel_tol * at
-        t[active] = new
-    return found_t, found_p
+    pairs, chosen = np.arange(len(slices)), matrices[slices]
+    m_rows = chosen[pairs, rows]
+
+    def slope(x, t):  # (N(t), a, a') of the full states x at t
+        a, a1 = x[pairs, rows] + alpha, np.einsum("pi,pi->p", m_rows, x)
+        return 2.0 * t * (a.conjugate() * a1).real - np.abs(a) ** 2, a, a1
+
+    def apply(b, x, take=Ellipsis):  # powers[b] x of the pairs ``take``
+        return (powers[b, slices[take]] @ x[take][..., None])[..., 0]
+
+    k, j = _scan_point(argmax - 1, steps)
+    x = starts[k, slices]
+    for b in range(steps.bit_length()):
+        take = (j >> b & 1).nonzero()[0]
+        x[take] = apply(k[take] + b, x, take)
+    k_end, j_end = _scan_point(argmax + 1, steps)
+    m, end = (steps + j) << k, (steps + j_end) << k_end
+    n_lo = slope(x, m * h_0)[0]
+    for b in reversed(range(int(np.max(end - m - 1)).bit_length())):
+        ahead = apply(b, x)
+        n_ahead = slope(ahead, (m + (1 << b)) * h_0)[0]
+        up = (m + (1 << b) < end) & (n_ahead > 0.0)
+        x[up], n_lo[up], m[up] = ahead[up], n_ahead[up], m[up] + (1 << b)
+    n_hi = slope(apply(0, x), (m + 1) * h_0)[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        secant = np.nan_to_num(n_lo / (n_lo - n_hi), nan=0.5)
+    t = (m + np.clip(secant, 0.0, 1.0)) * h_0
+    x = (expm(chosen * t[:, None, None]) @ x0[slices][..., None])[..., 0]
+    n, a, a1 = slope(x, t)
+    a2 = np.einsum("pi,pi->p", m_rows, (chosen @ x[..., None])[..., 0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        new = t - n / (2.0 * t * (np.abs(a1) ** 2 + (a.conjugate() * a2).real))
+    inside = (new >= m * h_0) & (new <= (m + 1) * h_0)
+    return np.where(inside, new, t), np.abs(a) ** 2 / t
 
 
 def _propagate(matrix: np.ndarray, x0: np.ndarray, times: np.ndarray,

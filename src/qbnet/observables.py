@@ -18,8 +18,8 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .dynamics import (_BAND_MIN_MODES, LinearSystem, _abscissas, _newton, _octave_scan,
-                       _row, assemble_points, evolve, steady_states, vacuum)
+from .dynamics import (_BAND_MIN_MODES, LinearSystem, _abscissas, _ladder, _octave_scan,
+                       _row, _scan_times, assemble_points, evolve, steady_states, vacuum)
 from .errors import ScanEdgeError
 from .network import TopologyParams
 
@@ -248,22 +248,6 @@ def power_curve(params: TopologyParams, target: str | None = None,
                       curve.method)
 
 
-def _octave_grid(t_lo: np.ndarray, span: float) -> np.ndarray:
-    """Per start in ``t_lo``, octaves ``[a, 2a]`` from it until
-    ``span * t_lo`` is covered, each sampled with
-    ``POWER_STEPS_PER_OCTAVE`` equal steps: a (P, T) array, filled in
-    place."""
-    octaves = int(np.ceil(np.log2(span)))
-    steps = POWER_STEPS_PER_OCTAVE
-    starts = t_lo[:, None] * 2.0 ** np.arange(octaves)
-    grid = np.empty((len(t_lo), octaves * steps + 1))
-    body = grid[:, :-1].reshape(len(t_lo), octaves, steps)
-    np.multiply((starts / steps)[..., None], np.arange(steps), out=body)
-    body += starts[..., None]
-    grid[:, -1] = t_lo * 2.0 ** octaves
-    return grid
-
-
 def _peak_powers(matrices, alpha_ss, abscissas, rows, scale) -> tuple:
     """Per slice of a stack of decaying networks, from vacuum, the
     ``(t_star, p_max)`` (S, T, 2) of each target row, NaN where the scan
@@ -273,39 +257,35 @@ def _peak_powers(matrices, alpha_ss, abscissas, rows, scale) -> tuple:
 
     The scan propagates the offsets ``alpha0 - alpha_ss`` over each
     slice's octave grid to ``t_hi = 50 / |abscissa|`` (``_octave_scan``):
-    one stacked ``expm`` for the first point and one ``_doublings`` call
-    whose doublings are every octave's step and its powers, keeping only
-    the target rows; the peak of each (slice, target) pair is refined by
-    ``_newton`` between the scan argmax's grid neighbours, and the
-    better of the refined point and the scan point is kept.
+    one ``_doublings`` call on ``M h_0``, ``h_0 = t_lo / 145``, whose
+    doublings are every octave's step and its powers, keeping only the
+    target rows.  The peak of each (slice, target) pair is then read off
+    those powers between the scan argmax's grid neighbours (``_ladder``),
+    with one stacked ``expm`` for every pair.
     """
-    t_hi = POWER_HORIZON_FACTOR / np.abs(abscissas)
-    grid = _octave_grid(t_hi / POWER_SCAN_SPAN, POWER_SCAN_SPAN)
+    octaves, steps = int(np.ceil(np.log2(POWER_SCAN_SPAN))), POWER_STEPS_PER_OCTAVE
+    h_0 = POWER_HORIZON_FACTOR / np.abs(abscissas) / POWER_SCAN_SPAN / steps
+    times = _scan_times(h_0, octaves, steps)
     offsets = -alpha_ss
     alpha_rows = alpha_ss[:, rows]
-    x = _octave_scan(matrices, offsets, grid[:, 0], grid.shape[1] // POWER_STEPS_PER_OCTAVE,
-                     POWER_STEPS_PER_OCTAVE, rows)
+    x, powers, starts = _octave_scan(matrices, offsets, h_0, octaves, steps, rows)
     x += alpha_rows[:, None]
-    power = np.abs(x) ** 2 / grid[..., None]
+    power = np.abs(x) ** 2 / times[..., None]
     argmax = power.argmax(axis=1)
-    edge = (argmax == 0) | (argmax == grid.shape[1] - 1)
+    edge = (argmax == 0) | (argmax == times.shape[1] - 1)
     errors: dict = {}
     for s, k in zip(*edge.nonzero()):
         i = argmax[s, k]
         errors.setdefault(int(s), ScanEdgeError(
-            f"scan maximum {power[s, i, k]:.6g} at the grid edge x = {grid[s, i]:.6g}; "
-            f"the maximum may lie outside [{grid[s, 0]:.6g}, {grid[s, -1]:.6g}]",
-            edge=float(grid[s, i])))
+            f"scan maximum {power[s, i, k]:.6g} at the grid edge x = {times[s, i]:.6g}; "
+            f"the maximum may lie outside [{times[s, 0]:.6g}, {times[s, -1]:.6g}]",
+            edge=float(times[s, i])))
     peaks = np.full(edge.shape + (2,), np.nan)
     s, k = (~edge).nonzero()
     if s.size:
-        i = argmax[s, k]
-        t, p = _newton(matrices[s], offsets[s], alpha_rows[s, k], rows[k],
-                       grid[s, i], grid[s, i - 1], grid[s, i + 1])
-        scan_t, scan_p = grid[s, i], power[s, i, k]
-        keep = scan_p > p
-        peaks[s, k, 0] = np.where(keep, scan_t, t)
-        peaks[s, k, 1] = np.where(keep, scan_p, p) * scale[s]
+        t, p = _ladder(matrices, offsets, alpha_rows[s, k], rows[k], h_0[s], powers, starts, s,
+                       argmax[s, k], steps)
+        peaks[s, k, 0], peaks[s, k, 1] = t, p * scale[s]
     return peaks, errors
 
 
@@ -343,12 +323,13 @@ def max_power(params: TopologyParams, target: str | None = None):
 
     A scan locates the peak over six decades of charging time, from
     ``t_hi / 1e6`` to ``t_hi = 50 / |spectral abscissa|``: 20 octaves of
-    145 equal steps each, read off one ``expm`` of the first point and one
-    doubling call whose doublings ``e^{2^k M h_0}`` are every octave's
-    step and its powers (``dynamics._octave_scan``).  A safeguarded Newton
-    search for the root of dP/dt between the argmax's grid neighbours
-    then polishes t until its step is below 1e-8 relative, one
-    ``expm`` per step.  A scan peaking on an end of its grid raises
+    145 equal steps each, read off one doubling call whose doublings
+    ``e^{2^k M h_0}`` are every octave's step and its powers
+    (``dynamics._octave_scan``).  A ladder on the same powers then finds
+    the last multiple of ``h_0`` before the root of dP/dt between the
+    argmax's grid neighbours, a secant places the root inside that step,
+    and one ``expm`` there gives ``p_max`` and one Newton step on t
+    (``dynamics._ladder``).  A scan peaking on an end of its grid raises
     ``ScanEdgeError``.  The search runs at unit drive and ``p_max`` is
     scaled by ``|xi|^2``, so an undriven network gives ``p_max = 0`` at
     the driven one's ``t_star``.  This is ``_power_points`` on a batch
@@ -439,8 +420,8 @@ def gain_report(params_base: TopologyParams, include_power: bool = False) -> Gai
     one batch below 24 batteries (``_gain_batches``): one assemble, one
     certificate and one solve, ``r1`` with its intermediates decoupled.
     With it ``nr`` and ``r2`` are one batch and ``r1`` another, and every
-    battery's peak comes off one octave scan and one lockstep Newton
-    search per batch (``_power_points``).
+    battery's peak comes off one octave scan and one ladder search per
+    batch (``_power_points``).
     """
     targets = _report_targets(params_base)
     batches = _gain_batches(params_base, targets if include_power else None)

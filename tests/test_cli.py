@@ -41,6 +41,22 @@ class TestSteady:
         doc = json.loads(out)
         assert doc["columns"] == ["battery", "E_over_omega"]
 
+    def test_csv_output(self, capsys):
+        # an explicit --format is honoured without --out too
+        code, out, _ = run(capsys, "steady", "--family", "cascaded",
+                           "--variant", "nr", "--n", "1", "--gb", "0.05",
+                           "--gamma", "0.1", "--format", "csv")
+        assert code == 0
+        assert "battery,E_over_omega" in out.splitlines() and "E/omega" not in out
+
+    def test_json_names_a_non_battery_target(self, capsys):
+        # a_2 is not a battery: its row reads 0, the metadata names it
+        code, out, _ = run(capsys, "steady", "--family", "cascaded",
+                           "--variant", "nr", "--n", "2", "--gb", "0.05",
+                           "--gamma", "0.1", "--target", "a_2", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["metadata"]["target"] == "a_2"
+
     def test_gamma_c_overrides_gamma(self, capsys):
         flags = ("steady", "--family", "cascaded", "--variant", "r1", "--n", "1",
                  "--gb", "0.05", "--gamma", "0.1")

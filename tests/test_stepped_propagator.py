@@ -23,9 +23,8 @@ from qbnet import (DriveSpec, ModeSpec, NetworkSpec, ScanEdgeError,
                    evolve, figure_table, is_stable, max_power,
                    parse_run_config, run_sweep, steady_state, vacuum)
 from qbnet.cli import EXIT_NUMERIC, cli_main
-from qbnet.dynamics import _contour_windows, _runs
+from qbnet.dynamics import _contour_windows, _runs, _scan_point, _scan_times
 from qbnet.figures import GAMMA_INTERMEDIATE_POWER, GAMMA_POWER, POWER_SWEEP
-from qbnet.observables import POWER_SCAN_SPAN, _octave_grid
 
 from oracles import mp_vacuum_amplitudes, scan_refine_max
 
@@ -164,6 +163,16 @@ class TestRootOfPowerSlope:
         assert t_star == pytest.approx(self.oracle_root(params, "b_4", t_star),
                                        rel=1e-11)
 
+    def test_seeded_strong_coupling_peak(self):
+        # the 42nd draw of the strong-coupling oracle set: the secant over
+        # the last h_0 step alone lands 7e-10 off the root, and the ladder's
+        # final Newton step must bring t_star to rounding level
+        rng = np.random.default_rng(20261)
+        for _ in range(42):
+            params, target = random_params(rng, 1.0, 1e2)
+        t_star, _ = max_power(params, target)
+        assert t_star == pytest.approx(self.oracle_root(params, target, t_star), rel=1e-11)
+
 
 class TestMetamorphic:
     def test_power_scales_with_drive_squared(self):
@@ -266,18 +275,18 @@ class TestOctaveScan:
 
     Each value is ``alpha_ss + e^{M t} (-alpha_ss)`` at a target row, the
     scan's own inputs (M and ``alpha_ss``, at unit drive) taken exactly.
-    Octave k starts at ``t_lo + 145 h_0 (2^k - 1)`` and steps by
-    ``2^k h_0``, ``h_0 = t_lo / 145`` as rounded."""
+    Point (k, j) lies at ``(145 + j) 2^k h_0``, ``h_0`` as rounded."""
 
     @pytest.fixture(scope="class")
     def scans(self):
         recorded = []
         original = qbnet.observables._octave_scan
 
-        def recording(matrices, x0, t_lo, octaves, steps, rows):
-            x = original(matrices, x0, t_lo, octaves, steps, rows)
-            recorded.append((matrices, x0, t_lo, steps, rows, x.copy()))
-            return x
+        def recording(matrices, x0, h_0, octaves, steps, rows):
+            found = original(matrices, x0, h_0, octaves, steps, rows)
+            recorded.append((matrices, x0, h_0, octaves, steps, rows,
+                             *(a.copy() for a in found)))
+            return found
 
         qbnet.observables._octave_scan = recording
         try:
@@ -290,13 +299,11 @@ class TestOctaveScan:
         return recorded
 
     @staticmethod
-    def mp_amplitude(matrix, x0, row, t_lo, steps, i):
+    def mp_amplitude(matrix, x0, row, h_0, steps, i):
         mp = pytest.importorskip("mpmath")
         with mp.workdps(34):
-            k, j = divmod(i - 1, steps)
-            h0 = mp.mpf(float(t_lo / steps))
-            t = mp.mpf(float(t_lo)) + (h0 * (steps * (2 ** k - 1) + (j + 1) * 2 ** k)
-                                       if i else 0)
+            k, j = _scan_point(i, steps)
+            t = mp.mpf(float(h_0)) * (steps + int(j)) * 2 ** int(k)
             m = mp.matrix([[mp.mpc(complex(v)) for v in r] for r in matrix])
             x = mp.matrix([mp.mpc(complex(v)) for v in x0])
             return complex(-x[int(row)] + (mp.expm(m * t) * x)[int(row)])
@@ -306,22 +313,67 @@ class TestOctaveScan:
         # seeded grid point, within 1e-12 of the slice's peak |a|
         rng = np.random.default_rng(23)
         worst = 0.0
-        for matrices, x0, t_lo, steps, rows, x in scans:
+        for matrices, x0, h_0, octaves, steps, rows, x, _, _ in scans:
             a = x - x0[:, None, rows]
-            grid = _octave_grid(t_lo, POWER_SCAN_SPAN)
+            grid = _scan_times(h_0, octaves, steps)
             for s in rng.choice(len(matrices), min(3, len(matrices)), replace=False):
                 for r, row in enumerate(rows):
                     power = np.abs(a[s, :, r]) ** 2 / grid[s]
                     for i in (int(power.argmax()), int(rng.integers(power.size))):
-                        want = self.mp_amplitude(matrices[s], x0[s], row, t_lo[s], steps, i)
+                        want = self.mp_amplitude(matrices[s], x0[s], row, h_0[s], steps, i)
                         error = abs(a[s, i, r] - want) / np.abs(a[s, :, r]).max()
                         worst = max(worst, error)
         assert worst <= 1e-12
 
+    def test_point_map_rebuilds_full_state(self, scans):
+        # point (k, j) is octave start k times E_k^(2^b) for each binary
+        # digit b of j, at the time the scan's grid gives it
+        matrices, x0, h_0, octaves, steps, _, _, powers, starts = scans[0]  # fig4c
+        times = _scan_times(h_0, octaves, steps)
+        for s in (0, len(matrices) - 1):
+            for i in (0, 1, steps - 1, steps, steps + 1, octaves * steps):
+                k, j = _scan_point(i, steps)
+                x = starts[k, s]
+                for b in range(steps.bit_length()):
+                    if j >> b & 1:
+                        x = powers[k + b, s] @ x
+                want = expm(matrices[s] * times[s, i]) @ x0[s]
+                assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(x0[s])
+
+    def test_peak_is_at_least_the_scan_maximum(self, monkeypatch):
+        # every fig4c/fig4d peak and both seeded oracle sets: the ladder's
+        # p_max never falls below the scan's own value at its argmax
+        scan, ladder = qbnet.observables._octave_scan, qbnet.observables._ladder
+        scans, checked = [], []
+
+        def recording_scan(matrices, x0, h_0, octaves, steps, rows):
+            found = scan(matrices, x0, h_0, octaves, steps, rows)
+            scans.append((_scan_times(h_0, octaves, steps), rows, found[0].copy()))
+            return found
+
+        def recording_ladder(*args):
+            t, p = ladder(*args)
+            _, _, alpha, rows, _, _, _, slices, argmax, _ = args
+            times, scan_rows, values = scans[-1]
+            column = (rows[:, None] == scan_rows).argmax(axis=1)
+            scan_p = np.abs(values[slices, argmax, column] + alpha) ** 2 / times[slices, argmax]
+            checked.append(np.all(p >= scan_p))
+            return t, p
+
+        monkeypatch.setattr(qbnet.observables, "_octave_scan", recording_scan)
+        monkeypatch.setattr(qbnet.observables, "_ladder", recording_ladder)
+        figure_table("fig4c")
+        figure_table("fig4d")
+        for seed, low, high, count in ((20260, 1e-3, 1.0, 24), (20261, 1.0, 1e2, 60)):
+            rng = np.random.default_rng(seed)
+            for _ in range(count):
+                max_power(*random_params(rng, low, high))
+        assert len(checked) == 4 + 84 and all(checked)
+
 
 def test_only_dynamics_binds_expm():
     # dynamics is the one module that exponentiates a dynamics matrix:
-    # the propagator, the peak scan and the Newton steps of max_power
+    # the propagator, the peak scan and the last step of max_power's ladder
     def binds(node):
         return ((isinstance(node, (ast.alias, ast.FunctionDef)) and node.name == "expm")
                 or (isinstance(node, ast.Attribute) and node.attr == "expm"))
@@ -360,31 +412,30 @@ class TestExpmCount:
                                       GAMMA_INTERMEDIATE_POWER, 1.0)):
             expm_calls.clear()
             max_power(params, "b_4")
-            # 2 for the scan, the rest Newton steps
-            assert 0 < len(expm_calls) <= 30
+            # the scan's doubling call and the ladder's one expm
+            assert len(expm_calls) == 2
 
     def test_eta_panel_is_two_stacks(self, expm_calls):
         # nr with r2, then r1: 21 points each, scanned and refined together;
-        # the first call is the scan's first point
+        # the first call is the scan's doubling call
         figure_table("fig4c")
         assert 0 < len(expm_calls) <= 60
         assert expm_calls[0] == (42, 9, 9)
 
     @pytest.mark.parametrize("panel, calls", [("fig4a", 0), ("fig4b", 0),
-                                              ("fig4c", 12), ("fig4d", 12)])
+                                              ("fig4c", 4), ("fig4d", 4)])
     def test_panel_counts(self, expm_calls, panel, calls):
         # the log-grid curves are contour sums; an eta panel is two stacked
-        # scans (a first-point expm and one doubling call each) and their
-        # Newton steps
+        # scans (one doubling call each) and their ladders' one expm each
         figure_table(panel)
         assert len(expm_calls) == calls
 
     def test_max_power_count(self, expm_calls):
-        # 2 for the scan, 4 Newton steps
+        # the scan's doubling call and the ladder's one expm
         max_power(TopologyParams("cascaded", "nr", 4, 0.01 * GAMMA_POWER,
                                  GAMMA_POWER, GAMMA_POWER,
                                  GAMMA_INTERMEDIATE_POWER, 1.0), "b_4")
-        assert len(expm_calls) == 6
+        assert len(expm_calls) == 2
 
     def test_uniform_energy_curve(self, expm_calls):
         params = TopologyParams("parallel", "nr", 4, 0.001, 0.1, 0.1, 0.1, 1.0)
